@@ -27,7 +27,6 @@ from .int_lattice import (
     hom_module,
     quotient_by_orbit_relations,
     smith_normal_form,
-    split_quotient,
 )
 from .fp_module import (
     FpGaloisModule,
@@ -44,7 +43,6 @@ from .ed_solver import (
     brute_force_min_rank,
     classify_ed_le_one,
     cover_module,
-    essential_p_dimension,
     genus_equal,
     min_permutation_rank,
     verify_certificate,
@@ -85,7 +83,6 @@ __all__ = [
     "cover_module",
     "direct_product",
     "direct_sum",
-    "essential_p_dimension",
     "expected_table",
     "fixed_image_subspace",
     "fixed_submodule",
@@ -102,7 +99,6 @@ __all__ = [
     "quotient_by_orbit_relations",
     "reduce_mod_p",
     "smith_normal_form",
-    "split_quotient",
     "subgroup_classes",
     "subgroup_of",
     "trivial_lattice",

@@ -1,25 +1,30 @@
 """Minimal permutation covers of Galois modules, hence essential p-dimension.
 
 The quantity computed: the least total rank of a direct sum of coset
-modules Z[G/H_i] admitting an equivariant map onto the module with finite
-cokernel of order prime to p.  Essential p-dimension is that minimum minus
-the free rank.
+modules Z[G/H_i] admitting an equivariant map onto the module M with
+finite cokernel of order prime to p.  Essential p-dimension is that
+minimum minus the free rank.
 
-Reduction used by the fast solver (the brute-force oracle below checks it
-independently): over a p-group the mod-p group algebra is local, so a
-family generates M/pM iff its image spans the coinvariant quotient W; a
-summand Z[G/H] can hit W only inside V_H = image(M^H -> W); minimal
-multisets use exactly dim W summands; and a multiset of subgroup classes
-works iff the V's admit an independent transversal, which Rado's criterion
-decides subset by subset.  Certificates are verified integrally via SNF, so
-every answer is self-auditing.
+Argument used by the fast solver (the brute-force oracle below checks it
+independently).  Over a p-group the mod-p group algebra is local, so by
+Nakayama a family generates M/pM iff its image spans the coinvariant
+quotient W of M/pM.  A summand Z[G/H] is determined by the image of the
+coset H, which must lie in the fixed lattice M^H = {x : h.x = x for h in H};
+it reaches W only through V_H = image(M^H -> W), and conjugate subgroups
+give the same V_H because G acts trivially on W.  So a cover is a family
+of pairs (v, H) with v in V_H whose vectors span W, at cost sum [G:H]; a
+minimal cover takes a basis of W.  These pairs form a linear matroid on W
+weighted by the index, so Edmonds' greedy algorithm is exact: take the
+classes cheapest first and keep every vector of V_H that is independent of
+those already kept.  The minimum is sum [G:H] * (dimensions gained at H).
+Certificates are verified integrally via SNF, so every answer is
+self-auditing.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -64,7 +69,6 @@ class EdResult:
     min_rank: int
     ed: int
     certificate: CoverCertificate
-    multisets_examined: int
 
 
 def _solve_mod_p(columns, target, p):
@@ -104,18 +108,17 @@ class _SolverContext:
         self.classes = subgroup_classes(m.group)
         self.fixed = [fixed_submodule(m, c) for c in self.classes]
         self.fixed_images = []
-        for sub in self.fixed:
-            vectors = [project(self.projection, [x % p for x in b], p)
-                       for b in sub.saturated_basis]
+        for basis in self.fixed:
+            vectors = [project(self.projection, [x % p for x in b], p) for b in basis]
             self.fixed_images.append(Subspace(self.w_dim, p, vectors))
 
     def lift_from_w(self, class_index: int, w_vector) -> list[int]:
         """An integral H-fixed vector whose image in W is the given vector."""
-        basis = self.fixed[class_index].saturated_basis
+        basis = self.fixed[class_index]
         columns = [project(self.projection, [x % self.p for x in b], self.p)
                    for b in basis]
         coeffs = _solve_mod_p(columns, w_vector, self.p)
-        assert coeffs is not None, "transversal vector must lie in the fixed image"
+        assert coeffs is not None, "greedy vector must lie in the fixed image"
         out = [0] * self.module.dim
         for c, b in zip(coeffs, basis):
             if c:
@@ -124,7 +127,7 @@ class _SolverContext:
 
     def lift_from_mbar(self, class_index: int, point) -> list[int]:
         """An integral H-fixed vector reducing to the given point of M/pM."""
-        basis = self.fixed[class_index].saturated_basis
+        basis = self.fixed[class_index]
         columns = [[x % self.p for x in b] for b in basis]
         coeffs = _solve_mod_p(columns, point, self.p)
         assert coeffs is not None, "candidate point must lie in the fixed image"
@@ -135,95 +138,38 @@ class _SolverContext:
         return self.module.canon_vector(out)
 
 
-def _rado_feasible(subspaces, multiset_counter) -> bool:
-    """Rado's criterion restricted to subsets of distinct classes.
-
-    Slots of the same class carry the same subspace, so the binding subsets
-    are unions of whole classes: need dim(sum of V_c, c in T) >= total
-    multiplicity of T, for every nonempty T.
-    """
-    distinct = sorted(multiset_counter)
-    for size in range(1, len(distinct) + 1):
-        for team in itertools.combinations(distinct, size):
-            span = subspaces[team[0]]
-            for c in team[1:]:
-                span = span.add(subspaces[c])
-            if span.dim < sum(multiset_counter[c] for c in team):
-                return False
-    return True
-
-
-def _independent_transversal(subspaces, slots, w_dim, p):
-    """Vectors v_i in subspaces[slots[i]] forming an independent family.
-
-    Backtracks over basis vectors only; by the exchange property a basis-
-    vector transversal exists whenever any transversal does, so with the
-    Rado precheck passed this always succeeds.
-    """
-    order = sorted(range(len(slots)), key=lambda i: (subspaces[slots[i]].dim, i))
-    chosen: list = [None] * len(slots)
-
-    def extend(pos, span):
-        if pos == len(order):
-            return True
-        slot = order[pos]
-        for cand in subspaces[slots[slot]].basis:
-            if span.contains(cand):
-                continue
-            chosen[slot] = list(cand)
-            if extend(pos + 1, span.with_vector(cand)):
-                return True
-        chosen[slot] = None
-        return False
-
-    ok = extend(0, Subspace(w_dim, p))
-    assert ok, "Rado-feasible multiset must admit a transversal"
-    return chosen
-
-
 def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     """Exact minimum of sum [G:H_i] over covers with prime-to-p cokernel.
 
-    Multisets of subgroup classes are scanned in nondecreasing total cost
-    (ties lexicographic), so the first feasible one is optimal and the
+    Edmonds' greedy algorithm on the matroid of pairs (v in V_H, class H)
+    weighted by [G:H]: classes are taken by (index, position), and each
+    vector of V_H's echelon basis that grows the running span of W is kept
+    and lifted to an H-fixed generator.  The first classes to reach
+    dim W fix the minimum, sum [G:H] * (dimensions gained at H), and the
     output is deterministic.
     """
     ctx = _SolverContext(m, p)
     if m.dim == 0:
-        return EdResult(0, 0, CoverCertificate((), 0), 0)
-    d = ctx.w_dim
-    assert d >= 1
-    costs = [c.index for c in ctx.classes]
-    multisets = sorted(
-        itertools.combinations_with_replacement(range(len(ctx.classes)), d),
-        key=lambda ms: (sum(costs[i] for i in ms), ms),
-    )
-    examined = 0
-    for ms in multisets:
-        examined += 1
-        counter = Counter(ms)
-        if not _rado_feasible(ctx.fixed_images, counter):
-            continue
-        transversal = _independent_transversal(ctx.fixed_images, list(ms), d, p)
-        summands = []
-        for slot, w_vec in zip(ms, transversal):
-            gen = ctx.lift_from_w(slot, w_vec)
-            summands.append((ctx.classes[slot], tuple(gen)))
-        total = sum(costs[i] for i in ms)
-        cert = CoverCertificate(tuple(summands), total)
-        if verify_certificate(m, cert, p):
-            return EdResult(total, total - m.free_rank, cert, examined)
-        # Should be unreachable: the mod-p argument guarantees the lift.
-        # Fall back to the independent search and surface the defect.
-        warnings.warn("certificate verification failed after a feasible "
-                      "transversal; falling back to brute force")
-        return brute_force_min_rank(m, p, rank_budget=total)
-    raise AssertionError("the all-trivial-class multiset is always feasible")
-
-
-def essential_p_dimension(m: GaloisModule, p: int) -> EdResult:
-    """min_permutation_rank minus the free rank (pure torsion: the rank itself)."""
-    return min_permutation_rank(m, p)
+        return EdResult(0, 0, CoverCertificate((), 0))
+    span = Subspace(ctx.w_dim, p)
+    summands = []
+    for ci in sorted(range(len(ctx.classes)), key=lambda i: (ctx.classes[i].index, i)):
+        if span.dim == ctx.w_dim:
+            break
+        for w_vec in ctx.fixed_images[ci].basis:
+            if not span.contains(w_vec):
+                span = span.with_vector(w_vec)
+                summands.append((ctx.classes[ci], tuple(ctx.lift_from_w(ci, w_vec))))
+    assert span.dim == ctx.w_dim, "the trivial class alone spans W"
+    total = sum(cls.index for cls, _ in summands)
+    cert = CoverCertificate(tuple(summands), total)
+    if verify_certificate(m, cert, p):
+        return EdResult(total, total - m.free_rank, cert)
+    # Should be unreachable: the mod-p argument guarantees the lift.
+    # Fall back to the independent search and surface the defect.
+    warnings.warn("greedy cover failed certificate verification; "
+                  "falling back to brute force")
+    return brute_force_min_rank(m, p, rank_budget=total)
 
 
 def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
@@ -263,7 +209,7 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
 
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
                          enumeration_cap: int = 200000) -> EdResult:
-    """Exhaustive oracle: no coinvariants, no Nakayama, no Rado.
+    """Exhaustive oracle: no coinvariants, no Nakayama, no greedy.
 
     Depth-first search over multisets of subgroup classes, trying every
     candidate generator image in image(M^H -> M/pM) and accumulating orbit
@@ -275,7 +221,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     """
     ctx = _SolverContext(m, p)
     if m.dim == 0:
-        return EdResult(0, 0, CoverCertificate((), 0), 0)
+        return EdResult(0, 0, CoverCertificate((), 0))
     dim = m.dim
     if p ** dim > enumeration_cap:
         raise BudgetExceededError(
@@ -284,8 +230,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     # Candidate points per class: all of image(M^H -> M/pM), deduplicated
     # by the orbit span they generate (equal spans contribute identically).
     class_points: list[list[tuple[list[int], Subspace]]] = []
-    for sub in ctx.fixed:
-        reduced = [[x % p for x in b] for b in sub.saturated_basis]
+    for basis in ctx.fixed:
+        reduced = [[x % p for x in b] for b in basis]
         image_basis, _ = rref(reduced, dim, p)
         points = []
         seen_spans = set()
@@ -306,11 +252,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     costs = [c.index for c in ctx.classes]
     best: list = [None, None]  # cost, chosen [(class_index, point)]
     reached: dict = {}
-    examined = 0
 
     def search(floor, span, cost, chosen):
-        nonlocal examined
-        examined += 1
         if span.dim == dim:
             if best[0] is None or cost < best[0]:
                 best[0], best[1] = cost, list(chosen)
@@ -343,7 +286,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
         summands.append((ctx.classes[ci], tuple(gen)))
     cert = CoverCertificate(tuple(summands), best[0])
     assert verify_certificate(m, cert, p)
-    return EdResult(best[0], best[0] - m.free_rank, cert, examined)
+    return EdResult(best[0], best[0] - m.free_rank, cert)
 
 
 def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],

@@ -171,9 +171,8 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) ->
     """
     mbar = reduce_mod_p(m)
     w_dim, projection = coinvariants(mbar)
-    sub = fixed_submodule(m, h)
     vectors = [project(projection, [x % m.prime for x in b], m.prime)
-               for b in sub.saturated_basis]
+               for b in fixed_submodule(m, h)]
     return Subspace(w_dim, m.prime, vectors)
 
 

@@ -342,8 +342,8 @@ class GaloisModule:
         a_block = [row[:n] for row in mat[:n]]
         if determinant(a_block) not in (1, -1):
             raise ValueError("free block must be unimodular")
-        d_block = [[mat[n + i][n + j] % self.prime for j in range(t)] for i in range(t)]
-        if _rank_mod_p(d_block, self.prime) != t:
+        d_block = [row[n:] for row in mat[n:]]
+        if determinant(d_block) % self.prime == 0:
             raise ValueError("torsion block must be invertible mod p")
         return self._canon_matrix(mat)
 
@@ -386,72 +386,6 @@ class GaloisModule:
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
 
 
-def _rank_mod_p(mat: IntMatrix, p: int) -> int:
-    m = [[x % p for x in row] for row in mat]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                c = m[i][col]
-                m[i] = [(m[i][j] - c * m[rank][j]) % p for j in range(cols)]
-        rank += 1
-    return rank
-
-
-class Submodule:
-    """A subgroup of a GaloisModule closed under the group action.
-
-    saturated_basis is the canonical HNF basis of the subgroup generated by
-    the given vectors together with their whole orbit under the action (and
-    the relation vectors of the torsion coordinates, so membership is well
-    defined on representatives).
-    """
-
-    __slots__ = ("parent", "generators", "saturated_basis")
-
-    def __init__(self, parent: GaloisModule, generators: list[list[int]]):
-        self.parent = parent
-        self.generators = [list(v) for v in generators]
-        closed = list(parent.relation_vectors())
-        for v in self.generators:
-            for g in parent.group.elements():
-                closed.append(mat_vec(parent.action(g), v))
-        self.saturated_basis = hnf_basis(closed)
-
-    def rank(self) -> int:
-        return len(self.saturated_basis)
-
-    def contains(self, v: list[int]) -> bool:
-        reduced = _reduce_against(self.saturated_basis, v)
-        return reduced is not None
-
-
-def _reduce_against(basis_rows: list[list[int]], v: list[int]):
-    """Reduce v by an HNF row basis; returns the zero vector on membership, else None."""
-    if not basis_rows:
-        return [0] * len(v) if not any(v) else None
-    v = list(v)
-    cols = len(v)
-    pivots = []
-    for row in basis_rows:
-        lead = next(j for j in range(cols) if row[j])
-        pivots.append(lead)
-    for row, lead in zip(basis_rows, pivots):
-        if v[lead] % row[lead]:
-            return None
-        q = v[lead] // row[lead]
-        if q:
-            v = [v[j] - q * row[j] for j in range(cols)]
-    return v if not any(v) else None
-
-
 def subgroup_generators(group: FiniteGroup, members: tuple[int, ...]) -> list[int]:
     """Small generating set of a subgroup given by its sorted element list."""
     gens: list[int] = []
@@ -466,12 +400,16 @@ def subgroup_generators(group: FiniteGroup, members: tuple[int, ...]) -> list[in
     return gens
 
 
-def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> Submodule:
-    """The submodule {x in M : g.x = x for all g in h}.
+def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
+    """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
 
-    Free coordinates must satisfy (A - I) x = 0 exactly; torsion rows are
-    congruences solved by adjoining one slack column per torsion row and
-    subgroup generator.
+    The basis spans the lattice of integer representatives of M^H, so it
+    contains the torsion relation vectors q_j e_{n+j}.  It suffices to fix a
+    generating set of H: free rows must satisfy (A - I) x = 0 exactly, and
+    torsion rows are congruences solved by adjoining one slack column per
+    torsion row and subgroup generator.  M^H is stable under G only when H
+    is normal; for a class, the representative's fixed module is returned,
+    and a conjugate gHg^-1 has the fixed module g.M^H.
     """
     members = h.representative if isinstance(h, SubgroupClass) else tuple(h)
     members = subgroup_of(m.group, members)
@@ -479,9 +417,9 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> Subm
     n, t = m.free_rank, len(m.torsion)
     dim = n + t
     if dim == 0:
-        return Submodule(m, [])
+        return []
     if not gens:
-        return Submodule(m, [row[:] for row in identity_matrix(dim)])
+        return identity_matrix(dim)
     rows: list[list[int]] = []
     k = len(gens)
     width = dim + k * t
@@ -499,40 +437,7 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> Subm
             row[dim + idx * t + i] = m.torsion[i]
             rows.append(row)
     kernel = kernel_basis(rows, width)
-    vectors = [vec[:dim] for vec in kernel]
-    return Submodule(m, vectors)
-
-
-def split_quotient(m: GaloisModule) -> GaloisModule:
-    """The quotient of M by the subgroup generated by all x - g.x.
-
-    The result carries the trivial action (the group acts trivially on it by
-    construction); its free rank and invariant factors come from the SNF of
-    the relation matrix.  Torsion at a prime other than the working prime is
-    a hard error.
-    """
-    dim = m.dim
-    cols: list[list[int]] = [vec for vec in m.relation_vectors()]
-    for g in m.group.elements():
-        mat = m.action(g)
-        for i in range(dim):
-            col = [mat[j][i] - (1 if i == j else 0) for j in range(dim)]
-            if any(col):
-                cols.append(col)
-    if not cols:
-        free, tors = dim, []
-    else:
-        b = [[col[i] for col in cols] for i in range(dim)]
-        d, _, _ = smith_normal_form(b)
-        free = dim - len(d)
-        tors = sorted(x for x in d if x > 1)
-        for q in tors:
-            if not is_p_power(q, m.prime):
-                raise MixedTorsionError(
-                    f"quotient has Z/{q} torsion, not a power of {m.prime}")
-    new_dim = free + len(tors)
-    gens = {g: identity_matrix(new_dim) for g in m.group.generators()}
-    return GaloisModule(m.group, m.prime, free, tors, gens)
+    return hnf_basis([vec[:dim] for vec in kernel] + m.relation_vectors())
 
 
 def direct_sum(a: GaloisModule, b: GaloisModule) -> GaloisModule:

@@ -122,17 +122,23 @@ def parse_presentation(data: Any) -> tuple[FiniteGroup, list[tuple[int, ...]], l
 
 def result_to_json(result: EdResult, diagnostics: dict | None = None) -> dict:
     summands = []
+    # Summands per subgroup index, cheapest first: for the greedy solver,
+    # the dimensions of W each index adds to the cheaper ones.
+    filtration: dict[int, int] = {}
     if result.certificate is not None:
         for cls, gen in result.certificate.summands:
             summands.append({
                 "subgroup": list(cls.representative),
                 "generator": [str(x) for x in gen],
             })
+            filtration[cls.index] = filtration.get(cls.index, 0) + 1
     payload = {
         "min_rank": result.min_rank,
         "ed": result.ed,
         "certificate": {"summands": summands},
-        "diagnostics": {"multisets_examined": result.multisets_examined},
+        "diagnostics": {
+            "cost_filtration": [[index, filtration[index]] for index in sorted(filtration)],
+        },
     }
     if diagnostics:
         payload["diagnostics"].update(diagnostics)

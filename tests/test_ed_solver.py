@@ -10,11 +10,11 @@ from edlattice.ed_solver import (
     brute_force_min_rank,
     classify_ed_le_one,
     cover_module,
-    essential_p_dimension,
     genus_equal,
     min_permutation_rank,
     verify_certificate,
 )
+from edlattice.fp_module import coinvariants, reduce_mod_p
 from edlattice.group_core import make_cyclic, direct_product, subgroup_classes
 from edlattice.int_lattice import GaloisModule, direct_sum
 from edlattice.random_modules import random_module
@@ -67,7 +67,7 @@ def test_sign_plus_trivial_needs_rank_three():
 def test_twisted_cyclic_values():
     for (p, n, a, want) in [(3, 2, 4, 3), (2, 3, 3, 2), (3, 1, 1, 1), (2, 2, 3, 2)]:
         entry = build_cyclic(p, n, a)
-        res = essential_p_dimension(entry.module, p)
+        res = min_permutation_rank(entry.module, p)
         assert res.ed == want == entry.expected_ed
 
 
@@ -196,5 +196,18 @@ def test_solver_matches_oracle_on_random_modules(seed):
 def test_examined_counter_reported():
     entry = build_list_L("M7", 3)
     res = min_permutation_rank(entry.module, 3)
-    # table note: at most 6 multisets per module at p=3
-    assert 1 <= res.multisets_examined <= 6
+    w_dim, _ = coinvariants(reduce_mod_p(entry.module))
+    # the greedy keeps one summand per dimension of W, at its class's index
+    summands = res.certificate.summands
+    assert len(summands) == w_dim
+    assert sum(cls.index for cls, _ in summands) == res.min_rank
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [1, 3, 5, 32, 45, 55])
+def test_solver_matches_oracle_on_d8(d8, seed):
+    m = random_module(Random(seed), d8, 2, max_dim=4)
+    fast = min_permutation_rank(m, 2)
+    slow = brute_force_min_rank(m, 2, d8.order * max(1, m.dim))
+    assert fast.min_rank == slow.min_rank
+    assert verify_certificate(m, fast.certificate, 2)

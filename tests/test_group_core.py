@@ -44,6 +44,13 @@ def test_bad_table_rejected():
         from_table([[1, 0], [0, 1]])  # identity is not index 0
 
 
+def test_nonassociative_table_rejected_at_order_70():
+    table = [[(i + j) % 70 for j in range(70)] for i in range(70)]
+    table[2][3], table[2][4] = table[2][4], table[2][3]
+    with pytest.raises(ValueError, match="associative"):
+        from_table(table)
+
+
 def test_subgroup_of_validates():
     g = make_cyclic(4)
     assert subgroup_of(g, [0, 2]) == (0, 2)

@@ -1,7 +1,9 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edlattice.group_core import direct_product, make_cyclic
+from edlattice.group_core import direct_product, make_cyclic, subgroup_classes
 from edlattice.int_lattice import (
     GaloisModule,
     MixedTorsionError,
@@ -16,8 +18,8 @@ from edlattice.int_lattice import (
     mat_mul,
     quotient_by_orbit_relations,
     smith_normal_form,
-    split_quotient,
 )
+from edlattice.random_modules import random_module
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda rows: st.integers(min_value=1, max_value=5).flatmap(
@@ -130,31 +132,15 @@ def test_torsion_compatibility_check():
 
 def test_fixed_submodule_mult_by_4_mod_9():
     m = _mult_module(3, 2, 4, 3)
-    sub = fixed_submodule(m, (0, 1, 2))
-    assert sub.saturated_basis == [[3]]
+    assert fixed_submodule(m, (0, 1, 2)) == [[3]]
     # trivial subgroup fixes everything
-    assert fixed_submodule(m, (0,)).saturated_basis == [[1]]
+    assert fixed_submodule(m, (0,)) == [[1]]
 
 
 def test_fixed_submodule_regular():
     g = make_cyclic(2)
     reg = GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]]})
-    sub = fixed_submodule(reg, (0, 1))
-    assert sub.saturated_basis == [[1, 1]]
-
-
-def test_split_quotient_sign():
-    g = make_cyclic(2)
-    sign = GaloisModule(g, 2, 1, [], {1: [[-1]]})
-    split = split_quotient(sign)
-    assert (split.free_rank, list(split.torsion)) == (0, [2])
-
-
-def test_split_quotient_regular():
-    g = make_cyclic(2)
-    reg = GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]]})
-    split = split_quotient(reg)
-    assert (split.free_rank, list(split.torsion)) == (1, [])
+    assert fixed_submodule(reg, (0, 1)) == [[1, 1]]
 
 
 def test_direct_sum_reorders_torsion():
@@ -204,7 +190,14 @@ def test_fixed_submodule_is_conjugation_invariant():
     m = GaloisModule(g, 2, 2, [], gens)
     # abelian, so conjugates coincide; the fixed module of each subgroup
     # is well defined on classes
-    from edlattice.group_core import subgroup_classes
     for c in subgroup_classes(g):
-        basis = fixed_submodule(m, c).saturated_basis
-        assert basis == fixed_submodule(m, c.representative).saturated_basis
+        assert fixed_submodule(m, c) == fixed_submodule(m, c.representative)
+
+
+def test_fixed_submodule_is_fixed_on_d8(d8):
+    # nonabelian: M^H is not G-stable when H is not normal, so the basis
+    # must not be closed under the whole group
+    m = random_module(Random(1), d8, 2, max_dim=4)
+    for c in subgroup_classes(d8):
+        for v in fixed_submodule(m, c):
+            assert all(m.act(g, v) == m.canon_vector(v) for g in c.representative), (c, v)

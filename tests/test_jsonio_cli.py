@@ -95,7 +95,8 @@ def test_result_serialization_shape():
     cert = data["certificate"]["summands"]
     assert all(set(s) == {"subgroup", "generator"} for s in cert)
     assert all(isinstance(x, str) for s in cert for x in s["generator"])
-    assert data["diagnostics"]["multisets_examined"] >= 1
+    # M3 at p=3 is covered by one summand of index 3
+    assert data["diagnostics"]["cost_filtration"] == [[3, 1]]
     assert data["diagnostics"]["prime"] == 3
 
 
