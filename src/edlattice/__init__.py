@@ -12,9 +12,12 @@ from .group_core import (
     FiniteGroup,
     SubgroupClass,
     coset_action,
+    dihedral8,
     direct_product,
     from_table,
+    heisenberg27,
     make_cyclic,
+    quaternion8,
     subgroup_classes,
     subgroup_of,
 )
@@ -81,6 +84,7 @@ __all__ = [
     "coinvariants",
     "coset_action",
     "cover_module",
+    "dihedral8",
     "direct_product",
     "direct_sum",
     "expected_table",
@@ -88,6 +92,7 @@ __all__ = [
     "fixed_submodule",
     "from_table",
     "genus_equal",
+    "heisenberg27",
     "hermite_normal_form",
     "hom_module",
     "instantiated_catalog",
@@ -96,6 +101,7 @@ __all__ = [
     "orbit_span",
     "parse_catalog_key",
     "permutation_module",
+    "quaternion8",
     "quotient_by_orbit_relations",
     "reduce_mod_p",
     "smith_normal_form",

@@ -10,6 +10,7 @@ them and never reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, make_cyclic, subgroup_classes
@@ -95,6 +96,19 @@ def _one_minus_h_power(p: int, r: int) -> list[int]:
     return [(-1) ** k * comb(r, k) if k <= r else 0 for k in range(p)]
 
 
+@lru_cache(maxsize=None)
+def _cyclic_bases(p: int) -> tuple[FiniteGroup, GaloisModule, GaloisModule]:
+    """C_{p^2}, Z[G] and Z[G/H] for the index-p subgroup H, built once per prime.
+
+    Every entry at p shares them, and with them the group's cached subgroup
+    classes and coset actions.  Modules are never mutated after
+    construction, so sharing is safe.
+    """
+    g = make_cyclic(p * p)
+    return (g, permutation_module(g, (0,), p),
+            permutation_module(g, tuple(range(0, p * p, p)), p))
+
+
 def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     """One of the twelve c_{p^2}-module families, with its expected table row.
 
@@ -111,9 +125,7 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     else:
         if r is None or r not in admissible_r(family, p):
             raise ValueError(f"{family} needs r in {list(admissible_r(family, p))}, got {r}")
-    g = make_cyclic(p * p)
-    zg = permutation_module(g, (0,), p)
-    zh = permutation_module(g, tuple(range(0, p * p, p)), p)
+    g, zg, zh = _cyclic_bases(p)
     n2 = p * p
     eps = [1 if i % p == 0 else 0 for i in range(n2)]
     eps_shifted = [1 if i % p == 1 else 0 for i in range(n2)]

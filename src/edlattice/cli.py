@@ -24,7 +24,7 @@ from .ed_solver import (
     verify_certificate,
 )
 from .fp_module import coinvariants, fixed_image_subspace, reduce_mod_p
-from .group_core import make_cyclic, direct_product
+from .group_core import dihedral8, direct_product, heisenberg27, make_cyclic, quaternion8
 from .int_lattice import direct_sum
 from .jsonio import (
     dump_json,
@@ -182,7 +182,9 @@ def _cmd_catalog(args) -> int:
 def _oracle_groups(p: int):
     if p == 2:
         c2 = make_cyclic(2)
-        return [c2, make_cyclic(4), direct_product(c2, c2)]
+        return [c2, make_cyclic(4), direct_product(c2, c2), dihedral8(), quaternion8()]
+    if p == 3:
+        return [make_cyclic(3), make_cyclic(9), heisenberg27()]
     return [make_cyclic(p), make_cyclic(p * p)]
 
 

@@ -35,6 +35,7 @@ from .int_lattice import (
     hom_module,
     mat_vec,
     smith_normal_form,
+    subgroup_generators,
 )
 from .fp_module import (
     FpGaloisModule,
@@ -193,7 +194,10 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
     for cls, gen in cert.summands:
         gen = list(gen)
         canon = m.canon_vector(gen)
-        if any(m.act(g, gen) != canon for g in cls.representative):
+        # Every member lies in the closure of these generators, so fixing
+        # them is the same as fixing every member.
+        gens = subgroup_generators(m.group, cls.representative)
+        if any(m.act(g, gen) != canon for g in gens):
             return False
     columns = list(m.relation_vectors())
     for cls, gen in cert.summands:
@@ -307,7 +311,8 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
     degrees = [a.degree for a in actions]
     if len(coeffs) != sum(degrees):
         raise ValueError("coefficient vector does not match the set size")
-    for g in group.elements():
+    # The coset permutations form a homomorphism, so generators suffice.
+    for g in group.generators():
         permuted = []
         offset = 0
         for act, deg in zip(actions, degrees):

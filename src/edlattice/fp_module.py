@@ -8,8 +8,32 @@ subspaces the solver consumes.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .group_core import FiniteGroup, SubgroupClass
 from .int_lattice import GaloisModule, fixed_submodule
+
+
+def _echelon_insert(basis, pivots, row, p):
+    """Reduce a row (entries in [0, p)) against a semi-echelon basis.
+
+    Every basis row is zero at the pivots of the rows before it, so one
+    pass in insertion order clears all pivots.  A nonzero residue is scaled
+    to a leading 1 and appended; returns it, or None if the row was in the
+    span.
+    """
+    for brow, bpiv in zip(basis, pivots):
+        c = row[bpiv]
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, brow)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return None
+    inv = pow(row[lead], -1, p)
+    row = [x * inv % p for x in row]
+    basis.append(row)
+    pivots.append(lead)
+    return row
 
 
 def rref(vectors, dim, p):
@@ -19,21 +43,10 @@ def rref(vectors, dim, p):
     everywhere else, pivot columns strictly increase.  Canonical: two spans
     are equal iff their rref output is identical.
     """
-    rows = [[x % p for x in v] for v in vectors if any(x % p for x in v)]
     basis = []
     pivots = []
-    for row in rows:
-        for brow, bpiv in zip(basis, pivots):
-            c = row[bpiv]
-            if c:
-                row = [(row[j] - c * brow[j]) % p for j in range(dim)]
-        lead = next((j for j in range(dim) if row[j]), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        row = [(x * inv) % p for x in row]
-        basis.append(row)
-        pivots.append(lead)
+    for v in vectors:
+        _echelon_insert(basis, pivots, [x % p for x in v], p)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     basis = [basis[i] for i in order]
     pivots = [pivots[i] for i in order]
@@ -94,28 +107,42 @@ class Subspace:
 
 
 class FpGaloisModule:
-    """F_p^dim with an invertible matrix per group element (a homomorphism)."""
+    """F_p^dim with a group acting through invertible matrices mod p.
 
-    __slots__ = ("group", "p", "dim", "action")
+    action[g] is an integer matrix for every element g, and g -> action[g]
+    must be a homomorphism (reduce_mod_p passes the matrices of a
+    GaloisModule, whose constructor checks that law).  Only the generators'
+    matrices are reduced and checked invertible mod p here: every element is
+    a product of generators, and products of units are units.  Any other
+    element's matrix is reduced on first use.
+    """
+
+    __slots__ = ("group", "p", "dim", "_source", "_reduced")
 
     def __init__(self, group: FiniteGroup, p, dim, action):
         self.group = group
         self.p = p
         self.dim = dim
-        self.action = [
-            [[x % p for x in row] for row in action[g]] for g in group.elements()
-        ]
-        for g in group.elements():
-            mat = self.action[g]
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise ValueError("action matrix has wrong shape")
-            if Subspace(dim, p, mat).dim != dim:
+        self._source = action
+        self._reduced = {}
+        for g in group.generators() or [0]:
+            if Subspace(dim, p, self.action(g)).dim != dim:
                 raise ValueError(f"action of element {g} is singular mod {p}")
 
+    def action(self, g):
+        """The matrix of g reduced mod p."""
+        mat = self._reduced.get(g)
+        if mat is None:
+            source = self._source[g]
+            if len(source) != self.dim or any(len(row) != self.dim for row in source):
+                raise ValueError("action matrix has wrong shape")
+            mat = [[x % self.p for x in row] for row in source]
+            self._reduced[g] = mat
+        return mat
+
     def act(self, g, v):
-        mat = self.action[g]
-        return [sum(mat[i][j] * v[j] for j in range(self.dim)) % self.p
-                for i in range(self.dim)]
+        mat = self.action(g)
+        return [sum(map(mul, row, v)) % self.p for row in mat]
 
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:
@@ -139,7 +166,7 @@ def coinvariants(m: FpGaloisModule):
     # Generators suffice: if every generator acts trivially on the quotient
     # by these columns, the whole group does.
     for g in m.group.generators() or [0]:
-        mat = m.action[g]
+        mat = m.action(g)
         for j in range(dim):
             col = [(mat[i][j] - (1 if i == j else 0)) % p for i in range(dim)]
             if any(col):
@@ -177,7 +204,22 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) ->
 
 
 def orbit_span(m: FpGaloisModule, v) -> Subspace:
-    """F_p-span of the orbit {g.v : g in the group}."""
+    """F_p-span of the orbit {g.v : g in the group}.
+
+    That span is the least G-stable subspace containing v, so it is reached
+    by spinning: apply each generator to every vector that enlarged the
+    running echelon basis, until no image does.  Generator images suffice
+    because every g^-1 is a positive power of g in a finite group.
+    """
     if len(v) != m.dim:
         raise ValueError("vector length does not match the module dimension")
-    return Subspace(m.dim, m.p, [m.act(g, v) for g in m.group.elements()])
+    p = m.p
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    pending = [[x % p for x in v]]
+    gens = m.group.generators()
+    while pending:
+        row = _echelon_insert(rows, pivots, pending.pop(), p)
+        if row is not None:
+            pending.extend(m.act(g, row) for g in gens)
+    return Subspace(m.dim, p, rows)

@@ -2,9 +2,16 @@
 
 Elements are the indices 0..order-1 with identity 0.  Groups here are the
 acting Galois quotients: small p-groups, abelian (cyclic or products of
-cyclics) or not (any full Cayley table).  The group axioms are checked at
+cyclics) or not (any full Cayley table; D8, Q8 and the Heisenberg group of
+order 27 have constructors below).  The group axioms are checked at
 construction in O(n^2 log n), which caps the practical order at a few
 thousand.
+
+A group is immutable once built, so what depends on it alone is computed
+once per instance and kept on it: the generating set (`generators`), the
+subgroup classes (`subgroup_classes`) and each coset action
+(`coset_action`).  Every solve on the same group object shares them; the
+caches live and die with the group, with no module-level state.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ class FiniteGroup:
     Identity, inverses and associativity are verified at every order.
     """
 
-    __slots__ = ("order", "cayley", "inverse", "name")
+    __slots__ = ("order", "cayley", "inverse", "name",
+                 "_generators", "_classes", "_coset_actions")
 
     def __init__(self, cayley: Sequence[Sequence[int]], name: str = "") -> None:
         n = len(cayley)
@@ -48,6 +56,9 @@ class FiniteGroup:
         self.cayley = table
         self.inverse = inverse
         self.name = name or f"G{n}"
+        self._generators: list[int] | None = None
+        self._classes: list[SubgroupClass] | None = None
+        self._coset_actions: dict = {}
         # Light's test: the elements s with (x s) y = x (s y) for all x, y
         # are closed under products, so checking a generating set suffices.
         # Each generator picked here at least doubles the reached set when
@@ -124,17 +135,22 @@ class FiniteGroup:
         return tuple(sorted(seen))
 
     def generators(self) -> list[int]:
-        """A small generating set, chosen greedily and deterministically."""
-        gens: list[int] = []
-        reached = {0}
-        for a in sorted(self.elements(), key=lambda x: (-self.element_order(x), x)):
-            if a in reached:
-                continue
-            gens.append(a)
-            reached = set(self.closure(gens))
-            if len(reached) == self.order:
-                break
-        return gens
+        """A small generating set, chosen greedily and deterministically.
+
+        Computed once per group; each call returns a fresh list.
+        """
+        if self._generators is None:
+            gens: list[int] = []
+            reached = {0}
+            for a in sorted(self.elements(), key=lambda x: (-self.element_order(x), x)):
+                if a in reached:
+                    continue
+                gens.append(a)
+                reached = set(self.closure(gens))
+                if len(reached) == self.order:
+                    break
+            self._generators = gens
+        return list(self._generators)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -224,7 +240,14 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     from a smaller one by adjoining a single generator, so growing the set
     of known subgroups until it is closed under one-generator extensions
     finds them all.  Conjugacy dedup uses the sorted-element canonical form.
+    Computed once per group; each call returns a fresh list.
     """
+    if group._classes is None:
+        group._classes = _enumerate_subgroup_classes(group)
+    return list(group._classes)
+
+
+def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     trivial = (0,)
     known = {trivial}
     frontier = [trivial]
@@ -257,8 +280,20 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
 
 
 def coset_action(group: FiniteGroup, h: SubgroupClass | Sequence[int]) -> CosetAction:
-    """Left-multiplication action on left cosets of h, in canonical coset order."""
-    members = h.representative if isinstance(h, SubgroupClass) else tuple(h)
+    """Left-multiplication action on left cosets of h, in canonical coset order.
+
+    Computed once per (group, h); the result is immutable and shared.
+    """
+    key = h if isinstance(h, SubgroupClass) else tuple(h)
+    action = group._coset_actions.get(key)
+    if action is None:
+        action = _build_coset_action(group, key)
+        group._coset_actions[key] = action
+    return action
+
+
+def _build_coset_action(group: FiniteGroup, h: SubgroupClass | tuple[int, ...]) -> CosetAction:
+    members = h.representative if isinstance(h, SubgroupClass) else h
     members = subgroup_of(group, members)
     coset_of = [-1] * group.order
     cosets: list[tuple[int, ...]] = []
@@ -271,19 +306,58 @@ def coset_action(group: FiniteGroup, h: SubgroupClass | Sequence[int]) -> CosetA
         cosets.append(coset)
     # Cosets are discovered in order of their minimal element already
     # (elements scanned ascending), so the ordering is canonical.
-    perms = []
-    for g in group.elements():
-        perms.append(tuple(coset_of[group.cayley[g][c[0]]] for c in cosets))
-    action = CosetAction(
+    perms = tuple(tuple(coset_of[group.cayley[g][c[0]]] for c in cosets)
+                  for g in group.elements())
+    # Homomorphism law on every (generator, element) pair.  By induction on
+    # word length that gives perms[w b] = perms[w] o perms[b] for all w, b,
+    # i.e. every pair, at any order.
+    for a in group.generators():
+        pa = perms[a]
+        for b in group.elements():
+            pb = perms[b]
+            pab = perms[group.cayley[a][b]]
+            assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
+    return CosetAction(
         subgroup=h if isinstance(h, SubgroupClass) else SubgroupClass(members, group.order // len(members), 1),
         cosets=tuple(cosets),
-        permutations=tuple(perms),
+        permutations=perms,
     )
-    if group.order <= 27:
-        for a in group.elements():
-            pa = action.permutations[a]
-            for b in group.elements():
-                pb = action.permutations[b]
-                pab = action.permutations[group.cayley[a][b]]
-                assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
-    return action
+
+
+def dihedral8() -> FiniteGroup:
+    """D8 = <r, s | r^4, s^2, srs = r^-1>, element r^a s^b at index a + 4b."""
+    def index(a, b):
+        return a % 4 + 4 * (b % 2)
+    table = [[index(a + (c if b == 0 else -c), b + d)
+              for d in range(2) for c in range(4)]
+             for b in range(2) for a in range(4)]
+    return FiniteGroup(table, name="D8")
+
+
+def quaternion8() -> FiniteGroup:
+    """Q8 = {+-1, +-i, +-j, +-k}; unit u in (1, i, j, k) with sign s at index u + 4[s < 0]."""
+    # (u, v) -> (sign, w) with u * v = sign * w, for u, v in (1, i, j, k).
+    units = {
+        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+    elements = [(s, u) for s in (1, -1) for u in range(4)]
+    table = []
+    for s1, u1 in elements:
+        row = []
+        for s2, u2 in elements:
+            s, w = units[(u1, u2)]
+            row.append(w + (4 if s * s1 * s2 < 0 else 0))
+        table.append(row)
+    return FiniteGroup(table, name="Q8")
+
+
+def heisenberg27() -> FiniteGroup:
+    """Upper unitriangular 3x3 matrices over F_3; (a, b, c) at index a + 3b + 9c."""
+    elements = [(a, b, c) for c in range(3) for b in range(3) for a in range(3)]
+    table = [[(x[0] + y[0]) % 3 + 3 * ((x[1] + y[1]) % 3)
+              + 9 * ((x[2] + y[2] + x[0] * y[1]) % 3)
+              for y in elements] for x in elements]
+    return FiniteGroup(table, name="H27")

@@ -8,6 +8,8 @@ the unimodular transforms tracked explicitly.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .group_core import FiniteGroup, SubgroupClass, subgroup_of
 
 IntMatrix = list[list[int]]
@@ -17,14 +19,40 @@ class MixedTorsionError(ValueError):
     """A quotient acquired torsion at a prime other than the working prime."""
 
 
+# Miller-Rabin with the first thirteen prime bases is exact for every
+# n < 3317044064679887385961981 (Sorenson & Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    A witness proves n composite at any size, but passing every base
+    proves n prime only below 3.3 * 10^24; a larger n that passes raises
+    ValueError rather than be reported prime unproven.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact only below {_MR_BOUND}")
     return True
 
 
@@ -61,7 +89,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
@@ -276,9 +304,13 @@ class GaloisModule:
     component (there is no nonzero map from a finite group into Z).
 
     Matrices are supplied for a generating set only; the rest are filled in
-    by breadth-first products and the homomorphism law is then verified on
-    every (generator, element) pair, which covers all pairs by induction on
-    word length.
+    by a search over the Cayley graph, and that search is the homomorphism
+    check.  Each (generator g, element x) edge is walked once: a tree edge
+    defines action(g x) = action(g) action(x) and so holds by construction;
+    a non-tree edge reaches an element whose matrix is already known and
+    the product is compared with it.  Together they verify the law on every
+    (generator, element) pair, which covers all pairs by induction on word
+    length.
     """
 
     __slots__ = ("group", "prime", "free_rank", "torsion", "_mats")
@@ -314,12 +346,11 @@ class GaloisModule:
             x = frontier.pop()
             for g, gmat in canon_gens.items():
                 y = group.cayley[g][x]
+                product = self._canon_rows(mat_mul(gmat, mats[x]))
                 if mats[y] is None:
-                    mats[y] = self._canon_matrix(mat_mul(gmat, mats[x]))
+                    mats[y] = product
                     frontier.append(y)
-        for g, gmat in canon_gens.items():
-            for x in group.elements():
-                if self._canon_matrix(mat_mul(gmat, mats[x])) != mats[group.cayley[g][x]]:
+                elif product != mats[y]:
                     raise ValueError("action is not a group homomorphism")
         self._mats = mats
 
@@ -345,14 +376,14 @@ class GaloisModule:
         d_block = [row[n:] for row in mat[n:]]
         if determinant(d_block) % self.prime == 0:
             raise ValueError("torsion block must be invertible mod p")
-        return self._canon_matrix(mat)
+        return self._canon_rows([row[:] for row in mat])
 
-    def _canon_matrix(self, mat: IntMatrix) -> IntMatrix:
+    def _canon_rows(self, mat: IntMatrix) -> IntMatrix:
+        """Reduce the torsion rows of mat in place; returns mat."""
         n = self.free_rank
-        out = [row[:] for row in mat]
         for i, q in enumerate(self.torsion):
-            out[n + i] = [x % q for x in out[n + i]]
-        return out
+            mat[n + i] = [x % q for x in mat[n + i]]
+        return mat
 
     @property
     def dim(self) -> int:
@@ -387,16 +418,17 @@ class GaloisModule:
 
 
 def subgroup_generators(group: FiniteGroup, members: tuple[int, ...]) -> list[int]:
-    """Small generating set of a subgroup given by its sorted element list."""
+    """Small generating set of a subgroup given by its sorted element list.
+
+    Every member lies in the closure of the result, even when the members
+    do not form a subgroup.
+    """
     gens: list[int] = []
     reached = {0}
     for a in sorted(members, key=lambda x: (-group.element_order(x), x)):
-        if a in reached:
-            continue
-        gens.append(a)
-        reached = set(group.closure(gens))
-        if len(reached) == len(members):
-            break
+        if a not in reached:
+            gens.append(a)
+            reached = set(group.closure(gens))
     return gens
 
 

@@ -136,3 +136,11 @@ def test_relation_vectors_use_exact_binomials():
     e1 = build_list_L("M9r", 5, 1).module
     e4 = build_list_L("M9r", 5, 4).module
     assert e1.free_rank == e4.free_rank == 25
+
+
+def test_entries_at_one_prime_share_the_group_and_bases():
+    entries = instantiated_catalog(3)
+    group = entries[0].module.group
+    assert all(e.module.group is group for e in entries)
+    assert build_list_L("M4", 3).module is build_list_L("M4", 3).module
+    assert build_list_L("M4", 5).module.group is not group

@@ -1,8 +1,10 @@
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from edlattice.fp_module import (
+    FpGaloisModule,
     Subspace,
     coinvariants,
     fixed_image_subspace,
@@ -11,9 +13,12 @@ from edlattice.fp_module import (
     reduce_mod_p,
     rref,
 )
-from edlattice.group_core import make_cyclic
+from edlattice.group_core import dihedral8, heisenberg27, make_cyclic, quaternion8
 from edlattice.int_lattice import GaloisModule
 from edlattice.catalog import build_list_L, permutation_module
+from edlattice.random_modules import random_module
+
+NONABELIAN = [(dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)]
 
 
 def test_rref_canonical_under_shuffle():
@@ -100,3 +105,29 @@ def test_fixed_image_m7_only_trivial_class_contributes():
     assert fixed_image_subspace(entry.module, full).dim == 0
     assert fixed_image_subspace(entry.module, middle).dim == 0
     assert fixed_image_subspace(entry.module, (0,)).dim == 1
+
+
+@pytest.mark.parametrize("make_group,p", NONABELIAN)
+def test_orbit_span_matches_full_orbit_on_nonabelian_groups(make_group, p):
+    group = make_group()
+    rng = Random(11)
+    for _ in range(12):
+        mbar = reduce_mod_p(random_module(rng, group, p, max_dim=4))
+        for _ in range(4):
+            v = [rng.randrange(p) for _ in range(mbar.dim)]
+            full = Subspace(mbar.dim, p, [mbar.act(g, v) for g in group.elements()])
+            assert orbit_span(mbar, v) == full
+
+
+@pytest.mark.parametrize("make_group,p", NONABELIAN)
+def test_fp_module_checks_generators_only_for_invertibility(make_group, p):
+    group = make_group()
+    identity = [[1, 0], [0, 1]]
+    singular = [[1, 0], [0, p]]
+    for g in group.generators():
+        action = [identity] * group.order
+        action[g] = singular
+        with pytest.raises(ValueError, match=f"singular mod {p}"):
+            FpGaloisModule(group, p, 2, action)
+    m = FpGaloisModule(group, p, 2, [identity] * group.order)
+    assert all(m.act(g, [1, 2]) == [1, 2 % p] for g in group.elements())

@@ -5,9 +5,12 @@ from edlattice.group_core import (
     FiniteGroup,
     coset_action,
     conjugate_subgroup,
+    dihedral8,
     direct_product,
     from_table,
+    heisenberg27,
     make_cyclic,
+    quaternion8,
     subgroup_classes,
     subgroup_of,
 )
@@ -122,3 +125,55 @@ def test_generators_generate():
     for g in (make_cyclic(12), direct_product(make_cyclic(2), make_cyclic(4))):
         gens = g.generators()
         assert g.closure(gens) == tuple(g.elements())
+
+
+def test_nonabelian_constructors():
+    # (order, element orders as a sorted list, number of subgroup classes)
+    expected = {
+        "D8": (8, [1, 2, 2, 2, 2, 2, 4, 4], 8),
+        "Q8": (8, [1, 2, 4, 4, 4, 4, 4, 4], 6),
+        "H27": (27, [1] + [3] * 26, 11),
+    }
+    for g in (dihedral8(), quaternion8(), heisenberg27()):
+        order, orders, n_classes = expected[g.name]
+        assert g.order == order and not g.is_abelian()
+        assert sorted(g.element_order(x) for x in g.elements()) == orders
+        assert len(subgroup_classes(g)) == n_classes
+
+
+def _reference_coset_action(group, members):
+    """Cosets and permutations from scratch, with the law checked on all pairs."""
+    cosets = sorted({tuple(sorted(group.mul(x, h) for h in members))
+                     for x in group.elements()})
+    position = {c: i for i, c in enumerate(cosets)}
+    perms = [tuple(position[tuple(sorted(group.mul(g, y) for y in c))] for c in cosets)
+             for g in group.elements()]
+    for a in group.elements():
+        for b in group.elements():
+            pab, pa, pb = perms[group.mul(a, b)], perms[a], perms[b]
+            assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
+    return tuple(cosets), tuple(perms)
+
+
+@pytest.mark.parametrize("make_group", [dihedral8, quaternion8, heisenberg27])
+def test_coset_action_matches_all_pairs_reference(make_group):
+    g = make_group()
+    for cls in subgroup_classes(g):
+        act = coset_action(g, cls)
+        assert (act.cosets, act.permutations) == _reference_coset_action(g, cls.representative)
+        assert act.subgroup == cls
+
+
+def test_group_data_is_computed_once_per_instance():
+    g = dihedral8()
+    gens = g.generators()
+    gens.append(5)  # callers get copies, never the cached list
+    assert g.generators() == gens[:-1]
+    classes = subgroup_classes(g)
+    classes.clear()
+    assert subgroup_classes(g) and subgroup_classes(g)[0] is subgroup_classes(g)[0]
+    cls = subgroup_classes(g)[1]
+    assert coset_action(g, cls) is coset_action(g, cls)
+    assert coset_action(g, [0, 4]) is coset_action(g, (0, 4))
+    # a second instance with the same table computes its own
+    assert coset_action(dihedral8(), cls) is not coset_action(g, cls)

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from edlattice.int_lattice import (
     hnf_basis,
     hom_module,
     identity_matrix,
+    is_prime,
     kernel_basis,
     mat_mul,
     quotient_by_orbit_relations,
@@ -118,6 +120,43 @@ def test_module_validation():
     with pytest.raises(ValueError):
         # x -> 2x on Z/4 is not invertible mod 2
         GaloisModule(g, 2, 0, [4], {1: [[2]]})
+
+
+def test_module_rejects_cyclic_non_homomorphism():
+    # x -> -x has order 2, so it cannot define an action of C3: the search
+    # builds action(1) = -1 and action(2) = 1 along tree edges, and only the
+    # closing edge 1 * 2 = 0 compares -1 with the identity.
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GaloisModule(make_cyclic(3), 3, 1, [], {1: [[-1]]})
+
+
+def test_module_rejects_noncommuting_involutions():
+    # C2 x C2 is abelian, but these two involutions do not commute.
+    g = direct_product(make_cyclic(2), make_cyclic(2))
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]], 2: [[1, 0], [0, -1]]})
+    # the commuting pair (swap, -1) is accepted
+    GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]], 2: [[-1, 0], [0, -1]]})
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(10 ** 4) if is_prime(n)] == [n for n in range(10 ** 4) if trial(n)]
+
+
+def test_is_prime_large_values():
+    start = time.perf_counter()
+    assert is_prime(1000000000000000003)
+    assert not is_prime(1000000000000000001)
+    assert time.perf_counter() - start < 1.0
+    # strong pseudoprimes to several small bases
+    assert not is_prime(3215031751)  # bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # bases 2 to 23
+    # composites are proven at any size; a prime above the bound is not
+    assert not is_prime(2 ** 89 + 1)
+    with pytest.raises(ValueError, match="cannot prove"):
+        is_prime(2 ** 89 - 1)
 
 
 def test_torsion_compatibility_check():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from edlattice.catalog import build_list_L, parse_catalog_key
-from edlattice.cli import main
+from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
 from edlattice.jsonio import (
     group_to_json,
@@ -219,6 +219,17 @@ def test_cli_verify_passes(capsys):
     assert "table:" in out and "oracle:" in out
 
 
+def test_verify_oracle_covers_nonabelian_groups():
+    assert {"D8", "Q8"} <= {g.name for g in _oracle_groups(2) if not g.is_abelian()}
+    assert "H27" in {g.name for g in _oracle_groups(3) if not g.is_abelian()}
+
+
+def test_cli_verify_passes_at_p3(capsys):
+    assert main(["verify", "--prime", "3", "--max-r", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle: 25/25 modules OK" in out
+
+
 def test_cli_verify_detects_bad_expectations(tmp_path, capsys):
     path = tmp_path / "expected.json"
     path.write_text(json.dumps({"rows": [
@@ -226,6 +237,28 @@ def test_cli_verify_detects_bad_expectations(tmp_path, capsys):
     ]}))
     assert main(["verify", "--prime", "2", "--expected", str(path)]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_rejects_non_homomorphism(tmp_path, capsys):
+    # non-commuting involutions cannot act through the abelian C2 x C2
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({
+        "group": {"type": "product", "factors": [{"type": "cyclic", "order": 2},
+                                                 {"type": "cyclic", "order": 2}]},
+        "free_rank": 2,
+        "action": {"1": [[0, 1], [1, 0]], "2": [[1, 0], [0, -1]]},
+    }))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    assert "not a group homomorphism" in capsys.readouterr().err
+
+
+def test_cli_ed_huge_prime_is_fast(tmp_path, capsys):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "order": 1}, "free_rank": 1, "action": {"0": [[1]]},
+    }))
+    assert main(["ed", "--input", str(path), "--prime", "1000000000000000003"]) == 0
+    assert capsys.readouterr().out.strip() == "min_rank=1 ed=0"
 
 
 def test_cli_invalid_input_is_exit_2(tmp_path, capsys):
