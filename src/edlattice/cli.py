@@ -1,8 +1,9 @@
 """Command-line front end.
 
 JSON descriptions (or catalog keys) in, text or JSON out.  Exit codes:
-0 success, 2 invalid input, 3 verification mismatch.  All output is
-deterministic for fixed flags; randomized checks take an explicit --seed.
+0 success, 2 invalid input, 3 verification mismatch or a failed internal
+check.  All output is deterministic for fixed flags; randomized checks
+take an explicit --seed.
 """
 
 from __future__ import annotations
@@ -358,6 +359,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except AssertionError as exc:
+        # A library invariant failed: the answer cannot be trusted, which is
+        # a verification failure, not bad input.
+        print(f"error: internal check failed: {str(exc) or 'assertion without message'}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -15,9 +15,12 @@ give the same V_H because G acts trivially on W.  So a cover is a family
 of pairs (v, H) with v in V_H whose vectors span W, at cost sum [G:H]; a
 minimal cover takes a basis of W.  These pairs form a linear matroid on W
 weighted by the index, so Edmonds' greedy algorithm is exact: take the
-classes cheapest first and keep every vector of V_H that is independent of
-those already kept.  The minimum is sum [G:H] * (dimensions gained at H).
-Certificates are verified integrally via SNF, so every answer is
+classes cheapest first and, for each, walk the HNF basis of M^H, keeping
+every basis vector whose image in W is independent of those already kept.
+Those images span V_H, so each class gains exactly the dimensions V_H adds,
+and a kept vector is already an integral H-fixed generator; nothing has to
+be lifted back from W.  The minimum is sum [G:H] * (dimensions gained at
+H).  Certificates are verified integrally via SNF, so every answer is
 self-auditing.
 """
 
@@ -38,8 +41,8 @@ from .int_lattice import (
     subgroup_generators,
 )
 from .fp_module import (
-    FpGaloisModule,
     Subspace,
+    _echelon_insert,
     coinvariants,
     orbit_span,
     project,
@@ -91,82 +94,45 @@ def _det_nonzero_mod_p(mat, p):
     return Subspace(n, p, mat).dim == n
 
 
-class _SolverContext:
-    """Shared per-module data: W, the projection, and per-class fixed images."""
-
-    def __init__(self, m: GaloisModule, p: int):
-        if p != m.prime:
-            raise ValueError(f"module carries prime {m.prime}, solver asked for {p}")
-        if not m.group.is_p_group(p):
-            raise ValueError(f"acting group of order {m.group.order} is not a {p}-group")
-        self.module = m
-        self.p = p
-        self.mbar = reduce_mod_p(m) if m.dim else None
-        if self.mbar is not None:
-            self.w_dim, self.projection = coinvariants(self.mbar)
-        else:
-            self.w_dim, self.projection = 0, []
-        self.classes = subgroup_classes(m.group)
-        self.fixed = [fixed_submodule(m, c) for c in self.classes]
-        self.fixed_images = []
-        for basis in self.fixed:
-            vectors = [project(self.projection, [x % p for x in b], p) for b in basis]
-            self.fixed_images.append(Subspace(self.w_dim, p, vectors))
-
-    def lift_from_w(self, class_index: int, w_vector) -> list[int]:
-        """An integral H-fixed vector whose image in W is the given vector."""
-        basis = self.fixed[class_index]
-        columns = [project(self.projection, [x % self.p for x in b], self.p)
-                   for b in basis]
-        coeffs = _solve_mod_p(columns, w_vector, self.p)
-        assert coeffs is not None, "greedy vector must lie in the fixed image"
-        out = [0] * self.module.dim
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = [out[i] + c * b[i] for i in range(len(out))]
-        return self.module.canon_vector(out)
-
-    def lift_from_mbar(self, class_index: int, point) -> list[int]:
-        """An integral H-fixed vector reducing to the given point of M/pM."""
-        basis = self.fixed[class_index]
-        columns = [[x % self.p for x in b] for b in basis]
-        coeffs = _solve_mod_p(columns, point, self.p)
-        assert coeffs is not None, "candidate point must lie in the fixed image"
-        out = [0] * self.module.dim
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = [out[i] + c * b[i] for i in range(len(out))]
-        return self.module.canon_vector(out)
+def _check_prime(m: GaloisModule, p: int) -> None:
+    if p != m.prime:
+        raise ValueError(f"module carries prime {m.prime}, solver asked for {p}")
+    if not m.group.is_p_group(p):
+        raise ValueError(f"acting group of order {m.group.order} is not a {p}-group")
 
 
 def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     """Exact minimum of sum [G:H_i] over covers with prime-to-p cokernel.
 
     Edmonds' greedy algorithm on the matroid of pairs (v in V_H, class H)
-    weighted by [G:H]: classes are taken by (index, position), and each
-    vector of V_H's echelon basis that grows the running span of W is kept
-    and lifted to an H-fixed generator.  The first classes to reach
-    dim W fix the minimum, sum [G:H] * (dimensions gained at H), and the
-    output is deterministic.
+    weighted by [G:H]: classes are taken by (index, position), M^H is
+    computed only when the loop reaches H, and each vector b of its HNF
+    basis whose image in W grows the running span is kept, with b itself
+    as the H-fixed generator.  The b span V_H, so the dimensions gained at
+    H are those V_H adds to the cheaper classes.  The first classes to
+    reach dim W fix the minimum, sum [G:H] * (dimensions gained at H), and
+    the output is deterministic.
     """
-    ctx = _SolverContext(m, p)
+    _check_prime(m, p)
     if m.dim == 0:
         return EdResult(0, 0, CoverCertificate((), 0))
-    span = Subspace(ctx.w_dim, p)
+    w_dim, projection = coinvariants(reduce_mod_p(m))
+    span: list[list[int]] = []
+    pivots: list[int] = []
     summands = []
-    for ci in sorted(range(len(ctx.classes)), key=lambda i: (ctx.classes[i].index, i)):
-        if span.dim == ctx.w_dim:
+    # sorted() is stable, so equal indices keep their enumeration order.
+    for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
+        if len(span) == w_dim:
             break
-        for w_vec in ctx.fixed_images[ci].basis:
-            if not span.contains(w_vec):
-                span = span.with_vector(w_vec)
-                summands.append((ctx.classes[ci], tuple(ctx.lift_from_w(ci, w_vec))))
-    assert span.dim == ctx.w_dim, "the trivial class alone spans W"
+        for b in fixed_submodule(m, cls):
+            if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
+                summands.append((cls, tuple(m.canon_vector(b))))
+    assert len(span) == w_dim, "the trivial class alone spans W"
     total = sum(cls.index for cls, _ in summands)
     cert = CoverCertificate(tuple(summands), total)
     if verify_certificate(m, cert, p):
         return EdResult(total, total - m.free_rank, cert)
-    # Should be unreachable: the mod-p argument guarantees the lift.
+    # Should be unreachable: the mod-p argument guarantees the cover.
     # Fall back to the independent search and surface the defect.
     warnings.warn("greedy cover failed certificate verification; "
                   "falling back to brute force")
@@ -223,18 +189,20 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     from any cover.  States (class floor, span) already reached at least as
     cheaply are pruned.
     """
-    ctx = _SolverContext(m, p)
+    _check_prime(m, p)
     if m.dim == 0:
         return EdResult(0, 0, CoverCertificate((), 0))
     dim = m.dim
     if p ** dim > enumeration_cap:
         raise BudgetExceededError(
             f"point enumeration {p}^{dim} exceeds cap {enumeration_cap}")
-    mbar = ctx.mbar
+    mbar = reduce_mod_p(m)
+    classes = subgroup_classes(m.group)
+    fixed = [fixed_submodule(m, c) for c in classes]
     # Candidate points per class: all of image(M^H -> M/pM), deduplicated
     # by the orbit span they generate (equal spans contribute identically).
     class_points: list[list[tuple[list[int], Subspace]]] = []
-    for basis in ctx.fixed:
+    for basis in fixed:
         reduced = [[x % p for x in b] for b in basis]
         image_basis, _ = rref(reduced, dim, p)
         points = []
@@ -252,8 +220,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
             seen_spans.add(span)
             points.append((point, span))
         class_points.append(points)
-    by_cost = sorted(range(len(ctx.classes)), key=lambda i: (ctx.classes[i].index, i))
-    costs = [c.index for c in ctx.classes]
+    by_cost = sorted(range(len(classes)), key=lambda i: (classes[i].index, i))
+    costs = [c.index for c in classes]
     best: list = [None, None]  # cost, chosen [(class_index, point)]
     reached: dict = {}
 
@@ -286,8 +254,11 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
         raise BudgetExceededError(f"no cover within rank budget {rank_budget}")
     summands = []
     for ci, point in best[1]:
-        gen = ctx.lift_from_mbar(ci, point)
-        summands.append((ctx.classes[ci], tuple(gen)))
+        # An integral H-fixed vector reducing to the chosen point of M/pM.
+        coeffs = _solve_mod_p(fixed[ci], point, p)
+        assert coeffs is not None, "candidate point must lie in the fixed image"
+        gen = [sum(c * b[i] for c, b in zip(coeffs, fixed[ci])) for i in range(dim)]
+        summands.append((classes[ci], tuple(m.canon_vector(gen))))
     cert = CoverCertificate(tuple(summands), best[0])
     assert verify_certificate(m, cert, p)
     return EdResult(best[0], best[0] - m.free_rank, cert)

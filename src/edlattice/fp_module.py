@@ -2,8 +2,10 @@
 
 For a p-group acting on an F_p vector space the group algebra is local, so
 "generates the module" can be read off in the coinvariant quotient W; this
-module supplies W, the canonical projection onto it, and the fixed-image
-subspaces the solver consumes.
+module supplies W and the canonical projection onto it, through which the
+solver projects the integral fixed vectors it walks.  Orbit spans serve the
+brute-force oracle, and `fixed_image_subspace` (the image of M^H in W as
+one subspace) serves the self-checks.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim and self.p == other.p
         return Subspace(self.ambient_dim, self.p, list(self.basis) + list(other.basis))
-
-    def with_vector(self, v) -> "Subspace":
-        return Subspace(self.ambient_dim, self.p, list(self.basis) + [list(v)])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.p == other.p

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# A Cayley table of order n holds n^2 Python ints: about 200 MiB at
+# n = 2048 on 64-bit CPython, four times that with each doubling of n.
+MAX_GROUP_ORDER = 2048
+
+
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -47,9 +52,35 @@ def _as_matrix(value: Any) -> list[list[int]]:
     return [[_as_int(entry) for entry in row] for row in value]
 
 
-def parse_group(data: Any) -> FiniteGroup:
+def _checked_order(data: Any) -> int:
+    """The order a group description declares, read without building it.
+
+    Every group and every factor of a product must have an order in
+    1..MAX_GROUP_ORDER, so an oversized group is refused before any Cayley
+    table is allocated.
+    """
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("group description must be an object with a 'type'")
+    kind = data["type"]
+    if kind == "cyclic":
+        order = _as_int(data["order"])
+    elif kind == "product":
+        order = 1
+        for factor in data["factors"]:
+            order *= _checked_order(factor)
+            if order > MAX_GROUP_ORDER:
+                break
+    elif kind == "table":
+        order = len(data["cayley"])
+    else:
+        raise ValueError(f"unknown group type {kind!r}")
+    if not 1 <= order <= MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} is outside 1..{MAX_GROUP_ORDER}")
+    return order
+
+
+def parse_group(data: Any) -> FiniteGroup:
+    _checked_order(data)
     kind = data["type"]
     if kind == "cyclic":
         return make_cyclic(_as_int(data["order"]))
@@ -61,9 +92,7 @@ def parse_group(data: Any) -> FiniteGroup:
         for factor in factors[1:]:
             group = direct_product(group, factor)
         return group
-    if kind == "table":
-        return from_table(_as_matrix(data["cayley"]))
-    raise ValueError(f"unknown group type {kind!r}")
+    return from_table(_as_matrix(data["cayley"]))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

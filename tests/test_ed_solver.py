@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edlattice import ed_solver
 from edlattice.catalog import build_cyclic, build_list_L, permutation_module, trivial_lattice
 from edlattice.ed_solver import (
     BudgetExceededError,
@@ -16,7 +17,7 @@ from edlattice.ed_solver import (
 )
 from edlattice.fp_module import coinvariants, reduce_mod_p
 from edlattice.group_core import make_cyclic, direct_product, subgroup_classes
-from edlattice.int_lattice import GaloisModule, direct_sum
+from edlattice.int_lattice import GaloisModule, direct_sum, fixed_submodule
 from edlattice.random_modules import random_module
 
 
@@ -211,3 +212,34 @@ def test_solver_matches_oracle_on_d8(d8, seed):
     slow = brute_force_min_rank(m, 2, d8.order * max(1, m.dim))
     assert fast.min_rank == slow.min_rank
     assert verify_certificate(m, fast.certificate, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixed_lattices_are_computed_only_when_reached(monkeypatch):
+    calls = []
+
+    def counting(m, cls):
+        calls.append(cls.index)
+        return fixed_submodule(m, cls)
+
+    monkeypatch.setattr(ed_solver, "fixed_submodule", counting)
+    # The index-1 class already spans W for M1, so the loop stops there.
+    min_permutation_rank(build_list_L("M1", 3).module, 3)
+    assert calls == [1]
+    calls.clear()
+    min_permutation_rank(build_list_L("M7", 3).module, 3)
+    assert calls == [1, 3, 9]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["M7@p=3", "d8-seed-43"])
+def test_certificate_generators_are_fixed_basis_vectors(d8, case):
+    if case == "M7@p=3":
+        m, p = build_list_L("M7", 3).module, 3
+    else:
+        # covered by summands of index 1, 1 and 2
+        m, p = random_module(Random(43), d8, 2, max_dim=4), 2
+    res = min_permutation_rank(m, p)
+    assert res.certificate.summands
+    for cls, gen in res.certificate.summands:
+        assert list(gen) in [m.canon_vector(b) for b in fixed_submodule(m, cls)]

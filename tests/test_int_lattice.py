@@ -111,13 +111,14 @@ def test_module_validation():
     g = make_cyclic(2)
     # sign action on Z is fine
     GaloisModule(g, 2, 1, [], {1: [[-1]]})
-    with pytest.raises(ValueError):
-        GaloisModule(g, 2, 1, [], {1: [[2]]})  # det not a unit
+    # det not a unit: the closing edge compares [[2]] @ [[2]] with [[1]]
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GaloisModule(g, 2, 1, [], {1: [[2]]})
     with pytest.raises(ValueError):
         GaloisModule(g, 2, 0, [6], {1: [[1]]})  # torsion not a p-power
     with pytest.raises(ValueError):
         GaloisModule(g, 2, 0, [4, 2], {1: [[1, 0], [0, 1]]})  # not ascending
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a group homomorphism"):
         # x -> 2x on Z/4 is not invertible mod 2
         GaloisModule(g, 2, 0, [4], {1: [[2]]})
 

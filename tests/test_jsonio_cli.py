@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from edlattice import cli, jsonio
 from edlattice.catalog import build_list_L, parse_catalog_key
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
@@ -269,3 +270,39 @@ def test_cli_invalid_input_is_exit_2(tmp_path, capsys):
     assert main(["ed", "--catalog", "M1@p=6"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("group", [
+    {"type": "cyclic", "order": 100000},
+    {"type": "product", "factors": [{"type": "cyclic", "order": 64}] * 2},
+    # a zero-order factor must not hide an oversized one
+    {"type": "product", "factors": [{"type": "cyclic", "order": 100000},
+                                    {"type": "cyclic", "order": 0}]},
+])
+def test_cli_rejects_oversized_group_before_building(tmp_path, capsys, monkeypatch, group):
+    def refuse(*args):
+        raise AssertionError("a group table was built")
+
+    # If the cap were bypassed, these raise instead of allocating.
+    monkeypatch.setattr(jsonio, "make_cyclic", refuse)
+    monkeypatch.setattr(jsonio, "direct_product", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"group": group, "free_rank": 1, "action": {"1": [[1]]}}))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: group order") and str(jsonio.MAX_GROUP_ORDER) in err
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("the trivial class alone spans W", "the trivial class alone spans W"),
+    ("", "assertion without message"),
+])
+def test_cli_internal_check_failure_is_exit_3(monkeypatch, capsys, message, shown):
+    def broken(m, p):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(cli, "min_permutation_rank", broken)
+    assert main(["ed", "--catalog", "M1@p=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {shown}\n"
