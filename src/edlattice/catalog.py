@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
-from .group_core import FiniteGroup, SubgroupClass, coset_action, make_cyclic, subgroup_classes
+from .group_core import (
+    MAX_GROUP_ORDER,
+    FiniteGroup,
+    SubgroupClass,
+    check_group_order,
+    coset_action,
+    make_cyclic,
+    subgroup_classes,
+)
 from .int_lattice import GaloisModule, direct_sum, quotient_by_orbit_relations
 
 
@@ -125,6 +133,7 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     else:
         if r is None or r not in admissible_r(family, p):
             raise ValueError(f"{family} needs r in {list(admissible_r(family, p))}, got {r}")
+    check_group_order(p * p)
     g, zg, zh = _cyclic_bases(p)
     n2 = p * p
     eps = [1 if i % p == 0 else 0 for i in range(n2)]
@@ -211,18 +220,22 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
     """Z/p^n with a unit acting by multiplication; expected ed is the unit's order.
 
     The acting group is the cyclic group generated by the unit, which must
-    have p-power order (it is then automatically faithful).
+    have p-power order at most MAX_GROUP_ORDER (it is then automatically
+    faithful).
     """
     modulus = p ** n
     a = automorphism % modulus
     if a % p == 0 or a == 0:
-        raise ValueError(f"{automorphism} is not a unit mod {modulus}")
-    d = multiplicative_order(a, modulus)
-    q = d
-    while q % p == 0:
-        q //= p
-    if q != 1:
-        raise ValueError(f"unit {a} has order {d}, not a power of {p}")
+        raise ValueError(f"{automorphism} is not a unit mod {p}^{n}")
+    # A unit of p-power order has order dividing p^(n-1), so repeated p-th
+    # powers reach 1 in fewer than n steps; stop early past the group cap.
+    d, x = 1, a
+    while x != 1 and d < modulus and d <= MAX_GROUP_ORDER:
+        x = pow(x, p, modulus)
+        d *= p
+    if x != 1 or d > MAX_GROUP_ORDER:
+        raise ValueError(f"unit {a} mod {p}^{n} does not have {p}-power order "
+                         f"at most {MAX_GROUP_ORDER}")
     group = make_cyclic(d)
     gens = {1: [[a]]} if d > 1 else {0: [[1]]}
     module = GaloisModule(group, p, 0, [modulus], gens)
@@ -300,7 +313,7 @@ def parse_catalog_key(key: str) -> CatalogEntry:
     if family == "cyclic":
         return build_cyclic(p, int(params["n"]), int(params["a"]))
     if family in ("norm_one", "perm"):
-        group = make_cyclic(int(params["n"]))
+        group = make_cyclic(check_group_order(int(params["n"])))
         indices = [int(x) for x in params["indices"].split("+")]
         classes = [_class_of_index(group, i) for i in indices]
         if family == "norm_one":

@@ -1,18 +1,20 @@
-"""Mod-p module algebra: echelon subspaces, coinvariants, orbit spans.
+"""Mod-p module algebra: echelon subspaces, coinvariants, spans under G.
 
 For a p-group acting on an F_p vector space the group algebra is local, so
 "generates the module" can be read off in the coinvariant quotient W; this
 module supplies W and the canonical projection onto it, through which the
-solver projects the integral fixed vectors it walks.  Orbit spans serve the
-brute-force oracle, and `fixed_image_subspace` (the image of M^H in W as
-one subspace) serves the self-checks.
+solver projects the integral fixed vectors it walks.  `spin` gives the
+G-stable span of a family of vectors: certificate verification spins all
+generators of a cover and asks for the whole of M/pM, and the brute-force
+oracle spins one point at a time (`orbit_span`).  `fixed_image_subspace`
+(the image of M^H in W as one subspace) serves the self-checks.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .group_core import FiniteGroup, SubgroupClass
+from .group_core import SubgroupClass
 from .int_lattice import GaloisModule, fixed_submodule
 
 
@@ -106,36 +108,30 @@ class Subspace:
 
 
 class FpGaloisModule:
-    """F_p^dim with a group acting through invertible matrices mod p.
+    """M/pM for one GaloisModule M: F_p^dim with the action reduced mod p.
 
-    action[g] is an integer matrix for every element g, and g -> action[g]
-    must be a homomorphism (reduce_mod_p passes the matrices of a
-    GaloisModule, whose constructor checks that law).  Only the generators'
-    matrices are reduced and checked invertible mod p here: every element is
-    a product of generators, and products of units are units.  Any other
-    element's matrix is reduced on first use.
+    A view, not a copy: the matrix of an element is reduced the first time
+    it is asked for.  Nothing is checked here.  Each torsion modulus is a
+    power of p, so every coordinate of M contributes one F_p coordinate,
+    and the GaloisModule constructor already compared action(g) action(g^-1)
+    with I for every generator, so every reduced matrix is invertible.
     """
 
-    __slots__ = ("group", "p", "dim", "_source", "_reduced")
+    __slots__ = ("module", "group", "p", "dim", "_reduced")
 
-    def __init__(self, group: FiniteGroup, p, dim, action):
-        self.group = group
-        self.p = p
-        self.dim = dim
-        self._source = action
+    def __init__(self, module: GaloisModule):
+        self.module = module
+        self.group = module.group
+        self.p = module.prime
+        self.dim = module.dim
         self._reduced = {}
-        for g in group.generators() or [0]:
-            if Subspace(dim, p, self.action(g)).dim != dim:
-                raise ValueError(f"action of element {g} is singular mod {p}")
 
     def action(self, g):
         """The matrix of g reduced mod p."""
         mat = self._reduced.get(g)
         if mat is None:
-            source = self._source[g]
-            if len(source) != self.dim or any(len(row) != self.dim for row in source):
-                raise ValueError("action matrix has wrong shape")
-            mat = [[x % self.p for x in row] for row in source]
+            p = self.p
+            mat = [[x % p for x in row] for row in self.module.action(g)]
             self._reduced[g] = mat
         return mat
 
@@ -146,8 +142,7 @@ class FpGaloisModule:
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:
     """The closed fiber M/pM; its dimension is free rank plus torsion length."""
-    p = m.prime
-    return FpGaloisModule(m.group, p, m.dim, [m.action(g) for g in m.group.elements()])
+    return FpGaloisModule(m)
 
 
 def coinvariants(m: FpGaloisModule):
@@ -202,23 +197,28 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) ->
     return Subspace(w_dim, m.prime, vectors)
 
 
-def orbit_span(m: FpGaloisModule, v) -> Subspace:
-    """F_p-span of the orbit {g.v : g in the group}.
+def spin(m: FpGaloisModule, vectors) -> list[list[int]]:
+    """Semi-echelon basis of the least G-stable subspace containing the vectors.
 
-    That span is the least G-stable subspace containing v, so it is reached
-    by spinning: apply each generator to every vector that enlarged the
-    running echelon basis, until no image does.  Generator images suffice
-    because every g^-1 is a positive power of g in a finite group.
+    Apply each generator to every vector that enlarged the running echelon
+    basis, until no image does or the basis fills the space.  Generator
+    images suffice because every g^-1 is a positive power of g in a finite
+    group.
     """
-    if len(v) != m.dim:
-        raise ValueError("vector length does not match the module dimension")
     p = m.p
     rows: list[list[int]] = []
     pivots: list[int] = []
-    pending = [[x % p for x in v]]
+    pending = [[x % p for x in v] for v in vectors]
     gens = m.group.generators()
-    while pending:
+    while pending and len(rows) < m.dim:
         row = _echelon_insert(rows, pivots, pending.pop(), p)
         if row is not None:
             pending.extend(m.act(g, row) for g in gens)
-    return Subspace(m.dim, p, rows)
+    return rows
+
+
+def orbit_span(m: FpGaloisModule, v) -> Subspace:
+    """F_p-span of the orbit {g.v : g in the group}: the spin of v."""
+    if len(v) != m.dim:
+        raise ValueError("vector length does not match the module dimension")
+    return Subspace(m.dim, m.p, spin(m, [v]))

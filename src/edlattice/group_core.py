@@ -4,8 +4,8 @@ Elements are the indices 0..order-1 with identity 0.  Groups here are the
 acting Galois quotients: small p-groups, abelian (cyclic or products of
 cyclics) or not (any full Cayley table; D8, Q8 and the Heisenberg group of
 order 27 have constructors below).  The group axioms are checked at
-construction in O(n^2 log n), which caps the practical order at a few
-thousand.
+construction in O(n^2 log n).  Every order read from input is held to
+MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
 once per instance and kept on it: the generating set (`generators`), the
@@ -18,6 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+# A Cayley table of order n holds n^2 Python ints: about 200 MiB at
+# n = 2048 on 64-bit CPython, four times that with each doubling of n.
+MAX_GROUP_ORDER = 2048
+
+
+def check_group_order(order: int) -> int:
+    """The order itself if it lies in 1..MAX_GROUP_ORDER, else ValueError."""
+    if not 1 <= order <= MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} is outside 1..{MAX_GROUP_ORDER}")
+    return order
 
 
 class FiniteGroup:

@@ -339,7 +339,12 @@ class GaloisModule:
         self.torsion = torsion
         n, t = free_rank, len(torsion)
         dim = n + t
+        # At least one matrix, so every dimension is checked against one.
+        if not generator_action:
+            raise ValueError("action must give at least one matrix")
         gens = sorted(generator_action)
+        if not all(0 <= g < group.order for g in gens):
+            raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
         if group.closure(gens) != tuple(range(group.order)):
             raise ValueError("action keys do not generate the group")
         canon_gens = {}

@@ -12,7 +12,15 @@ import json
 from typing import Any
 
 from .ed_solver import EdResult
-from .group_core import FiniteGroup, direct_product, from_table, make_cyclic, subgroup_of
+from .group_core import (
+    MAX_GROUP_ORDER,
+    FiniteGroup,
+    check_group_order,
+    direct_product,
+    from_table,
+    make_cyclic,
+    subgroup_of,
+)
 from .int_lattice import GaloisModule
 
 __all__ = [
@@ -28,14 +36,12 @@ __all__ = [
 ]
 
 
-# A Cayley table of order n holds n^2 Python ints: about 200 MiB at
-# n = 2048 on 64-bit CPython, four times that with each doubling of n.
-MAX_GROUP_ORDER = 2048
-
-
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _as_int(value: Any) -> int:
@@ -48,8 +54,21 @@ def _as_int(value: Any) -> int:
     raise ValueError(f"expected an integer or decimal string, got {value!r}")
 
 
+def _as_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _as_object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _as_matrix(value: Any) -> list[list[int]]:
-    return [[_as_int(entry) for entry in row] for row in value]
+    return [[_as_int(entry) for entry in _as_list(row, "matrix row")]
+            for row in _as_list(value, "matrix")]
 
 
 def _checked_order(data: Any) -> int:
@@ -66,17 +85,15 @@ def _checked_order(data: Any) -> int:
         order = _as_int(data["order"])
     elif kind == "product":
         order = 1
-        for factor in data["factors"]:
+        for factor in _as_list(data["factors"], "factors"):
             order *= _checked_order(factor)
             if order > MAX_GROUP_ORDER:
                 break
     elif kind == "table":
-        order = len(data["cayley"])
+        order = len(_as_list(data["cayley"], "cayley"))
     else:
         raise ValueError(f"unknown group type {kind!r}")
-    if not 1 <= order <= MAX_GROUP_ORDER:
-        raise ValueError(f"group order {order} is outside 1..{MAX_GROUP_ORDER}")
-    return order
+    return check_group_order(order)
 
 
 def parse_group(data: Any) -> FiniteGroup:
@@ -100,26 +117,24 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def parse_module(data: Any, prime: int) -> GaloisModule:
+    data = _as_object(data, "module")
     group = parse_group(data["group"])
     free_rank = _as_int(data.get("free_rank", 0))
-    torsion = [_as_int(q) for q in data.get("torsion", [])]
-    action = {_as_int(g): _as_matrix(mat) for g, mat in data["action"].items()}
+    torsion = [_as_int(q) for q in _as_list(data.get("torsion", []), "torsion")]
+    action = {_as_int(g): _as_matrix(mat)
+              for g, mat in _as_object(data["action"], "action").items()}
     # Canonical coordinate order is ascending torsion; permute if needed.
     order = sorted(range(len(torsion)), key=lambda i: torsion[i])
     if order != list(range(len(torsion))):
-        place = [0] * len(torsion)
-        for new, old in enumerate(order):
-            place[old] = new
-        tmap = list(range(free_rank)) + [free_rank + place[i] for i in range(len(torsion))]
         dim = free_rank + len(torsion)
-        permuted = {}
-        for g, mat in action.items():
-            new_mat = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                for j in range(dim):
-                    new_mat[tmap[i]][tmap[j]] = mat[i][j]
-            permuted[g] = new_mat
-        action = permuted
+        # Checked before permuting, so no allocation is sized by free_rank.
+        for mat in action.values():
+            if len(mat) != dim or any(len(row) != dim for row in mat):
+                raise ValueError(f"action matrix must be {dim}x{dim}")
+        # New coordinate k is old coordinate source[k].
+        source = list(range(free_rank)) + [free_rank + i for i in order]
+        action = {g: [[mat[i][j] for j in source] for i in source]
+                  for g, mat in action.items()}
         torsion = sorted(torsion)
     return GaloisModule(group, prime, free_rank, torsion, action)
 

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edlattice import ed_solver
+from edlattice import cli, ed_solver
 from edlattice.catalog import build_cyclic, build_list_L, permutation_module, trivial_lattice
 from edlattice.ed_solver import (
     BudgetExceededError,
@@ -16,8 +16,22 @@ from edlattice.ed_solver import (
     verify_certificate,
 )
 from edlattice.fp_module import coinvariants, reduce_mod_p
-from edlattice.group_core import make_cyclic, direct_product, subgroup_classes
-from edlattice.int_lattice import GaloisModule, direct_sum, fixed_submodule
+from edlattice.group_core import (
+    coset_action,
+    dihedral8,
+    direct_product,
+    heisenberg27,
+    make_cyclic,
+    quaternion8,
+    subgroup_classes,
+)
+from edlattice.int_lattice import (
+    GaloisModule,
+    direct_sum,
+    fixed_submodule,
+    mat_vec,
+    smith_normal_form,
+)
 from edlattice.random_modules import random_module
 
 
@@ -243,3 +257,83 @@ def test_certificate_generators_are_fixed_basis_vectors(d8, case):
     assert res.certificate.summands
     for cls, gen in res.certificate.summands:
         assert list(gen) in [m.canon_vector(b) for b in fixed_submodule(m, cls)]
+
+
+def _snf_cover(m, cert, p):
+    """Integral reference: the relation columns and the image of every coset
+    form a matrix whose cokernel is M / image; it is finite of order prime
+    to p iff the SNF has full rank and no invariant factor divisible by p."""
+    columns = m.relation_vectors()
+    for cls, gen in cert.summands:
+        for coset in coset_action(m.group, cls).cosets:
+            columns.append(mat_vec(m.action(coset[0]), list(gen)))
+    d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
+    return len(d) == m.dim and all(x % p for x in d)
+
+
+def test_mod_p_verification_matches_snf_reference():
+    c2 = make_cyclic(2)
+    groups = [(c2, 2), (make_cyclic(4), 2), (direct_product(c2, c2), 2), (dihedral8(), 2),
+              (quaternion8(), 2), (make_cyclic(3), 3), (make_cyclic(9), 3),
+              (heisenberg27(), 3), (make_cyclic(5), 5)]
+    rng = Random(2026)
+    checked = valid = torsion_modules = 0
+    for group, p in groups:
+        classes = subgroup_classes(group)
+        for _ in range(60):
+            m = random_module(rng, group, p, max_dim=4)
+            torsion_modules += bool(m.torsion)
+            fixed = {}
+
+            def random_summand():
+                # A random integral combination of the HNF basis of M^H.
+                cls = rng.choice(classes)
+                if cls not in fixed:
+                    fixed[cls] = fixed_submodule(m, cls)
+                gen = [0] * m.dim
+                for b in fixed[cls]:
+                    c = rng.randrange(-2, 3)
+                    gen = [x + c * y for x, y in zip(gen, b)]
+                return cls, tuple(gen)
+
+            greedy = list(min_permutation_rank(m, p).certificate.summands)
+            certs = [greedy]
+            for _ in range(9):
+                if rng.random() < 0.5:
+                    summands = list(greedy)
+                else:
+                    summands = [random_summand() for _ in range(rng.randrange(4))]
+                for _ in range(rng.randrange(1, 3)):
+                    kind = rng.randrange(3)
+                    if kind == 0 and summands:  # scale a generator by p
+                        i = rng.randrange(len(summands))
+                        cls, gen = summands[i]
+                        summands[i] = (cls, tuple(p * x for x in gen))
+                    elif kind == 1 and summands:  # drop a summand
+                        summands.pop(rng.randrange(len(summands)))
+                    else:
+                        summands.append(random_summand())
+                certs.append(summands)
+            for summands in certs:
+                cert = CoverCertificate(tuple(summands), sum(cls.index for cls, _ in summands))
+                want = _snf_cover(m, cert, p)
+                assert verify_certificate(m, cert, p) == want, (m, cert)
+                checked += 1
+                valid += want
+    assert checked >= 5000 and torsion_modules >= 100
+    assert min(valid, checked - valid) >= 1000
+
+
+@pytest.mark.filterwarnings("error")
+def test_rejected_certificate_is_an_internal_failure(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver must not fall back to the oracle")
+
+    monkeypatch.setattr(ed_solver, "verify_certificate", lambda m, cert, p: False)
+    monkeypatch.setattr(ed_solver, "brute_force_min_rank", refuse)
+    with pytest.raises(AssertionError, match="failed certificate verification"):
+        min_permutation_rank(build_list_L("M7", 3).module, 3)
+    assert cli.main(["ed", "--catalog", "M1@p=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal check failed" in captured.err

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edlattice.fp_module import (
-    FpGaloisModule,
     Subspace,
     coinvariants,
     fixed_image_subspace,
@@ -118,14 +117,21 @@ def test_orbit_span_matches_full_orbit_on_nonabelian_groups(make_group, p):
 
 
 @pytest.mark.parametrize("make_group,p", NONABELIAN)
-def test_fp_module_checks_generators_only_for_invertibility(make_group, p):
+def test_reduction_is_a_view_of_a_checked_module(make_group, p):
     group = make_group()
     identity = [[1, 0], [0, 1]]
-    singular = [[1, 0], [0, p]]
-    for g in group.generators():
-        action = [identity] * group.order
-        action[g] = singular
-        with pytest.raises(ValueError, match=f"singular mod {p}"):
-            FpGaloisModule(group, p, 2, action)
-    m = FpGaloisModule(group, p, 2, [identity] * group.order)
-    assert all(m.act(g, [1, 2]) == [1, 2 % p] for g in group.elements())
+    # Singular mod p on the free part, and x -> p x on Z/p^2: both are
+    # rejected by the GaloisModule constructor, before any reduction.
+    for dim_args, singular in (((2, []), [[1, 0], [0, p]]), ((1, [p * p]), [[1, 0], [0, p]])):
+        for g in group.generators():
+            action = {h: identity for h in group.generators()}
+            action[g] = singular
+            with pytest.raises(ValueError, match="not a group homomorphism"):
+                GaloisModule(group, p, *dim_args, action)
+    rng = Random(5)
+    for _ in range(6):
+        m = random_module(rng, group, p, max_dim=4)
+        mbar = reduce_mod_p(m)
+        assert (mbar.group, mbar.p, mbar.dim) == (m.group, p, m.dim)
+        for g in group.elements():
+            assert mbar.action(g) == [[x % p for x in row] for row in m.action(g)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from edlattice import cli, jsonio
+from edlattice import catalog, cli, jsonio
 from edlattice.catalog import build_list_L, parse_catalog_key
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
@@ -291,6 +291,26 @@ def test_cli_rejects_oversized_group_before_building(tmp_path, capsys, monkeypat
     assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: group order") and str(jsonio.MAX_GROUP_ORDER) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed", "--catalog", "perm@p=2,n=100000,indices=1"],
+    ["ed", "--catalog", "norm_one@p=2,n=100000,indices=1"],
+    ["ed", "--catalog", "M1@p=53"],  # C_{p^2} has order 2809
+    ["ed", "--catalog", "M12r@p=47,r=1"],
+    ["table", "--prime", "53"],
+    ["ed", "--catalog", "cyclic@p=2,n=200,a=3"],  # 3 has order 2^198 mod 2^200
+    ["ed", "--catalog", "cyclic@p=2,n=14,a=3"],  # order 4096
+    ["ed", "--catalog", "cyclic@p=3,n=2,a=2"],  # order 6, not a power of 3
+])
+def test_cli_rejects_oversized_catalog_group_before_building(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(catalog, "make_cyclic", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(jsonio.MAX_GROUP_ORDER) in err
 
 
 @pytest.mark.parametrize("message, shown", [
