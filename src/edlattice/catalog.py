@@ -19,6 +19,7 @@ from .group_core import (
     SubgroupClass,
     check_group_order,
     coset_action,
+    is_p_power,
     make_cyclic,
     subgroup_classes,
 )
@@ -194,10 +195,7 @@ def build_norm_one(indices: list[SubgroupClass], g: FiniteGroup, p: int) -> Cata
     """
     if not indices:
         raise ValueError("need at least one subgroup class")
-    parts = [permutation_module(g, cls, p) for cls in indices]
-    total = parts[0]
-    for part in parts[1:]:
-        total = direct_sum(total, part)
+    total = direct_sum(*(permutation_module(g, cls, p) for cls in indices))
     module = quotient_by_orbit_relations(total, [[1] * total.free_rank])
     expected_ed = 1 if all(cls.index % p == 0 for cls in indices) else 0
     entry = CatalogEntry("norm_one", p, None, module,
@@ -272,10 +270,7 @@ def twisted_torsion_module(p: int, n: int, units: list[int]) -> GaloisModule:
                 frontier.append(y)
     values = [1] + sorted(elems - {1})
     size = len(values)
-    q = size
-    while q % p == 0:
-        q //= p
-    if q != 1:
+    if not is_p_power(size, p):
         raise ValueError(f"unit subgroup has order {size}, not a power of {p}")
     index = {v: i for i, v in enumerate(values)}
     table = [[index[(x * y) % modulus] for y in values] for x in values]
@@ -318,9 +313,6 @@ def parse_catalog_key(key: str) -> CatalogEntry:
         classes = [_class_of_index(group, i) for i in indices]
         if family == "norm_one":
             return build_norm_one(classes, group, p)
-        parts = [permutation_module(group, cls, p) for cls in classes]
-        total = parts[0]
-        for part in parts[1:]:
-            total = direct_sum(total, part)
+        total = direct_sum(*(permutation_module(group, cls, p) for cls in classes))
         return CatalogEntry("perm", p, None, total, total.free_rank, 0)
     raise ValueError(f"unknown catalog family {family!r}")

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
-from .int_lattice import GaloisModule, fixed_submodule, hom_module, subgroup_generators
+from .catalog import permutation_module
+from .int_lattice import GaloisModule, direct_sum, fixed_submodule, hom_module
 from .fp_module import (
     Subspace,
     _echelon_insert,
@@ -159,8 +160,9 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
         gen = list(gen)
         canon = m.canon_vector(gen)
         # Every member lies in the closure of these generators, so fixing
-        # them is the same as fixing every member.
-        gens = subgroup_generators(m.group, cls.representative)
+        # them is the same as fixing every member.  Derived from the members,
+        # not read from the class, they keep the check independent.
+        gens = m.group.subgroup_generators(cls.representative)
         if any(m.act(g, gen) != canon for g in gens):
             return False
     return len(spin(reduce_mod_p(m), [gen for _, gen in cert.summands])) == m.dim
@@ -345,14 +347,6 @@ def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
 
 def cover_module(m: GaloisModule, cert: CoverCertificate) -> GaloisModule:
     """The permutation lattice of a certificate, as a module over m's group."""
-    from .catalog import permutation_module  # local import to avoid a cycle
-
-    parts = [permutation_module(m.group, cls, m.prime) for cls, _ in cert.summands]
-    if not parts:
+    if not cert.summands:
         return GaloisModule(m.group, m.prime, 0, [], {g: [] for g in m.group.generators()} or {0: []})
-    total = parts[0]
-    from .int_lattice import direct_sum
-
-    for part in parts[1:]:
-        total = direct_sum(total, part)
-    return total
+    return direct_sum(*(permutation_module(m.group, cls, m.prime) for cls, _ in cert.summands))

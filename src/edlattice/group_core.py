@@ -9,15 +9,20 @@ MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
 once per instance and kept on it: the generating set (`generators`), the
-subgroup classes (`subgroup_classes`) and each coset action
-(`coset_action`).  Every solve on the same group object shares them; the
-caches live and die with the group, with no module-level state.
+subgroup classes (`subgroup_classes`), each with the generators it was
+first reached with, and each coset action (`coset_action`).  Every solve
+on the same group object shares them; the caches live and die with the
+group, with no module-level state.
+
+Generating sets of subgroups given by their members come from one greedy,
+`FiniteGroup.subgroup_generators`, and `is_p_power` is the one test of
+whether an order or modulus is a power of p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 # A Cayley table of order n holds n^2 Python ints: about 200 MiB at
 # n = 2048 on 64-bit CPython, four times that with each doubling of n.
@@ -29,6 +34,25 @@ def check_group_order(order: int) -> int:
     if not 1 <= order <= MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} is outside 1..{MAX_GROUP_ORDER}")
     return order
+
+
+def is_p_power(n: int, p: int) -> bool:
+    """True iff n = p^k for some k >= 0 (1 counts).
+
+    Divides out p^(2^j) from the largest j with p^(2^j) <= n down to j = 0:
+    O(log log n) big divisions rather than one per factor of p.
+    """
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if n < 1:
+        return False
+    powers = [p]
+    while powers[-1] * powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+    for q in reversed(powers):
+        if n % q == 0:
+            n //= q
+    return n == 1
 
 
 class FiniteGroup:
@@ -110,26 +134,9 @@ class FiniteGroup:
             for b in range(a)
         )
 
-    def prime_power(self) -> Optional[tuple[int, int]]:
-        """(p, k) with order = p**k, or None if the order is not a prime power."""
-        n = self.order
-        if n == 1:
-            return None
-        p = 2
-        while n % p:
-            p += 1
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
-
     def is_p_group(self, p: int) -> bool:
         """True iff the order is a power of p (1 counts: the trivial group)."""
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return is_p_power(self.order, p)
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Sorted subgroup generated by the seed elements."""
@@ -145,22 +152,28 @@ class FiniteGroup:
                     frontier.append(y)
         return tuple(sorted(seen))
 
+    def subgroup_generators(self, members: Iterable[int]) -> list[int]:
+        """A small generating set of the subgroup with these members.
+
+        Greedy and deterministic: members by descending element order, then
+        index, each kept unless already reached.  Every member lies in the
+        closure of the result, even when the members do not form a subgroup.
+        """
+        gens: list[int] = []
+        reached = {0}
+        for a in sorted(members, key=lambda x: (-self.element_order(x), x)):
+            if a not in reached:
+                gens.append(a)
+                reached = set(self.closure(gens))
+        return gens
+
     def generators(self) -> list[int]:
-        """A small generating set, chosen greedily and deterministically.
+        """`subgroup_generators` of the whole group.
 
         Computed once per group; each call returns a fresh list.
         """
         if self._generators is None:
-            gens: list[int] = []
-            reached = {0}
-            for a in sorted(self.elements(), key=lambda x: (-self.element_order(x), x)):
-                if a in reached:
-                    continue
-                gens.append(a)
-                reached = set(self.closure(gens))
-                if len(reached) == self.order:
-                    break
-            self._generators = gens
+            self._generators = self.subgroup_generators(self.elements())
         return list(self._generators)
 
     def __repr__(self) -> str:
@@ -172,15 +185,14 @@ class SubgroupClass:
     """A subgroup up to conjugacy.
 
     representative: sorted element indices of one member of the class;
-    index = [G:H]; class_size = number of distinct conjugates.
+    index = [G:H]; class_size = number of distinct conjugates;
+    generators: elements whose closure is the representative.
     """
 
     representative: tuple[int, ...]
     index: int
     class_size: int
-
-    def __contains__(self, element: int) -> bool:
-        return element in self.representative
+    generators: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -250,7 +262,9 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     Enumeration is breadth-first closure generation: every subgroup arises
     from a smaller one by adjoining a single generator, so growing the set
     of known subgroups until it is closed under one-generator extensions
-    finds them all.  Conjugacy dedup uses the sorted-element canonical form.
+    finds them all.  A subgroup is extended from the generators it was
+    first reached with, which breadth-first are as few as any generating
+    set of it has.  Conjugacy dedup uses the sorted-element canonical form.
     Computed once per group; each call returns a fresh list.
     """
     if group._classes is None:
@@ -259,18 +273,19 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
 
 
 def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
-    trivial = (0,)
-    known = {trivial}
-    frontier = [trivial]
-    while frontier:
-        h = frontier.pop()
+    # known maps each subgroup found so far to the generators it was first
+    # reached with.  The loop also visits what it appends, in order, so the
+    # search is breadth-first.
+    known: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+    queue = [(0,)]
+    for h in queue:
+        members, gens = set(h), known[h]
         for x in group.elements():
-            if x in h:
-                continue
-            extended = group.closure(h + (x,))
-            if extended not in known:
-                known.add(extended)
-                frontier.append(extended)
+            if x not in members:
+                extended = group.closure(gens + (x,))
+                if extended not in known:
+                    known[extended] = gens + (x,)
+                    queue.append(extended)
     classes: list[SubgroupClass] = []
     seen: set[tuple[int, ...]] = set()
     for h in sorted(known):
@@ -284,6 +299,7 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
                 representative=rep,
                 index=group.order // len(rep),
                 class_size=len(orbit),
+                generators=known[rep],
             )
         )
     classes.sort(key=lambda c: (-c.index, c.representative))
@@ -304,8 +320,12 @@ def coset_action(group: FiniteGroup, h: SubgroupClass | Sequence[int]) -> CosetA
 
 
 def _build_coset_action(group: FiniteGroup, h: SubgroupClass | tuple[int, ...]) -> CosetAction:
-    members = h.representative if isinstance(h, SubgroupClass) else h
-    members = subgroup_of(group, members)
+    if isinstance(h, SubgroupClass):
+        members = subgroup_of(group, h.representative)
+    else:
+        members = subgroup_of(group, h)
+        h = SubgroupClass(members, group.order // len(members), 1,
+                          tuple(group.subgroup_generators(members)))
     coset_of = [-1] * group.order
     cosets: list[tuple[int, ...]] = []
     for x in group.elements():
@@ -329,7 +349,7 @@ def _build_coset_action(group: FiniteGroup, h: SubgroupClass | tuple[int, ...]) 
             pab = perms[group.cayley[a][b]]
             assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
     return CosetAction(
-        subgroup=h if isinstance(h, SubgroupClass) else SubgroupClass(members, group.order // len(members), 1),
+        subgroup=h,
         cosets=tuple(cosets),
         permutations=perms,
     )

@@ -1,16 +1,16 @@
 """Exact integer linear algebra and finitely generated modules with a group action.
 
 Everything runs on plain Python ints (arbitrary precision); matrices are
-lists of rows.  Sizes stay around 30x30, so correctness beats speed
-throughout: normal forms are classical elementary-operation reductions with
-the unimodular transforms tracked explicitly.
+lists of rows.  Correctness beats speed throughout: normal forms are
+classical elementary-operation reductions with the unimodular transforms
+tracked explicitly.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .group_core import FiniteGroup, SubgroupClass, subgroup_of
+from .group_core import FiniteGroup, SubgroupClass, is_p_power, subgroup_of
 
 IntMatrix = list[list[int]]
 
@@ -56,20 +56,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -422,21 +410,6 @@ class GaloisModule:
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
 
 
-def subgroup_generators(group: FiniteGroup, members: tuple[int, ...]) -> list[int]:
-    """Small generating set of a subgroup given by its sorted element list.
-
-    Every member lies in the closure of the result, even when the members
-    do not form a subgroup.
-    """
-    gens: list[int] = []
-    reached = {0}
-    for a in sorted(members, key=lambda x: (-group.element_order(x), x)):
-        if a not in reached:
-            gens.append(a)
-            reached = set(group.closure(gens))
-    return gens
-
-
 def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
     """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
 
@@ -446,11 +419,13 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
     torsion rows are congruences solved by adjoining one slack column per
     torsion row and subgroup generator.  M^H is stable under G only when H
     is normal; for a class, the representative's fixed module is returned,
-    and a conjugate gHg^-1 has the fixed module g.M^H.
+    and a conjugate gHg^-1 has the fixed module g.M^H.  A class brings its
+    own generators; a tuple of members is validated and given some.
     """
-    members = h.representative if isinstance(h, SubgroupClass) else tuple(h)
-    members = subgroup_of(m.group, members)
-    gens = subgroup_generators(m.group, members)
+    if isinstance(h, SubgroupClass):
+        gens = list(h.generators)
+    else:
+        gens = m.group.subgroup_generators(subgroup_of(m.group, h))
     n, t = m.free_rank, len(m.torsion)
     dim = n + t
     if dim == 0:
@@ -477,40 +452,33 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
     return hnf_basis([vec[:dim] for vec in kernel] + m.relation_vectors())
 
 
-def direct_sum(a: GaloisModule, b: GaloisModule) -> GaloisModule:
-    """Block sum of two modules over the same group and prime."""
-    if a.group.cayley != b.group.cayley:
-        raise ValueError("direct sum needs a common acting group")
-    if a.prime != b.prime:
-        raise ValueError("direct sum needs a common working prime")
-    na, nb = a.free_rank, b.free_rank
-    ta, tb = len(a.torsion), len(b.torsion)
-    # Coordinates in build order: free(a), free(b), torsion(a), torsion(b);
-    # then the torsion block is stably sorted into ascending moduli.
-    unsorted_torsion = list(a.torsion) + list(b.torsion)
-    order = sorted(range(ta + tb), key=lambda i: (unsorted_torsion[i], i))
-    torsion = [unsorted_torsion[i] for i in order]
-    n = na + nb
-    place = [0] * (n + ta + tb)
-    for j in range(n):
-        place[j] = j
-    for new_pos, old_pos in enumerate(order):
-        place[n + old_pos] = n + new_pos
+def direct_sum(*modules: GaloisModule) -> GaloisModule:
+    """Block sum of one or more modules over the same group and prime.
+
+    A coordinate of the sum is a pair (module k, coordinate i of it): all
+    free ones in argument order, then all torsion ones stably sorted into
+    ascending moduli.  So the sum equals the pairwise fold
+    direct_sum(direct_sum(a, b), c), built in one construction.
+    """
+    if not modules:
+        raise ValueError("direct sum needs at least one module")
+    first = modules[0]
+    for other in modules[1:]:
+        if other.group.cayley != first.group.cayley:
+            raise ValueError("direct sum needs a common acting group")
+        if other.prime != first.prime:
+            raise ValueError("direct sum needs a common working prime")
+    free, tors = [], []
+    for k, m in enumerate(modules):
+        free += [(k, i) for i in range(m.free_rank)]
+        tors += [(q, k, m.free_rank + i) for i, q in enumerate(m.torsion)]
+    tors.sort(key=lambda c: c[0])  # stable: equal moduli keep argument order
+    coords = free + [(k, i) for _, k, i in tors]
     gens = {}
-    for g in a.group.generators() or [0]:
-        big = zero_matrix(n + ta + tb, n + ta + tb)
-        _copy_block(big, a.action(g), na, ta, place, offset_free=0, offset_tor=0, n=n)
-        _copy_block(big, b.action(g), nb, tb, place, offset_free=na, offset_tor=ta, n=n)
-        gens[g] = big
-    return GaloisModule(a.group, a.prime, n, torsion, gens)
-
-
-def _copy_block(big, mat, nf, nt, place, offset_free, offset_tor, n):
-    for i in range(nf + nt):
-        di = place[offset_free + i] if i < nf else place[n + offset_tor + (i - nf)]
-        for j in range(nf + nt):
-            dj = place[offset_free + j] if j < nf else place[n + offset_tor + (j - nf)]
-            big[di][dj] = mat[i][j]
+    for g in first.group.generators() or [0]:
+        mats = [m.action(g) for m in modules]
+        gens[g] = [[mats[k][i][j] if k == l else 0 for l, j in coords] for k, i in coords]
+    return GaloisModule(first.group, first.prime, len(free), [q for q, _, _ in tors], gens)
 
 
 def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) -> GaloisModule:
@@ -555,8 +523,6 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
             for b in range(len(keep_free), len(keep)):
                 assert small[a][b] == 0
         gens[g] = small
-    if not gens:
-        gens = {0: identity_matrix(len(keep))}
     return GaloisModule(perm.group, perm.prime, len(keep_free), torsion, gens)
 
 

@@ -70,19 +70,16 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
 
 def _perm_sum(rng: Random, group: FiniteGroup, p: int, max_dim: int) -> GaloisModule:
     classes = [c for c in subgroup_classes(group) if c.index <= max_dim]
-    total = None
+    parts = []
     budget = max_dim
     for _ in range(rng.randrange(1, 4)):
         fits = [c for c in classes if c.index <= budget]
         if not fits:
             break
         cls = rng.choice(fits)
-        part = permutation_module(group, cls, p)
-        total = part if total is None else direct_sum(total, part)
+        parts.append(permutation_module(group, cls, p))
         budget -= cls.index
-    if total is None:
-        total = trivial_lattice(group, p, 1)
-    return total
+    return direct_sum(*parts) if parts else trivial_lattice(group, p, 1)
 
 
 def _random_quotient(rng: Random, group: FiniteGroup, p: int, max_dim: int) -> GaloisModule:

@@ -9,6 +9,7 @@ from edlattice.group_core import (
     direct_product,
     from_table,
     heisenberg27,
+    is_p_power,
     make_cyclic,
     quaternion8,
     subgroup_classes,
@@ -33,11 +34,28 @@ def test_direct_product_element_orders():
 
 
 def test_prime_power_detection():
-    assert make_cyclic(8).prime_power() == (2, 3)
-    assert make_cyclic(9).prime_power() == (3, 2)
-    assert make_cyclic(6).prime_power() is None
     assert make_cyclic(1).is_p_group(5)
     assert not make_cyclic(6).is_p_group(3)
+
+
+def _p_power_by_trial_division(n, p):
+    if n < 1:
+        return False
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 101]), st.integers(min_value=0, max_value=300),
+       st.integers(min_value=-3, max_value=40))
+def test_is_p_power_matches_trial_division(p, k, cofactor):
+    for n in (p ** k * cofactor, p ** k + cofactor, cofactor):
+        assert is_p_power(n, p) == _p_power_by_trial_division(n, p)
+
+
+def test_is_p_power_rejects_p_below_2():
+    with pytest.raises(ValueError):
+        is_p_power(8, 1)
 
 
 def test_bad_table_rejected():
@@ -177,3 +195,81 @@ def test_group_data_is_computed_once_per_instance():
     assert coset_action(g, [0, 4]) is coset_action(g, (0, 4))
     # a second instance with the same table computes its own
     assert coset_action(dihedral8(), cls) is not coset_action(g, cls)
+
+
+def _c2_cubed():
+    c2 = make_cyclic(2)
+    return direct_product(direct_product(c2, c2), c2)
+
+
+def _c2_times_c4():
+    return direct_product(make_cyclic(2), make_cyclic(4))
+
+
+def _d8_times_c2():
+    return direct_product(dihedral8(), make_cyclic(2))
+
+
+@pytest.mark.parametrize("make_group", [_c2_cubed, _c2_times_c4, dihedral8, quaternion8,
+                                        heisenberg27])
+def test_class_generators_generate_the_representative(make_group):
+    g = make_group()
+    for cls in subgroup_classes(g):
+        assert g.closure(cls.generators) == cls.representative
+        assert all(x in cls.representative for x in cls.generators)
+
+
+@given(st.sampled_from([_c2_times_c4(), dihedral8(), heisenberg27()]),
+       st.lists(st.integers(min_value=0, max_value=26), max_size=6))
+def test_subgroup_generators_cover_a_non_subgroup(g, picks):
+    members = [x % g.order for x in picks]
+    gens = g.subgroup_generators(members)
+    assert set(gens) <= set(members)
+    assert set(members) <= set(g.closure(gens))
+
+
+def _reference_subgroup_classes(group):
+    """Depth-first enumeration seeded with every member, then conjugacy dedup."""
+    known = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        h = frontier.pop()
+        for x in group.elements():
+            if x not in h:
+                extended = group.closure(h + (x,))
+                if extended not in known:
+                    known.add(extended)
+                    frontier.append(extended)
+    classes, seen = [], set()
+    for h in sorted(known):
+        if h not in seen:
+            orbit = {conjugate_subgroup(group, h, g) for g in group.elements()}
+            seen |= orbit
+            rep = min(orbit)
+            classes.append((rep, group.order // len(rep), len(orbit), len(rep)))
+    return sorted(classes, key=lambda c: (-c[1], c[0]))
+
+
+@pytest.mark.parametrize("make_group", [_c2_cubed, _c2_times_c4, dihedral8, quaternion8,
+                                        heisenberg27, lambda: make_cyclic(64), _d8_times_c2])
+def test_subgroup_classes_match_reference_enumeration(make_group):
+    g = make_group()
+    classes = [(c.representative, c.index, c.class_size, len(c.representative))
+               for c in subgroup_classes(g)]
+    assert classes == _reference_subgroup_classes(g)
+
+
+def test_enumeration_seeds_stay_small(monkeypatch):
+    g = make_cyclic(512)
+    real = FiniteGroup.closure
+    sizes = []
+
+    def closure(self, seed):
+        seed = list(seed)
+        sizes.append(len(seed))
+        return real(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "closure", closure)
+    assert len(subgroup_classes(g)) == 10
+    # Seeded with every member of h, the largest seed had 257 elements.
+    assert sizes and max(sizes) <= 10

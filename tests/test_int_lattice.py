@@ -4,7 +4,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edlattice.group_core import direct_product, make_cyclic, subgroup_classes
+from edlattice.group_core import (
+    dihedral8,
+    direct_product,
+    heisenberg27,
+    make_cyclic,
+    quaternion8,
+    subgroup_classes,
+)
 from edlattice.int_lattice import (
     GaloisModule,
     MixedTorsionError,
@@ -192,6 +199,52 @@ def test_direct_sum_reorders_torsion():
     assert s.action(1) == [[1, 0], [0, 4]]
 
 
+def _pairwise_sum(a, b):
+    """The two-module block sum, written out: free(a), free(b), then the
+    torsion of a and of b stably sorted by modulus."""
+    unsorted = list(a.torsion) + list(b.torsion)
+    order = sorted(range(len(unsorted)), key=lambda i: (unsorted[i], i))
+    n = a.free_rank + b.free_rank
+    place_a = list(range(a.free_rank)) + [n + order.index(i) for i in range(len(a.torsion))]
+    place_b = (list(range(a.free_rank, n))
+               + [n + order.index(len(a.torsion) + i) for i in range(len(b.torsion))])
+    dim = n + len(unsorted)
+    gens = {}
+    for g in a.group.generators() or [0]:
+        big = [[0] * dim for _ in range(dim)]
+        for m, place in ((a, place_a), (b, place_b)):
+            for i, di in enumerate(place):
+                for j, dj in enumerate(place):
+                    big[di][dj] = m.action(g)[i][j]
+        gens[g] = big
+    return GaloisModule(a.group, a.prime, n, [unsorted[i] for i in order], gens)
+
+
+@pytest.mark.parametrize("make_group,p", [(dihedral8, 2), (lambda: make_cyclic(4), 2),
+                                          (lambda: make_cyclic(9), 3), (heisenberg27, 3)])
+def test_direct_sum_of_many_equals_pairwise_fold(make_group, p):
+    g = make_group()
+    rng = Random(11)
+    pool = [random_module(rng, g, p, max_dim=3) for _ in range(6)]
+    for _ in range(12):
+        parts = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+        parts.append(parts[0])  # the same module object twice
+        total = parts[0]
+        for part in parts[1:]:
+            total = _pairwise_sum(total, part)
+        one_shot = direct_sum(*parts)
+        assert (one_shot.free_rank, one_shot.torsion) == (total.free_rank, total.torsion)
+        assert all(one_shot.action(x) == total.action(x) for x in g.elements())
+
+
+def test_direct_sum_needs_a_module_and_a_common_group():
+    with pytest.raises(ValueError, match="at least one"):
+        direct_sum()
+    a = _mult_module(3, 2, 4, 3)
+    with pytest.raises(ValueError, match="common acting group"):
+        direct_sum(a, a, _mult_module(3, 1, 1, 9))
+
+
 def test_quotient_regular_by_diagonal_is_sign():
     g = make_cyclic(2)
     reg = GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]]})
@@ -241,3 +294,21 @@ def test_fixed_submodule_is_fixed_on_d8(d8):
     for c in subgroup_classes(d8):
         for v in fixed_submodule(m, c):
             assert all(m.act(g, v) == m.canon_vector(v) for g in c.representative), (c, v)
+
+
+@pytest.mark.parametrize("make_group,p", [(dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)])
+def test_fixed_submodule_of_a_class_matches_its_members(make_group, p):
+    # A class is read through its recorded generators, a tuple of members
+    # through the greedy; both describe the same lattice M^H.
+    g = make_group()
+    rng = Random(3)
+    for _ in range(8):
+        m = random_module(rng, g, p, max_dim=4)
+        for c in subgroup_classes(g):
+            assert fixed_submodule(m, c) == fixed_submodule(m, c.representative)
+
+
+def test_fixed_submodule_validates_member_tuples(d8):
+    m = random_module(Random(1), d8, 2, max_dim=4)
+    with pytest.raises(ValueError, match="not closed"):
+        fixed_submodule(m, (0, 1))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -260,6 +261,15 @@ def test_cli_ed_huge_prime_is_fast(tmp_path, capsys):
     }))
     assert main(["ed", "--input", str(path), "--prime", "1000000000000000003"]) == 0
     assert capsys.readouterr().out.strip() == "min_rank=1 ed=0"
+
+
+def test_cli_ed_long_torsion_modulus_is_fast(capsys):
+    # Z/3^200000: the p-power test of the modulus took 17 s with one
+    # division per factor of 3.
+    start = time.perf_counter()
+    assert main(["ed", "--catalog", "cyclic@p=3,n=200000,a=1"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.strip() == "min_rank=1 ed=1"
 
 
 def test_cli_invalid_input_is_exit_2(tmp_path, capsys):
