@@ -23,7 +23,7 @@ from .group_core import (
     make_cyclic,
     subgroup_classes,
 )
-from .int_lattice import GaloisModule, direct_sum, quotient_by_orbit_relations
+from .int_lattice import GaloisModule, check_module_dim, direct_sum, quotient_by_orbit_relations
 
 
 @dataclass(frozen=True)
@@ -308,8 +308,11 @@ def parse_catalog_key(key: str) -> CatalogEntry:
     if family == "cyclic":
         return build_cyclic(p, int(params["n"]), int(params["a"]))
     if family in ("norm_one", "perm"):
-        group = make_cyclic(check_group_order(int(params["n"])))
+        order = check_group_order(int(params["n"]))
         indices = [int(x) for x in params["indices"].split("+")]
+        # The sum of the coset lattices has one coordinate per coset.
+        check_module_dim(sum(indices))
+        group = make_cyclic(order)
         classes = [_class_of_index(group, i) for i in indices]
         if family == "norm_one":
             return build_norm_one(classes, group, p)

@@ -111,10 +111,12 @@ class FpGaloisModule:
     """M/pM for one GaloisModule M: F_p^dim with the action reduced mod p.
 
     A view, not a copy: the matrix of an element is reduced the first time
-    it is asked for.  Nothing is checked here.  Each torsion modulus is a
-    power of p, so every coordinate of M contributes one F_p coordinate,
-    and the GaloisModule constructor already compared action(g) action(g^-1)
-    with I for every generator, so every reduced matrix is invertible.
+    it is asked for, from the integral matrix that the GaloisModule builds
+    on demand.  Nothing is checked here.  Each torsion modulus is a power
+    of p, so every coordinate of M contributes one F_p coordinate.  The
+    GaloisModule constructor checked that the generators' matrices extend
+    to an action of the group and compared action(g) action(g^-1) with I
+    for every generator, so every reduced matrix is invertible.
     """
 
     __slots__ = ("module", "group", "p", "dim", "_reduced")

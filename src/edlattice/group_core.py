@@ -9,10 +9,11 @@ MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
 once per instance and kept on it: the generating set (`generators`), the
-subgroup classes (`subgroup_classes`), each with the generators it was
-first reached with, and each coset action (`coset_action`).  Every solve
-on the same group object shares them; the caches live and die with the
-group, with no module-level state.
+pc presentation (`pc_presentation`, which modules check their action
+against), the subgroup classes (`subgroup_classes`), each with the
+generators it was first reached with, and each coset action
+(`coset_action`).  Every solve on the same group object shares them; the
+caches live and die with the group, with no module-level state.
 
 Generating sets of subgroups given by their members come from one greedy,
 `FiniteGroup.subgroup_generators`, and `is_p_power` is the one test of
@@ -22,7 +23,7 @@ whether an order or modulus is a power of p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # A Cayley table of order n holds n^2 Python ints: about 200 MiB at
 # n = 2048 on 64-bit CPython, four times that with each doubling of n.
@@ -63,7 +64,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "cayley", "inverse", "name",
-                 "_generators", "_classes", "_coset_actions")
+                 "_generators", "_pc", "_classes", "_coset_actions")
 
     def __init__(self, cayley: Sequence[Sequence[int]], name: str = "") -> None:
         n = len(cayley)
@@ -92,6 +93,7 @@ class FiniteGroup:
         self.inverse = inverse
         self.name = name or f"G{n}"
         self._generators: list[int] | None = None
+        self._pc: PcPresentation | None = None
         self._classes: list[SubgroupClass] | None = None
         self._coset_actions: dict = {}
         # Light's test: the elements s with (x s) y = x (s y) for all x, y
@@ -176,8 +178,82 @@ class FiniteGroup:
             self._generators = self.subgroup_generators(self.elements())
         return list(self._generators)
 
+    def pc_presentation(self) -> PcPresentation:
+        """The group's polycyclic presentation (see `PcPresentation`).
+
+        Computed once per group.  Raises ValueError if the group is not
+        solvable, since only solvable groups have one; every p-group is.
+        """
+        if self._pc is None:
+            self._pc = _build_pc_presentation(self)
+        return self._pc
+
+    def words(self, generators: Sequence[int],
+              targets: Sequence[int]) -> list[list[tuple[int, int]]]:
+        """A shortest word in the generators for each target, as runs.
+
+        A word is a list of runs (s, e), standing for the product of the
+        powers s^e from left to right.  Breadth-first search over the Cayley
+        graph, stopped once every target is reached; the generators must
+        generate every target.
+        """
+        parent: dict[int, tuple[int, int] | None] = {0: None}
+        queue = [0]
+        missing = set(targets) - {0}
+        for x in queue:
+            if not missing:
+                break
+            row = self.cayley[x]
+            for s in generators:
+                y = row[s]
+                if y not in parent:
+                    parent[y] = (x, s)
+                    queue.append(y)
+                    missing.discard(y)
+        assert not missing, "the generators do not reach every target"
+        out = []
+        for t in targets:
+            letters = []
+            while parent[t] is not None:
+                t, s = parent[t]
+                letters.append(s)
+            runs: list[tuple[int, int]] = []
+            for s in reversed(letters):
+                if runs and runs[-1][0] == s:
+                    runs[-1] = (s, runs[-1][1] + 1)
+                else:
+                    runs.append((s, 1))
+            out.append(runs)
+        return out
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+class PcPresentation(NamedTuple):
+    """A polycyclic presentation of a solvable group, read off its table.
+
+    The series G = G_0 > G_1 > ... > G_k = 1 has G_{i+1} normal in G_i of
+    prime index relative_orders[i] = r_i, and generators[i] = g_i lies in
+    G_i but not in G_{i+1}.  Every element x is g_0^e_0 ... g_{k-1}^e_{k-1}
+    for exactly one exponents[x] = (e_0, ..., e_{k-1}) with 0 <= e_i < r_i.
+    The relations are g_i^r_i = powers[i] and, for i < j,
+    g_j g_i = g_i conjugates[i, j], where both right-hand elements lie in
+    G_{i+1}, so their exponents are words in g_{i+1}, ..., g_{k-1}.
+
+    These k(k+1)/2 relations define G (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 8): collecting turns any word
+    into the normal form above, so the presented group has at most
+    r_0 ... r_{k-1} = |G| elements, and G satisfies the relations and is
+    generated by the g_i.  By von Dyck's theorem, elements of any group
+    that satisfy them extend to a homomorphism from G.
+    """
+
+    generators: tuple[int, ...]
+    relative_orders: tuple[int, ...]
+    exponents: tuple[tuple[int, ...], ...]
+    powers: tuple[int, ...]
+    conjugates: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -213,6 +289,88 @@ class CosetAction:
         return len(self.cosets)
 
 
+def _element_power(group: FiniteGroup, x: int, e: int) -> int:
+    y = 0
+    for _ in range(e):
+        y = group.cayley[y][x]
+    return y
+
+
+def _smallest_prime_factor(n: int) -> int:
+    d = 2
+    while n % d:
+        d += 1
+    return d
+
+
+def _derived_subgroup(group: FiniteGroup, members: tuple[int, ...]) -> tuple[int, ...]:
+    """[H, H] for the subgroup H with these members, sorted.
+
+    It is the normal closure in H of the commutators of H's generators:
+    the commutators' closure, grown until conjugation by every generator
+    of H keeps each of its generators inside it.
+    """
+    c, inv = group.cayley, group.inverse
+    gens = (group.generators() if len(members) == group.order
+            else group.subgroup_generators(members))
+    seeds = sorted({c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens} - {0})
+    closed = set(group.closure(seeds))
+    for y in seeds:  # also visits the seeds appended below
+        for g in gens:
+            z = c[c[inv[g]][y]][g]
+            if z not in closed:
+                seeds.append(z)
+                closed = set(group.closure(seeds))
+    return tuple(sorted(closed))
+
+
+def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:
+    # Refine the derived series G = D_0 > D_1 > ... > D_m = 1 from the
+    # bottom.  Inside a layer D_j > D_{j+1} every subgroup N between the two
+    # is normal in D_j, as D_j / D_{j+1} is abelian.  So for the least y in
+    # D_j outside N, of order t modulo N, and a prime r dividing t, the
+    # element x = y^(t/r) normalizes N with x^r in N, and the cosets
+    # x^e N (e < r) make up the next, r times larger, term of the series.
+    series = [tuple(group.elements())]
+    while len(series[-1]) > 1:
+        derived = _derived_subgroup(group, series[-1])
+        if len(derived) == len(series[-1]):
+            raise ValueError(f"{group.name} is not solvable, so it has no pc presentation")
+        series.append(derived)
+    c = group.cayley
+    exponents: dict[int, tuple[int, ...]] = {0: ()}  # the current term N
+    found: list[tuple[int, int]] = []  # (g, r), bottom of the series first
+    for layer in reversed(series[:-1]):
+        for y in layer:
+            while y not in exponents:
+                t, z = 1, y
+                while z not in exponents:
+                    z = c[z][y]
+                    t += 1
+                r = _smallest_prime_factor(t)
+                x = _element_power(group, y, t // r)
+                grown: dict[int, tuple[int, ...]] = {}
+                xe = 0
+                for e in range(r):
+                    row = c[xe]
+                    for n, word in exponents.items():
+                        grown[row[n]] = (e,) + word
+                    xe = c[xe][x]
+                exponents = grown
+                found.append((x, r))
+    gens = tuple(g for g, _ in reversed(found))
+    orders = tuple(r for _, r in reversed(found))
+    inv = group.inverse
+    return PcPresentation(
+        generators=gens,
+        relative_orders=orders,
+        exponents=tuple(exponents[x] for x in group.elements()),
+        powers=tuple(_element_power(group, g, r) for g, r in zip(gens, orders)),
+        conjugates={(i, j): c[c[inv[gens[i]]][gens[j]]][gens[i]]
+                    for i in range(len(gens)) for j in range(i + 1, len(gens))},
+    )
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n, written additively: i*j = (i+j) mod n."""
     if n < 1:
@@ -241,6 +399,8 @@ def subgroup_of(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
     elems = tuple(sorted(set(elements)))
     if not elems or elems[0] != 0:
         raise ValueError("subgroup must contain the identity")
+    if elems[-1] >= group.order:
+        raise ValueError(f"subgroup member {elems[-1]} is not an element 0..{group.order - 1}")
     members = set(elems)
     for x in elems:
         if group.inverse[x] not in members:
@@ -276,12 +436,17 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     # known maps each subgroup found so far to the generators it was first
     # reached with.  The loop also visits what it appends, in order, so the
     # search is breadth-first.
+    # Since closure(h + {x}) = closure(h + {yx}) for y in h, one x per
+    # right coset hx is tried: its least element, which the ascending scan
+    # meets first, so each subgroup is still first reached with the same x.
     known: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
     queue = [(0,)]
+    cayley = group.cayley
     for h in queue:
-        members, gens = set(h), known[h]
+        covered, gens = set(h), known[h]
         for x in group.elements():
-            if x not in members:
+            if x not in covered:
+                covered.update(cayley[y][x] for y in h)
                 extended = group.closure(gens + (x,))
                 if extended not in known:
                     known[extended] = gens + (x,)

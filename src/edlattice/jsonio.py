@@ -21,7 +21,7 @@ from .group_core import (
     make_cyclic,
     subgroup_of,
 )
-from .int_lattice import GaloisModule
+from .int_lattice import GaloisModule, check_module_dim
 
 __all__ = [
     "parse_group",
@@ -121,6 +121,7 @@ def parse_module(data: Any, prime: int) -> GaloisModule:
     group = parse_group(data["group"])
     free_rank = _as_int(data.get("free_rank", 0))
     torsion = [_as_int(q) for q in _as_list(data.get("torsion", []), "torsion")]
+    check_module_dim(free_rank + len(torsion))
     action = {_as_int(g): _as_matrix(mat)
               for g, mat in _as_object(data["action"], "action").items()}
     # Canonical coordinate order is ascending torsion; permute if needed.
@@ -157,10 +158,11 @@ def parse_presentation(data: Any) -> tuple[FiniteGroup, list[tuple[int, ...]], l
     "vector": [...]} where the vector has one entry per coset of each
     summand subgroup, in catalog coset order.
     """
+    data = _as_object(data, "presentation")
     group = parse_group(data["group"])
-    summands = [subgroup_of(group, [_as_int(x) for x in members])
-                for members in data["summands"]]
-    vector = [_as_int(x) for x in data["vector"]]
+    summands = [subgroup_of(group, [_as_int(x) for x in _as_list(members, "summand")])
+                for members in _as_list(data["summands"], "summands")]
+    vector = [_as_int(x) for x in _as_list(data["vector"], "vector")]
     return group, summands, vector
 
 
@@ -195,10 +197,14 @@ def parse_expected_table(data: Any) -> list[tuple[str, tuple[int, ...], int, int
     Schema: {"rows": [{"family": "M1", "r_values": [], "rank": 1, "ed": 0}, ...]}
     """
     rows = []
-    for row in data["rows"]:
+    for row in _as_list(_as_object(data, "expected table")["rows"], "rows"):
+        row = _as_object(row, "row")
+        family = row["family"]
+        if not isinstance(family, str):
+            raise ValueError(f"family must be a string, got {type(family).__name__}")
         rows.append((
-            str(row["family"]),
-            tuple(_as_int(r) for r in row.get("r_values", [])),
+            family,
+            tuple(_as_int(r) for r in _as_list(row.get("r_values", []), "r_values")),
             _as_int(row["rank"]),
             _as_int(row["ed"]),
         ))

@@ -1,14 +1,44 @@
+import itertools
 import sys
 
 import pytest
 
-from edlattice.group_core import FiniteGroup, dihedral8
+from edlattice.group_core import FiniteGroup, dihedral8, from_table
 
 
 @pytest.fixture(scope="session")
 def d8() -> FiniteGroup:
     """D8 = <r, s | r^4, s^2, srs = r^-1>, element r^a s^b at index a + 4b."""
     return dihedral8()
+
+
+def _permutation_group(n, even_only, name):
+    """S_n or A_n as a table; elements are the permutations in lexicographic order."""
+    def sign(perm):
+        return (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    perms = [q for q in itertools.permutations(range(n)) if not even_only or sign(q) == 1]
+    index = {q: i for i, q in enumerate(perms)}
+    # (a * b)(x) = a(b(x))
+    table = [[index[tuple(a[b[x]] for x in range(n))] for b in perms] for a in perms]
+    return from_table(table, name=name)
+
+
+@pytest.fixture(scope="session")
+def s3() -> FiniteGroup:
+    """S3: solvable and not nilpotent; element 0 is the identity."""
+    return _permutation_group(3, False, "S3")
+
+
+@pytest.fixture(scope="session")
+def a4() -> FiniteGroup:
+    """A4: solvable, and its minimal normal subgroup is not cyclic."""
+    return _permutation_group(4, True, "A4")
+
+
+@pytest.fixture(scope="session")
+def a5() -> FiniteGroup:
+    """A5: simple and not solvable."""
+    return _permutation_group(5, True, "A5")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,7 +1,10 @@
-"""Fuzz `edlat ed --input` over the module JSON schema, in-process.
+"""Fuzz the CLI's JSON inputs in-process: module files (`edlat ed --input`),
+presentations (`edlat classify --input`) and expected tables
+(`edlat verify --expected`).
 
-Whatever the file holds, `main` must return 0, 2 or 3 without letting an
-exception escape, and each example must finish within the deadline.
+Whatever the file holds, `main` must return a documented exit code without
+letting an exception escape, and each example must finish within the
+deadline.
 """
 
 import copy
@@ -22,7 +25,8 @@ from edlattice.group_core import (
     make_cyclic,
     quaternion8,
 )
-from edlattice.jsonio import group_to_json, module_to_json
+from edlattice.catalog import expected_table
+from edlattice.jsonio import group_to_json, module_to_json, parse_expected_table
 from edlattice.random_modules import random_module
 
 SMALL_INTS = st.integers(min_value=-3, max_value=9)
@@ -125,3 +129,89 @@ def test_ed_input_exits_0_2_or_3(tmp_path_factory, case):
     assert code in (0, 2, 3), err.getvalue()
     if code:
         assert err.getvalue().startswith("error: ")
+
+
+def _run(tmp_path_factory, data, argv):
+    path = tmp_path_factory.getbasetemp() / "fuzz_input.json"
+    path.write_text(json.dumps(data))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([argv[0], argv[1], str(path)] + argv[2:])
+    if code:
+        assert err.getvalue().startswith("error: ") or code == 3, err.getvalue()
+    return code, err.getvalue()
+
+
+VALID_PRESENTATIONS = [
+    {"group": {"type": "cyclic", "order": 9}, "summands": [[0, 3, 6]], "vector": [1, 1, 1]},
+    {"group": {"type": "cyclic", "order": 9}, "summands": [[0, 3, 6], list(range(9))],
+     "vector": [2, 2, 2, 5]},
+    {"group": {"type": "cyclic", "order": 3}, "summands": [[0]], "vector": [1, 1, 1]},
+]
+MEMBER_LISTS = st.one_of(st.lists(st.one_of(st.integers(min_value=-1, max_value=10), ENTRIES),
+                                  max_size=4), ENTRIES)
+
+
+@st.composite
+def presentations(draw):
+    """A valid presentation with up to two fields replaced, or anything at all."""
+    if draw(st.booleans()):
+        return draw(st.one_of(ENTRIES, st.fixed_dictionaries(
+            {}, optional={"group": GROUPS, "summands": st.lists(MEMBER_LISTS, max_size=3),
+                          "vector": MEMBER_LISTS})))
+    data = copy.deepcopy(draw(st.sampled_from(VALID_PRESENTATIONS)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        field = draw(st.sampled_from(["group", "summands", "summand", "vector", "drop"]))
+        if field == "group":
+            data["group"] = draw(GROUPS)
+        elif field == "summands":
+            data["summands"] = draw(st.one_of(st.lists(MEMBER_LISTS, max_size=3), ENTRIES))
+        elif field == "summand" and isinstance(data.get("summands"), list) and data["summands"]:
+            data["summands"][0] = draw(MEMBER_LISTS)
+        elif field == "vector":
+            data["vector"] = draw(MEMBER_LISTS)
+        else:
+            data.pop(draw(st.sampled_from(["group", "summands", "vector"])), None)
+    return data
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=presentations(), prime=st.sampled_from([3, 3, 5, 2, 4, 1, 0, -3, 10 ** 18 + 3]))
+def test_classify_input_exits_0_or_2(tmp_path_factory, data, prime):
+    code, err = _run(tmp_path_factory, data, ["classify", "--input", "--prime", str(prime)])
+    assert code in (0, 2), err
+
+
+VALID_ROWS = [{"family": family, "r_values": list(r_values), "rank": rank, "ed": ed}
+              for family, r_values, rank, ed in expected_table(2)]
+ROW_VALUES = st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2), st.sampled_from(["M1", "M99"]))
+
+
+@st.composite
+def expected_tables(draw):
+    """The p = 2 table with up to two rows or fields replaced, or anything at all."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(st.one_of(ENTRIES, st.fixed_dictionaries(
+            {}, optional={"rows": st.one_of(ENTRIES, st.lists(ROW_VALUES, max_size=2))})))
+    rows = copy.deepcopy(VALID_ROWS)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        field = draw(st.sampled_from(["family", "r_values", "rank", "ed", "row", "drop"]))
+        if field == "row" or not isinstance(rows[i], dict):
+            rows[i] = draw(ROW_VALUES)
+        elif field == "drop":
+            rows[i].pop(draw(st.sampled_from(["family", "r_values", "rank", "ed"])), None)
+        else:
+            rows[i][field] = draw(ROW_VALUES)
+    return {"rows": rows}
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=expected_tables())
+def test_verify_expected_exits_0_or_2_unless_the_table_disagrees(tmp_path_factory, data):
+    code, err = _run(tmp_path_factory, data, ["verify", "--expected", "--prime", "2"])
+    assert code in (0, 2, 3), err
+    if code == 3:
+        # A mismatch is reported only for a well-formed table.
+        parse_expected_table(data)

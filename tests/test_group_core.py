@@ -273,3 +273,109 @@ def test_enumeration_seeds_stay_small(monkeypatch):
     assert len(subgroup_classes(g)) == 10
     # Seeded with every member of h, the largest seed had 257 elements.
     assert sizes and max(sizes) <= 10
+
+
+def _pc_groups():
+    c2 = make_cyclic(2)
+    return [make_cyclic(1), make_cyclic(2), make_cyclic(6), make_cyclic(121), make_cyclic(512),
+            _c2_cubed(), _c2_times_c4(), dihedral8(), quaternion8(), heisenberg27(),
+            _d8_times_c2(), direct_product(make_cyclic(9), make_cyclic(3)),
+            direct_product(direct_product(c2, c2), make_cyclic(3))]
+
+
+def _check_pc_presentation(g):
+    pc = g.pc_presentation()
+    k = len(pc.generators)
+    assert len(pc.relative_orders) == k and len(pc.exponents) == g.order
+    assert all(r >= 2 and all(r % d for d in range(2, r)) for r in pc.relative_orders)
+
+    def evaluate(exponents):
+        x = 0
+        for gen, e in zip(pc.generators, exponents):
+            for _ in range(e):
+                x = g.mul(x, gen)
+        return x
+
+    # Each element is its normal form, and the normal forms are all the
+    # exponent vectors below the relative orders: so |G| = r_0 ... r_{k-1}.
+    assert [evaluate(e) for e in pc.exponents] == list(g.elements())
+    assert all(all(0 <= e < r for e, r in zip(exps, pc.relative_orders))
+               for exps in pc.exponents)
+    assert len(set(pc.exponents)) == g.order
+    # G_i = <g_i, ..., g_{k-1}> is normal in G_{i-1}, and the relation words
+    # lie in G_{i+1}: their exponents vanish up to position i.
+    terms = [g.closure(pc.generators[i:]) for i in range(k + 1)]
+    for i in range(k):
+        assert len(terms[i]) == pc.relative_orders[i] * len(terms[i + 1])
+        assert all(conjugate_subgroup(g, terms[i + 1], x) == terms[i + 1] for x in terms[i])
+    for i, (gen, r) in enumerate(zip(pc.generators, pc.relative_orders)):
+        power = 0
+        for _ in range(r):
+            power = g.mul(power, gen)
+        assert pc.powers[i] == power
+        assert not any(pc.exponents[power][:i + 1])
+    assert set(pc.conjugates) == {(i, j) for i in range(k) for j in range(i + 1, k)}
+    for (i, j), w in pc.conjugates.items():
+        gi, gj = pc.generators[i], pc.generators[j]
+        assert g.mul(gj, gi) == g.mul(gi, w)
+        assert not any(pc.exponents[w][:i + 1])
+    return pc
+
+
+@pytest.mark.parametrize("g", _pc_groups(), ids=lambda g: g.name)
+def test_pc_presentation_is_a_normal_form_with_its_relations(g):
+    pc = _check_pc_presentation(g)
+    assert pc is g.pc_presentation()  # computed once per group
+    if g.order > 1 and g.is_p_group(pc.relative_orders[0]):
+        assert set(pc.relative_orders) == {pc.relative_orders[0]}
+
+
+def test_pc_presentation_of_cyclic_p_squared():
+    pc = make_cyclic(121).pc_presentation()
+    assert (pc.generators, pc.relative_orders, pc.powers) == ((1, 11), (11, 11), (11, 0))
+    assert pc.exponents[25] == (3, 2)
+
+
+def test_pc_presentation_of_solvable_nonnilpotent_groups(s3, a4):
+    for g in (s3, a4):
+        pc = _check_pc_presentation(g)
+        assert sorted(pc.relative_orders) == sorted({6: [2, 3], 12: [2, 2, 3]}[g.order])
+
+
+def test_pc_presentation_needs_a_solvable_group(a5):
+    with pytest.raises(ValueError, match="not solvable"):
+        a5.pc_presentation()
+
+
+@pytest.mark.parametrize("make_group", [lambda: make_cyclic(9), dihedral8, heisenberg27])
+def test_words_reach_their_targets(make_group):
+    g = make_group()
+    gens = g.generators()
+    targets = list(g.elements())
+    words = g.words(gens, targets)
+    for t, runs in zip(targets, words):
+        x = 0
+        for s, e in runs:
+            assert s in gens and e >= 1
+            for _ in range(e):
+                x = g.mul(x, s)
+        assert x == t
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # runs are maximal
+    assert g.words(gens, [0]) == [[]]
+    assert make_cyclic(16).words([1], [15]) == [[(1, 15)]]
+
+
+def test_enumeration_tries_one_element_per_coset(monkeypatch):
+    g = make_cyclic(512)
+    real = FiniteGroup.closure
+    calls = []
+
+    def closure(self, seed):
+        calls.append(1)
+        return real(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "closure", closure)
+    classes = subgroup_classes(g)
+    # One closure per (subgroup h, coset of h other than h): 1,013 calls,
+    # against 4,097 when every element outside h was tried.
+    assert len(calls) == sum(c.index - 1 for c in classes) == 1013

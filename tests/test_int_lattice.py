@@ -28,6 +28,8 @@ from edlattice.int_lattice import (
     quotient_by_orbit_relations,
     smith_normal_form,
 )
+from edlattice import int_lattice
+from edlattice.catalog import permutation_module, trivial_lattice
 from edlattice.random_modules import random_module
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -312,3 +314,170 @@ def test_fixed_submodule_validates_member_tuples(d8):
     m = random_module(Random(1), d8, 2, max_dim=4)
     with pytest.raises(ValueError, match="not closed"):
         fixed_submodule(m, (0, 1))
+
+
+def _cayley_walk(group, free_rank, torsion, action):
+    """The former homomorphism check, kept as a reference.
+
+    Fills in every element's matrix along a search of the Cayley graph,
+    action(g x) = action(g) action(x), and compares on the edges that reach
+    an element already filled in.  Returns the |G| matrices, or None when
+    some edge disagrees.
+    """
+    n = free_rank
+
+    def canon(mat):
+        return [row if i < n else [x % torsion[i - n] for x in row] for i, row in enumerate(mat)]
+
+    gens = {g: canon(mat) for g, mat in action.items()}
+    mats = [None] * group.order
+    mats[0] = identity_matrix(n + len(torsion))
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g, gmat in gens.items():
+            y = group.mul(g, x)
+            product = canon(mat_mul(gmat, mats[x]))
+            if mats[y] is None:
+                mats[y] = product
+                frontier.append(y)
+            elif product != mats[y]:
+                return None
+    return mats
+
+
+def _random_matrix(rng, free_rank, torsion):
+    """A matrix of the block shape every module accepts: no torsion-to-free
+    entries, and torsion entries that respect the moduli."""
+    n, dim = free_rank, free_rank + len(torsion)
+    mat = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            mat[i][j] = rng.randint(-1, 1)
+    for i, qi in enumerate(torsion):
+        for j in range(dim):
+            qj = torsion[j - n] if j >= n else 0
+            step = qi // qj if qi > qj > 0 else 1
+            mat[n + i][j] = step * rng.randrange(qi // step)
+    return mat
+
+
+def _random_generating_set(rng, group):
+    """The group's own generators, or random elements (the identity among
+    them at times) drawn until they generate the group."""
+    if rng.random() < 0.5:
+        return group.generators() or [0]
+    gens = [0] if rng.random() < 0.2 else []
+    while group.closure(gens) != tuple(group.elements()):
+        gens.append(rng.randrange(group.order))
+    return sorted(set(gens))
+
+
+def _random_action(rng, group, p):
+    """Random matrices for a generating set, or a valid module's matrices
+    with one of them replaced, negated or swapped for another's."""
+    gens = _random_generating_set(rng, group)
+    if rng.random() < 0.5:
+        free_rank = rng.randint(0, 2)
+        torsion = sorted(rng.choice((p, p * p)) for _ in range(rng.randint(0, 2)))
+        if free_rank + len(torsion) == 0:
+            free_rank = 1
+        return free_rank, torsion, {g: _random_matrix(rng, free_rank, torsion) for g in gens}
+    m = random_module(rng, group, p, max_dim=3)
+    action = {g: [row[:] for row in m.action(g)] for g in gens}
+    g = rng.choice(gens)
+    roll = rng.random()
+    if roll < 0.3:
+        action[g] = _random_matrix(rng, m.free_rank, m.torsion)
+    elif roll < 0.6:
+        action[g] = action[rng.choice(gens)]
+    elif roll < 0.8:
+        action[g] = [[-x for x in row[:m.free_rank]] + row[m.free_rank:] for row in action[g]]
+    return m.free_rank, list(m.torsion), action
+
+
+@pytest.mark.parametrize("make_group,p", [
+    (lambda: make_cyclic(2), 2), (lambda: make_cyclic(3), 3), (lambda: make_cyclic(4), 2),
+    (lambda: make_cyclic(9), 3), (lambda: direct_product(make_cyclic(2), make_cyclic(4)), 2),
+    (dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)],
+    ids=["C2", "C3", "C4", "C9", "C2xC4", "D8", "Q8", "H27"])
+def test_module_accepts_exactly_what_the_cayley_walk_accepts(make_group, p):
+    g = make_group()
+    rng = Random(17)
+    outcomes = set()
+    for _ in range(300):
+        free_rank, torsion, action = _random_action(rng, g, p)
+        mats = _cayley_walk(g, free_rank, torsion, action)
+        try:
+            m = GaloisModule(g, p, free_rank, torsion, action)
+        except ValueError as exc:
+            assert "not a group homomorphism" in str(exc)
+            assert mats is None, action
+            outcomes.add("rejected")
+            continue
+        assert mats is not None, action
+        assert [m.action(x) for x in g.elements()] == mats
+        outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected"}
+
+
+def test_module_over_a_solvable_nonnilpotent_group(s3):
+    m = permutation_module(s3, s3.closure([s3.generators()[-1]]), 3)
+    assert m.dim == 3
+    gens = s3.generators()
+    for x in s3.elements():
+        assert sorted(map(sorted, m.action(x))) == [[0, 0, 1]] * 3
+    for y in s3.elements():
+        assert mat_mul(m.action(gens[0]), m.action(y)) == m.action(s3.mul(gens[0], y))
+    # an element of order 3 cannot act as a transposition of coordinates
+    assert s3.element_order(gens[0]) == 3
+    swapped = {g: m.action(g) for g in gens}
+    swapped[gens[0]] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GaloisModule(s3, 3, 3, [], swapped)
+
+
+def test_module_needs_a_solvable_group(a5):
+    with pytest.raises(ValueError, match="not solvable"):
+        trivial_lattice(a5, 2, 1)
+
+
+def test_action_matrices_are_built_on_demand(monkeypatch):
+    real = int_lattice.mat_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(int_lattice, "mat_mul", counting)
+    g = make_cyclic(121)
+    g.pc_presentation()
+    m = permutation_module(g, (0,), 11)
+    # The relations of the two pc generators, not one product per element.
+    assert len(calls) <= 20
+    del calls[:]
+    shift = m.action(1)
+    assert m.action(1) is shift and not calls
+    mat = m.action(25)  # 25 = 3 + 2 * 11: at most a few products
+    assert len(calls) <= 4 and m.action(25) is mat
+    assert all(mat[(c + 25) % 121][c] == 1 for c in range(121))
+
+
+def test_fixed_submodule_of_a_lattice_is_the_kernel_hnf(monkeypatch):
+    m = permutation_module(make_cyclic(9), (0,), 3)
+    real = int_lattice.hermite_normal_form
+    calls = []
+
+    def counting(mat):
+        calls.append(1)
+        return real(mat)
+
+    monkeypatch.setattr(int_lattice, "hermite_normal_form", counting)
+    for cls in subgroup_classes(m.group):
+        del calls[:]
+        basis = fixed_submodule(m, cls)
+        # kernel_basis only, and none for the trivial subgroup: no third HNF
+        assert len(calls) == (2 if cls.generators else 0)
+        assert basis == hnf_basis(basis)
+        assert all(m.act(x, v) == v for x in cls.representative for v in basis)

@@ -7,6 +7,7 @@ from edlattice import catalog, cli, jsonio
 from edlattice.catalog import build_list_L, parse_catalog_key
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
+from edlattice.int_lattice import MAX_MODULE_DIM
 from edlattice.jsonio import (
     group_to_json,
     module_to_json,
@@ -321,6 +322,48 @@ def test_cli_rejects_oversized_catalog_group_before_building(capsys, monkeypatch
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(jsonio.MAX_GROUP_ORDER) in err
+
+
+@pytest.mark.parametrize("free_rank, torsion", [
+    (MAX_MODULE_DIM + 1, []),
+    (0, [2] * (MAX_MODULE_DIM + 1)),
+    (MAX_MODULE_DIM, [4]),
+    (10 ** 30, []),
+])
+def test_cli_rejects_oversized_module_before_building(tmp_path, capsys, monkeypatch,
+                                                       free_rank, torsion):
+    def refuse(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(jsonio, "GaloisModule", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"group": {"type": "cyclic", "order": 2}, "free_rank": free_rank,
+                                "torsion": torsion, "action": {"1": [[1]]}}))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: module dimension") and str(MAX_MODULE_DIM) in err
+
+
+@pytest.mark.parametrize("key", [
+    f"perm@p=2,n=512,indices={MAX_MODULE_DIM * 2}",
+    "perm@p=2,n=2,indices=" + "+".join(["2"] * (MAX_MODULE_DIM // 2 + 1)),
+    f"norm_one@p=2,n=1024,indices={MAX_MODULE_DIM + 1}",
+])
+def test_cli_rejects_oversized_catalog_module_before_building(capsys, monkeypatch, key):
+    def refuse(*args):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(catalog, "make_cyclic", refuse)
+    assert main(["ed", "--catalog", key]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: module dimension") and str(MAX_MODULE_DIM) in err
+
+
+def test_module_dimension_cap_admits_the_p13_catalog():
+    # M9r..M12r are quotients of Z[G] + Z[G/H], of dimension p^2 + p.
+    assert 13 * 13 + 13 <= MAX_MODULE_DIM
+    m = parse_catalog_key(f"perm@p=2,n=4,indices={'+'.join(['4'] * (MAX_MODULE_DIM // 4))}")
+    assert m.module.dim == MAX_MODULE_DIM
 
 
 @pytest.mark.parametrize("message, shown", [
