@@ -179,6 +179,13 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     are order independent, so a non-contributing summand can be dropped
     from any cover.  States (class floor, span) already reached at least as
     cheaply are pruned.
+
+    The enumeration stays exhaustive; only repeated F_p work is shared,
+    in dicts that live for this call alone.  c.v has the orbit span of v
+    for c prime to p, so each projective point of M/pM is spun once, as
+    its representative with leading coefficient 1, however many classes
+    offer it; and each join of the running span with a point's span is
+    computed once per search.
     """
     _check_prime(m, p)
     if m.dim == 0:
@@ -193,19 +200,27 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     # Candidate points per class: all of image(M^H -> M/pM), deduplicated
     # by the orbit span they generate (equal spans contribute identically).
     class_points: list[list[tuple[list[int], Subspace]]] = []
+    point_spans: dict[tuple[int, ...], Subspace] = {}
     for basis in fixed:
         reduced = [[x % p for x in b] for b in basis]
         image_basis, _ = rref(reduced, dim, p)
         points = []
         seen_spans = set()
         for coeffs in itertools.product(range(p), repeat=len(image_basis)):
-            if not any(coeffs):
+            # Dividing a vector by its leading coefficient gives an earlier
+            # one with the same span, so the first of each span leads with 1.
+            if next((c for c in coeffs if c), 0) != 1:
                 continue
             point = [0] * dim
             for c, b in zip(coeffs, image_basis):
                 if c:
                     point = [(point[i] + c * b[i]) % p for i in range(dim)]
-            span = orbit_span(mbar, point)
+            # image_basis is reduced echelon, so the point leads with 1 too:
+            # it is the projective point's representative.
+            key = tuple(point)
+            span = point_spans.get(key)
+            if span is None:
+                span = point_spans[key] = orbit_span(mbar, point)
             if span in seen_spans:
                 continue
             seen_spans.add(span)
@@ -215,6 +230,10 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     costs = [c.index for c in classes]
     best: list = [None, None]  # cost, chosen [(class_index, point)]
     reached: dict = {}
+    # joins[span][pspan] is span + pspan.  Each distinct sum is kept once
+    # (sums), so the memo costs a dict slot per pair, not a subspace.
+    joins: dict[Subspace, dict[Subspace, Subspace]] = {}
+    sums: dict[Subspace, Subspace] = {}
 
     def search(floor, span, cost, chosen):
         if span.dim == dim:
@@ -226,6 +245,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
         if prior is not None and prior <= cost:
             return
         reached[state] = cost
+        span_joins = joins.setdefault(span, {})
         for pos in range(floor, len(by_cost)):
             ci = by_cost[pos]
             step = costs[ci]
@@ -233,7 +253,10 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
             if cost + step > limit:
                 continue
             for point, pspan in class_points[ci]:
-                joined = span.add(pspan)
+                joined = span_joins.get(pspan)
+                if joined is None:
+                    joined = span.add(pspan)
+                    joined = span_joins[pspan] = sums.setdefault(joined, joined)
                 if joined.dim == span.dim:
                     continue
                 chosen.append((ci, point))

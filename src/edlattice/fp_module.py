@@ -180,7 +180,7 @@ def coinvariants(m: FpGaloisModule):
 
 
 def project(projection, v, p):
-    return [sum(row[j] * v[j] for j in range(len(v))) % p for row in projection]
+    return [sum(map(mul, row, v)) % p for row in projection]
 
 
 def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> Subspace:

@@ -424,7 +424,8 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     of known subgroups until it is closed under one-generator extensions
     finds them all.  A subgroup is extended from the generators it was
     first reached with, which breadth-first are as few as any generating
-    set of it has.  Conjugacy dedup uses the sorted-element canonical form.
+    set of it has.  Each class is one orbit under conjugation by the
+    group's generators, represented by its least sorted member list.
     Computed once per group; each call returns a fresh list.
     """
     if group._classes is None:
@@ -451,12 +452,26 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
                 if extended not in known:
                     known[extended] = gens + (x,)
                     queue.append(extended)
+    # The conjugates of h are its orbit under conjugation by generators of
+    # the group (each g^-1 is a power of g), grown breadth-first: those the
+    # whole group was reached with.  When they commute the group is abelian
+    # and the orbit is {h}.
+    group_gens = known[tuple(group.elements())]
+    abelian = all(cayley[a][b] == cayley[b][a] for a in group_gens for b in group_gens)
     classes: list[SubgroupClass] = []
     seen: set[tuple[int, ...]] = set()
     for h in sorted(known):
         if h in seen:
             continue
-        orbit = {conjugate_subgroup(group, h, g) for g in group.elements()}
+        orbit = {h}
+        if not abelian:
+            frontier = [h]
+            for k in frontier:
+                for g in group_gens:
+                    conj = conjugate_subgroup(group, k, g)
+                    if conj not in orbit:
+                        orbit.add(conj)
+                        frontier.append(conj)
         seen |= orbit
         rep = min(orbit)
         classes.append(

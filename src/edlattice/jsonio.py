@@ -66,6 +66,14 @@ def _as_object(value: Any, what: str) -> dict:
     return value
 
 
+def _required(data: dict, key: str, what: str) -> Any:
+    """data[key]; a missing key is a ValueError naming it and the object."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing {key!r}") from None
+
+
 def _as_matrix(value: Any) -> list[list[int]]:
     return [[_as_int(entry) for entry in _as_list(row, "matrix row")]
             for row in _as_list(value, "matrix")]
@@ -82,22 +90,22 @@ def _checked_order(data: Any) -> int:
         raise ValueError("group description must be an object with a 'type'")
     kind = data["type"]
     if kind == "cyclic":
-        order = _as_int(data["order"])
+        order = _as_int(_required(data, "order", "cyclic group"))
     elif kind == "product":
         order = 1
-        for factor in _as_list(data["factors"], "factors"):
+        for factor in _as_list(_required(data, "factors", "product group"), "factors"):
             order *= _checked_order(factor)
             if order > MAX_GROUP_ORDER:
                 break
     elif kind == "table":
-        order = len(_as_list(data["cayley"], "cayley"))
+        order = len(_as_list(_required(data, "cayley", "table group"), "cayley"))
     else:
         raise ValueError(f"unknown group type {kind!r}")
     return check_group_order(order)
 
 
 def parse_group(data: Any) -> FiniteGroup:
-    _checked_order(data)
+    _checked_order(data)  # also checks that every key read below is present
     kind = data["type"]
     if kind == "cyclic":
         return make_cyclic(_as_int(data["order"]))
@@ -118,12 +126,12 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 def parse_module(data: Any, prime: int) -> GaloisModule:
     data = _as_object(data, "module")
-    group = parse_group(data["group"])
+    group = parse_group(_required(data, "group", "module"))
     free_rank = _as_int(data.get("free_rank", 0))
     torsion = [_as_int(q) for q in _as_list(data.get("torsion", []), "torsion")]
     check_module_dim(free_rank + len(torsion))
     action = {_as_int(g): _as_matrix(mat)
-              for g, mat in _as_object(data["action"], "action").items()}
+              for g, mat in _as_object(_required(data, "action", "module"), "action").items()}
     # Canonical coordinate order is ascending torsion; permute if needed.
     order = sorted(range(len(torsion)), key=lambda i: torsion[i])
     if order != list(range(len(torsion))):
@@ -159,10 +167,10 @@ def parse_presentation(data: Any) -> tuple[FiniteGroup, list[tuple[int, ...]], l
     summand subgroup, in catalog coset order.
     """
     data = _as_object(data, "presentation")
-    group = parse_group(data["group"])
+    group = parse_group(_required(data, "group", "presentation"))
     summands = [subgroup_of(group, [_as_int(x) for x in _as_list(members, "summand")])
-                for members in _as_list(data["summands"], "summands")]
-    vector = [_as_int(x) for x in _as_list(data["vector"], "vector")]
+                for members in _as_list(_required(data, "summands", "presentation"), "summands")]
+    vector = [_as_int(x) for x in _as_list(_required(data, "vector", "presentation"), "vector")]
     return group, summands, vector
 
 
@@ -197,16 +205,18 @@ def parse_expected_table(data: Any) -> list[tuple[str, tuple[int, ...], int, int
     Schema: {"rows": [{"family": "M1", "r_values": [], "rank": 1, "ed": 0}, ...]}
     """
     rows = []
-    for row in _as_list(_as_object(data, "expected table")["rows"], "rows"):
-        row = _as_object(row, "row")
-        family = row["family"]
+    table = _as_object(data, "expected table")
+    for i, row in enumerate(_as_list(_required(table, "rows", "expected table"), "rows")):
+        what = f"expected table row {i}"
+        row = _as_object(row, what)
+        family = _required(row, "family", what)
         if not isinstance(family, str):
             raise ValueError(f"family must be a string, got {type(family).__name__}")
         rows.append((
             family,
             tuple(_as_int(r) for r in _as_list(row.get("r_values", []), "r_values")),
-            _as_int(row["rank"]),
-            _as_int(row["ed"]),
+            _as_int(_required(row, "rank", what)),
+            _as_int(_required(row, "ed", what)),
         ))
     return rows
 

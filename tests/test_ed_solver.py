@@ -15,7 +15,7 @@ from edlattice.ed_solver import (
     min_permutation_rank,
     verify_certificate,
 )
-from edlattice.fp_module import coinvariants, reduce_mod_p
+from edlattice.fp_module import coinvariants, orbit_span, reduce_mod_p
 from edlattice.group_core import (
     coset_action,
     dihedral8,
@@ -337,3 +337,50 @@ def test_rejected_certificate_is_an_internal_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal check failed" in captured.err
+
+
+def _c2_cubed():
+    c2 = make_cyclic(2)
+    return direct_product(direct_product(c2, c2), c2)
+
+
+@pytest.mark.parametrize("make_group, p", [(dihedral8, 2), (_c2_cubed, 2), (heisenberg27, 3)],
+                         ids=["D8", "C2^3", "H27"])
+def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p):
+    spun = []
+
+    def counting(mbar, v):
+        spun.append(tuple(v))
+        return orbit_span(mbar, v)
+
+    monkeypatch.setattr(ed_solver, "orbit_span", counting)
+    group = make_group()
+    rng = Random(11)
+    for _ in range(8):
+        m = random_module(rng, group, p, max_dim=4)
+        spun.clear()
+        brute_force_min_rank(m, p, group.order * max(1, m.dim))
+        # c.v spans what v spans, so one spin per line through 0 suffices.
+        assert len(spun) == len(set(spun)) <= (p ** m.dim - 1) // (p - 1)
+
+
+def _sum_of_random_modules(group, seed):
+    rng = Random(seed)
+    total = random_module(rng, group, 2, max_dim=4)
+    while total.dim < 6:
+        total = direct_sum(total, random_module(rng, group, 2, max_dim=4))
+    return total
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make_group, seed", [(dihedral8, 1), (dihedral8, 2), (dihedral8, 3),
+                                              (_c2_cubed, 0), (_c2_cubed, 1), (_c2_cubed, 2)])
+def test_solver_matches_oracle_on_larger_sums(make_group, seed):
+    group = make_group()
+    m = _sum_of_random_modules(group, seed)
+    assert 6 <= m.dim <= 8
+    fast = min_permutation_rank(m, 2)
+    slow = brute_force_min_rank(m, 2, group.order * m.dim)
+    assert fast.min_rank == slow.min_rank
+    assert verify_certificate(m, fast.certificate, 2)
+    assert verify_certificate(m, slow.certificate, 2)

@@ -379,3 +379,49 @@ def test_enumeration_tries_one_element_per_coset(monkeypatch):
     # One closure per (subgroup h, coset of h other than h): 1,013 calls,
     # against 4,097 when every element outside h was tried.
     assert len(calls) == sum(c.index - 1 for c in classes) == 1013
+
+
+def _all_subgroups(group):
+    """Every subgroup: adjoin each element to each subgroup found, by its generators."""
+    gens = {(0,): ()}
+    queue = [(0,)]
+    for h in queue:
+        for x in group.elements():
+            if x not in h:
+                extended = group.closure(gens[h] + (x,))
+                if extended not in gens:
+                    gens[extended] = gens[h] + (x,)
+                    queue.append(extended)
+    return queue
+
+
+def _product(*factors):
+    group = factors[0]
+    for factor in factors[1:]:
+        group = direct_product(group, factor)
+    return group
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: make_cyclic(256),
+    lambda: _product(*[make_cyclic(2)] * 5),
+    lambda: _product(dihedral8(), make_cyclic(2), make_cyclic(2)),
+    lambda: _product(quaternion8(), make_cyclic(2)),
+    lambda: _product(heisenberg27(), make_cyclic(3)),
+], ids=["C256", "C2^5", "D8xC2xC2", "Q8xC2", "H27xC3"])
+def test_conjugacy_orbits_by_generators_match_all_elements(make_group):
+    # The classes are found by conjugating with the group's generators only
+    # (not at all when they commute); conjugating every subgroup by every
+    # element must give the same representatives, order and sizes.
+    g = make_group()
+    reference, seen = [], set()
+    for h in sorted(_all_subgroups(g)):
+        if h not in seen:
+            orbit = {conjugate_subgroup(g, h, x) for x in g.elements()}
+            seen |= orbit
+            rep = min(orbit)
+            reference.append((rep, g.order // len(rep), len(orbit)))
+    reference.sort(key=lambda c: (-c[1], c[0]))
+    classes = subgroup_classes(g)
+    assert [(c.representative, c.index, c.class_size) for c in classes] == reference
+    assert all(g.closure(c.generators) == c.representative for c in classes)

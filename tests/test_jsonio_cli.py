@@ -379,3 +379,31 @@ def test_cli_internal_check_failure_is_exit_3(monkeypatch, capsys, message, show
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: internal check failed: {shown}\n"
+
+
+_C2 = {"type": "cyclic", "order": 2}
+_SIGN = {"group": _C2, "free_rank": 1, "action": {"1": [[-1]]}}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("verify", {}, "expected table is missing 'rows'"),
+    ("verify", {"rows": [{"family": "M1", "rank": 1}]}, "expected table row 0 is missing 'ed'"),
+    ("verify", {"rows": [{"rank": 1, "ed": 0}]}, "expected table row 0 is missing 'family'"),
+    ("ed", {"free_rank": 1, "action": {"1": [[-1]]}}, "module is missing 'group'"),
+    ("ed", {"group": _C2, "free_rank": 1}, "module is missing 'action'"),
+    ("ed", dict(_SIGN, group={"type": "cyclic"}), "cyclic group is missing 'order'"),
+    ("ed", dict(_SIGN, group={"type": "product"}), "product group is missing 'factors'"),
+    ("ed", dict(_SIGN, group={"type": "table"}), "table group is missing 'cayley'"),
+    ("classify", {"group": _C2, "summands": [[0, 1]]}, "presentation is missing 'vector'"),
+    ("classify", {"summands": [[0]], "vector": [1, 1]}, "presentation is missing 'group'"),
+])
+def test_cli_names_the_missing_key_and_its_object(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "verify": ["verify", "--prime", "2", "--expected", str(path)],
+        "ed": ["ed", "--input", str(path), "--prime", "2"],
+        "classify": ["classify", "--input", str(path), "--prime", "3"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
