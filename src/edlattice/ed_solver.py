@@ -186,6 +186,10 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     its representative with leading coefficient 1, however many classes
     offer it; and each join of the running span with a point's span is
     computed once per search.
+
+    enumeration_cap bounds the work twice: the point count p^dim, checked
+    before any enumeration, and the number of search states visited; past
+    either the search raises BudgetExceededError rather than run on.
     """
     _check_prime(m, p)
     if m.dim == 0:
@@ -234,8 +238,14 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     # (sums), so the memo costs a dict slot per pair, not a subspace.
     joins: dict[Subspace, dict[Subspace, Subspace]] = {}
     sums: dict[Subspace, Subspace] = {}
+    visited = 0
 
     def search(floor, span, cost, chosen):
+        nonlocal visited
+        visited += 1
+        if visited > enumeration_cap:
+            raise BudgetExceededError(
+                f"search visited more than {enumeration_cap} states")
         if span.dim == dim:
             if best[0] is None or cost < best[0]:
                 best[0], best[1] = cost, list(chosen)

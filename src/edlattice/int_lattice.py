@@ -2,11 +2,14 @@
 
 Everything runs on plain Python ints (arbitrary precision); matrices are
 lists of rows.  Correctness beats speed throughout: normal forms are
-classical elementary-operation reductions with the unimodular transforms
-tracked explicitly.  A `GaloisModule` is stored by the matrices of a
-generating set, checked against the group's pc presentation; the matrix of
-any other element is built from its normal form when first asked for.
-Input modules are held to MAX_MODULE_DIM coordinates by `check_module_dim`.
+classical elementary-operation reductions.  The Smith normal form tracks
+both unimodular transforms; the Hermite normal form keeps none, and each
+lattice question (kernels, fixed lattices, inverses) is one HNF of a
+matrix augmented by an identity block.  A `GaloisModule` is stored by the
+matrices of a generating set, checked against the group's pc presentation;
+the matrix of any other element is built from its normal form when first
+asked for.  Input modules are held to MAX_MODULE_DIM coordinates by
+`check_module_dim`.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ def mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in a]
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     n = len(a)
@@ -125,17 +124,17 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form h of m.
 
-    Returns (h, u) with u unimodular and u @ m == h; pivots are positive and
-    entries above each pivot are reduced into [0, pivot), so h is canonical
-    for the row span of m.
+    Pivots are positive and entries above each pivot are reduced into
+    [0, pivot), so h is canonical for the row span of m.  No transform is
+    kept: a caller that needs one augments m with an identity block (see
+    `kernel_basis` and `inverse_unimodular`).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     h = [row[:] for row in m]
-    u = identity_matrix(rows)
     row = 0
     for col in range(cols):
         if row == rows:
@@ -147,15 +146,12 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
             if i0 != row:
                 h[row], h[i0] = h[i0], h[row]
-                u[row], u[i0] = u[i0], u[row]
             done = True
             for i in range(row + 1, rows):
                 if h[i][col]:
                     q = h[i][col] // h[row][col]
                     for j in range(cols):
                         h[i][j] -= q * h[row][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[row][j]
                     if h[i][col]:
                         done = False
             if done:
@@ -163,25 +159,14 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if h[row][col]:
             if h[row][col] < 0:
                 h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
             piv = h[row][col]
             for i in range(row):
                 q = h[i][col] // piv
                 if q:
                     for j in range(cols):
                         h[i][j] -= q * h[row][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[row][j]
             row += 1
-    return h, u
-
-
-def hnf_basis(vectors: list[list[int]]) -> list[list[int]]:
-    """Canonical basis (nonzero HNF rows) of the subgroup generated by the vectors."""
-    if not vectors:
-        return []
-    h, _ = hermite_normal_form(vectors)
-    return [row for row in h if any(row)]
+    return h
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
@@ -275,27 +260,35 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
 
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (via HNF: w @ u = I)."""
-    h, w = hermite_normal_form(u)
-    if h != identity_matrix(len(u)):
+    """Exact inverse of a unimodular integer matrix.
+
+    [I | u^-1] = u^-1 [u | I] spans the row lattice of [u | I] and is in
+    Hermite normal form, so it is the HNF of [u | I]; a left block other
+    than I means u is not unimodular.
+    """
+    n = len(u)
+    identity = identity_matrix(n)
+    h = hermite_normal_form([row + e for row, e in zip(u, identity)])
+    if [row[:n] for row in h] != identity:
         raise ValueError("matrix is not unimodular")
-    return w
+    return [row[n:] for row in h]
 
 
 def kernel_basis(m: IntMatrix, cols: int | None = None) -> list[list[int]]:
-    """Canonical basis of the integer kernel {x : m @ x = 0}.
+    """Canonical (HNF) basis of the integer kernel {x : m @ x = 0}.
 
-    Row-reduce the transpose: with u @ transpose(m) = h, the rows of u
-    whose h-row vanishes are a basis of the kernel (u is unimodular and
-    nonzero HNF rows are independent), and that kernel is saturated.
+    The rows of [m^T | I] span the lattice {(m @ x, x)}, whose vectors with
+    a zero left block are exactly (0, x) for x in the kernel.  In its HNF
+    those rows come last, have echelon form of their own and are reduced
+    only by each other, so their right blocks are the HNF of the kernel
+    (Cohen, GTM 138, section 2.4.3).
     """
     if cols is None:
         cols = len(m[0]) if m else 0
-    if not m or cols == 0:
-        return [row[:] for row in identity_matrix(cols)]
-    h, u = hermite_normal_form(transpose(m))
-    vectors = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf_basis(vectors)
+    k = len(m)
+    h = hermite_normal_form([[row[i] for row in m] + e
+                             for i, e in enumerate(identity_matrix(cols))])
+    return [row[k:] for row in h if not any(row[:k])]
 
 
 class GaloisModule:
@@ -497,14 +490,18 @@ class GaloisModule:
 def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
     """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
 
-    The basis spans the lattice of integer representatives of M^H, so it
-    contains the torsion relation vectors q_j e_{n+j}.  It suffices to fix a
-    generating set of H: free rows must satisfy (A - I) x = 0 exactly, and
-    torsion rows are congruences solved by adjoining one slack column per
-    torsion row and subgroup generator.  M^H is stable under G only when H
-    is normal; for a class, the representative's fixed module is returned,
-    and a conjugate gHg^-1 has the fixed module g.M^H.  A class brings its
-    own generators; a tuple of members is validated and given some.
+    The basis spans the lattice of integer representatives of M^H.  It
+    suffices to fix a generating set of H: free rows must satisfy
+    (A - I) x = 0 exactly, and torsion rows are congruences solved by
+    adjoining one slack column per torsion row and subgroup generator.  The
+    basis is the projection to the x columns of that system's kernel, found
+    with one HNF.  The projection already contains the relation vectors
+    q_j e_{n+j}, so none are added: every action matrix maps the relation
+    lattice into itself, so (A - I) q_j e_{n+j} is a relation vector and is
+    solved by slack values alone.  M^H is stable under G only when H is
+    normal; for a class, the representative's fixed module is returned, and
+    a conjugate gHg^-1 has the fixed module g.M^H.  A class brings its own
+    generators; a tuple of members is validated and given some.
     """
     if isinstance(h, SubgroupClass):
         gens = list(h.generators)
@@ -512,32 +509,20 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
         gens = m.group.subgroup_generators(subgroup_of(m.group, h))
     n, t = m.free_rank, len(m.torsion)
     dim = n + t
-    if dim == 0:
-        return []
     if not gens:
         return identity_matrix(dim)
     rows: list[list[int]] = []
-    k = len(gens)
-    width = dim + k * t
+    slack = len(gens) * t
     for idx, g in enumerate(gens):
-        mat = m.action(g)
-        for i in range(n):
-            row = [0] * width
-            for j in range(dim):
-                row[j] = mat[i][j] - (1 if i == j else 0)
+        for i, action_row in enumerate(m.action(g)):
+            row = action_row + [0] * slack
+            row[i] -= 1
+            if i >= n:
+                row[dim + idx * t + i - n] = m.torsion[i - n]
             rows.append(row)
-        for i in range(t):
-            row = [0] * width
-            for j in range(dim):
-                row[j] = mat[n + i][j] - (1 if n + i == j else 0)
-            row[dim + idx * t + i] = m.torsion[i]
-            rows.append(row)
-    kernel = kernel_basis(rows, width)
-    if not t:
-        # No slack columns and no relation vectors: kernel_basis already
-        # returns the HNF basis of M^H.
-        return kernel
-    return hnf_basis([vec[:dim] for vec in kernel] + m.relation_vectors())
+    # The x columns come first, so the rows of the kernel's HNF with an x
+    # pivot have x parts that are the HNF of its projection.
+    return [v[:dim] for v in kernel_basis(rows, dim + slack) if any(v[:dim])]
 
 
 def direct_sum(*modules: GaloisModule) -> GaloisModule:
@@ -660,8 +645,5 @@ def hom_module(l: GaloisModule, m: GaloisModule) -> list[IntMatrix]:
                 for k in range(nm):
                     row[k * nl + j] -= am[i][k]
                 rows.append(row)
-    if not rows:
-        basis = identity_matrix(unknowns)
-    else:
-        basis = kernel_basis(rows, unknowns)
-    return [[vec[i * nl:(i + 1) * nl] for i in range(nm)] for vec in basis]
+    return [[vec[i * nl:(i + 1) * nl] for i in range(nm)]
+            for vec in kernel_basis(rows, unknowns)]

@@ -1,3 +1,6 @@
+import json
+import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -32,6 +35,7 @@ from edlattice.int_lattice import (
     mat_vec,
     smith_normal_form,
 )
+from edlattice.jsonio import module_to_json
 from edlattice.random_modules import random_module
 
 
@@ -384,3 +388,19 @@ def test_solver_matches_oracle_on_larger_sums(make_group, seed):
     assert fast.min_rank == slow.min_rank
     assert verify_certificate(m, fast.certificate, 2)
     assert verify_certificate(m, slow.certificate, 2)
+
+
+D8_DIM9_ORACLE = Path(__file__).parent / "data" / "d8_dim9_oracle.json"
+
+
+def test_oracle_search_is_bounded_by_the_enumeration_cap():
+    # 2^9 points pass the point cap, but the search over them does not end
+    # in reasonable time; the visited-state count stops it.
+    m = _sum_of_random_modules(dihedral8(), 0)
+    assert (m.free_rank, m.torsion) == (5, [2, 2, 2, 4])
+    # The committed CLI input is this module.
+    assert json.loads(D8_DIM9_ORACLE.read_text()) == module_to_json(m)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="visited more than 1000 states"):
+        brute_force_min_rank(m, 2, m.group.order * m.dim, enumeration_cap=1000)
+    assert time.perf_counter() - start < 1.0

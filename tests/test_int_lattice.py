@@ -1,3 +1,4 @@
+import itertools
 import time
 from random import Random
 
@@ -19,9 +20,9 @@ from edlattice.int_lattice import (
     direct_sum,
     fixed_submodule,
     hermite_normal_form,
-    hnf_basis,
     hom_module,
     identity_matrix,
+    inverse_unimodular,
     is_prime,
     kernel_basis,
     mat_mul,
@@ -30,7 +31,7 @@ from edlattice.int_lattice import (
 )
 from edlattice import int_lattice
 from edlattice.catalog import permutation_module, trivial_lattice
-from edlattice.random_modules import random_module
+from edlattice.random_modules import random_module, random_unimodular
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda rows: st.integers(min_value=1, max_value=5).flatmap(
@@ -40,11 +41,54 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
             min_size=rows, max_size=rows)))
 
 
+def _reduce(basis, v):
+    """v minus integer multiples of the echelon basis rows, pivot by pivot.
+
+    A zero result proves v an integer combination of the rows, whatever the
+    basis; for a basis in echelon form, a nonzero one proves it is not.
+    """
+    v = list(v)
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return v
+        v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def _assert_hnf_of(h, m, seed):
+    """h has HNF shape and spans the row lattice of m."""
+    pivots = []
+    for row in h:
+        nz = [j for j, x in enumerate(row) if x]
+        if nz:
+            pivots.append((nz[0], row[nz[0]]))
+    # nonzero rows first, pivots positive and strictly to the right,
+    # entries above each pivot reduced into [0, pivot)
+    assert all(any(row) for row in h[:len(pivots)]) and not any(map(any, h[len(pivots):]))
+    cols = [c for c, _ in pivots]
+    assert cols == sorted(cols) and len(set(cols)) == len(cols)
+    for i, (c, piv) in enumerate(pivots):
+        assert piv > 0
+        for k in range(i):
+            assert 0 <= h[k][c] < piv
+    assert len(pivots) == len(smith_normal_form(m)[0])
+    assert all(not any(_reduce(h[:len(pivots)], row)) for row in m)
+    if len(m) == len(m[0]) and determinant(m):
+        prod = 1
+        for _, piv in pivots:
+            prod *= piv
+        assert prod == abs(determinant(m))
+    # canonical: a unimodular change of rows leaves h unchanged
+    assert hermite_normal_form(mat_mul(random_unimodular(Random(seed), len(m)), m)) == h
+
+
 def test_hnf_frozen_example():
-    h, u = hermite_normal_form([[2, 4], [6, 8]])
+    m = [[2, 4], [6, 8]]
+    h = hermite_normal_form(m)
     assert h == [[2, 0], [0, 4]]
-    assert mat_mul(u, [[2, 4], [6, 8]]) == h
-    assert determinant(u) in (1, -1)
+    _assert_hnf_of(h, m, 0)
 
 
 def test_snf_frozen_example():
@@ -57,21 +101,7 @@ def test_snf_frozen_example():
 @given(small_matrix)
 @settings(max_examples=60)
 def test_hnf_properties(m):
-    h, u = hermite_normal_form(m)
-    assert mat_mul(u, m) == h
-    assert determinant(u) in (1, -1)
-    # pivots positive, entries above each pivot reduced into [0, pivot)
-    pivots = []
-    for row in h:
-        nz = [j for j, x in enumerate(row) if x]
-        if nz:
-            pivots.append((nz[0], row[nz[0]]))
-    cols = [c for c, _ in pivots]
-    assert cols == sorted(cols) and len(set(cols)) == len(cols)
-    for i, (c, piv) in enumerate(pivots):
-        assert piv > 0
-        for k in range(i):
-            assert 0 <= h[k][c] < piv
+    _assert_hnf_of(hermite_normal_form(m), m, len(m) * 10 + len(m[0]))
 
 
 @given(small_matrix)
@@ -107,8 +137,12 @@ def test_kernel_frozen():
     assert kernel_basis([[0, 0]]) == identity_matrix(2)
 
 
-def test_hnf_basis_dedups():
-    assert hnf_basis([[2, 0], [0, 2], [2, 2]]) == [[2, 0], [0, 2]]
+def test_inverse_unimodular():
+    for n in range(1, 7):
+        u = random_unimodular(Random(n), n)
+        assert mat_mul(u, inverse_unimodular(u)) == identity_matrix(n)
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular([[2, 0], [0, 1]])
 
 
 def _mult_module(p, n, unit, group_order):
@@ -464,8 +498,17 @@ def test_action_matrices_are_built_on_demand(monkeypatch):
     assert all(mat[(c + 25) % 121][c] == 1 for c in range(121))
 
 
+def _d8_sum_with_torsion():
+    """Free rank 5 and torsion [2, 2, 2, 4] over D8."""
+    rng = Random(0)
+    parts = [random_module(rng, dihedral8(), 2, max_dim=4) for _ in range(3)]
+    return direct_sum(*parts)
+
+
 def test_fixed_submodule_of_a_lattice_is_the_kernel_hnf(monkeypatch):
-    m = permutation_module(make_cyclic(9), (0,), 3)
+    # A lattice, and a module with torsion, whose relation vectors the
+    # kernel's projection must already contain.
+    modules = [permutation_module(make_cyclic(9), (0,), 3), _d8_sum_with_torsion()]
     real = int_lattice.hermite_normal_form
     calls = []
 
@@ -474,10 +517,48 @@ def test_fixed_submodule_of_a_lattice_is_the_kernel_hnf(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(int_lattice, "hermite_normal_form", counting)
-    for cls in subgroup_classes(m.group):
-        del calls[:]
-        basis = fixed_submodule(m, cls)
-        # kernel_basis only, and none for the trivial subgroup: no third HNF
-        assert len(calls) == (2 if cls.generators else 0)
-        assert basis == hnf_basis(basis)
-        assert all(m.act(x, v) == v for x in cls.representative for v in basis)
+    for m in modules:
+        for cls in subgroup_classes(m.group):
+            del calls[:]
+            basis = fixed_submodule(m, cls)
+            # One HNF of the augmented system, none for the trivial subgroup.
+            assert len(calls) == (1 if cls.generators else 0)
+            assert basis == real(basis)
+            assert all(m.act(x, v) == m.canon_vector(v)
+                       for x in cls.representative for v in basis)
+
+
+def _fixed_lattice_modules():
+    """Per group, one module of dimension <= 4 without torsion and one with."""
+    c2 = make_cyclic(2)
+    groups = [(make_cyclic(4), 2), (direct_product(c2, c2), 2), (dihedral8(), 2),
+              (quaternion8(), 2), (heisenberg27(), 3)]
+    rng = Random(11)
+    for g, p in groups:
+        found = {}
+        while len(found) < 2:
+            m = random_module(rng, g, p, max_dim=4)
+            if 0 < m.dim <= 4:
+                found.setdefault(bool(m.torsion), m)
+        yield from found.values()
+
+
+def test_fixed_submodule_against_box_enumeration():
+    # Reference: the fixed points of the box [-2, 2]^dim, found by acting
+    # with every member of H, must lie in the span of the basis; so must
+    # the relation vectors, which fixed_submodule never adds explicitly.
+    modules = list(_fixed_lattice_modules())
+    assert sum(bool(m.torsion) for m in modules) == 5
+    for m in modules:
+        box = list(itertools.product(range(-2, 3), repeat=m.dim))
+        for cls in subgroup_classes(m.group):
+            basis = fixed_submodule(m, cls)
+            members = cls.representative
+            for v in basis:
+                assert all(m.act(h, v) == m.canon_vector(v) for h in members), (m, cls, v)
+            for x in box:
+                x = list(x)
+                if all(m.act(h, x) == m.canon_vector(x) for h in members):
+                    assert not any(_reduce(basis, x)), (m, cls, x)
+            for r in m.relation_vectors():
+                assert not any(_reduce(basis, r)), (m, cls, r)

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,15 @@ def test_cli_ed_json(capsys):
 def test_cli_ed_oracle_agrees(capsys):
     assert main(["ed", "--catalog", "M8@p=2", "--oracle"]) == 0
     assert "min_rank=4 ed=1" in capsys.readouterr().out
+
+
+def test_cli_ed_oracle_exits_2_past_the_search_cap(capsys):
+    # A D8 module of dimension 9 whose oracle search would not end.
+    path = Path(__file__).parent / "data" / "d8_dim9_oracle.json"
+    start = time.perf_counter()
+    assert main(["ed", "--oracle", "--prime", "2", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert "visited more than" in capsys.readouterr().err
 
 
 def test_cli_ed_file_requires_prime(tmp_path, capsys):
