@@ -118,6 +118,13 @@ def _cyclic_bases(p: int) -> tuple[FiniteGroup, GaloisModule, GaloisModule]:
             permutation_module(g, tuple(range(0, p * p, p)), p))
 
 
+@lru_cache(maxsize=None)
+def _regular_plus_coset(p: int) -> GaloisModule:
+    """Z[G] (+) Z[G/H] over C_{p^2}, the base of M9r-M12r, built once per prime."""
+    _, zg, zh = _cyclic_bases(p)
+    return direct_sum(zg, zh)
+
+
 def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     """One of the twelve c_{p^2}-module families, with its expected table row.
 
@@ -158,7 +165,6 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     elif family == "M8":
         module = quotient_by_orbit_relations(zg, [eps_one_minus_g])
     else:
-        base = direct_sum(zg, zh)
         if family == "M9r":
             rel = [eps + [-c for c in _one_minus_h_power(p, r)]]
         elif family == "M10r":
@@ -169,7 +175,7 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
         else:  # M12r
             rel = [eps_one_minus_g + [-c for c in _one_minus_h_power(p, r + 1)],
                    [0] * n2 + [1] * p]
-        module = quotient_by_orbit_relations(base, rel)
+        module = quotient_by_orbit_relations(_regular_plus_coset(p), rel)
     _, _, rank, ed = rows[family]
     # Expected values are fixtures; callers compare them to computed ones.
     return CatalogEntry(family, p, r, module, rank, ed)

@@ -15,12 +15,15 @@ give the same V_H because G acts trivially on W.  So a cover is a family
 of pairs (v, H) with v in V_H whose vectors span W, at cost sum [G:H]; a
 minimal cover takes a basis of W.  These pairs form a linear matroid on W
 weighted by the index, so Edmonds' greedy algorithm is exact: take the
-classes cheapest first and, for each, walk the HNF basis of M^H, keeping
-every basis vector whose image in W is independent of those already kept.
-Those images span V_H, so each class gains exactly the dimensions V_H adds,
-and a kept vector is already an integral H-fixed generator; nothing has to
-be lifted back from W.  The minimum is sum [G:H] * (dimensions gained at
-H).
+classes cheapest first and, for each, walk a p-local basis of M^H
+(`local_fixed_basis`: integral H-fixed vectors spanning a sublattice of
+index prime to p, so with the image of M^H in M/pM), keeping every vector
+whose image in W is independent of those already kept.  Those images span
+V_H, so each class gains exactly the dimensions V_H adds, and a kept
+vector is already an integral H-fixed generator; nothing has to be lifted
+back from W.  The minimum is sum [G:H] * (dimensions gained at H).  The
+brute-force oracle reads M^H off its canonical HNF basis
+(`fixed_submodule`) instead, so it checks the fixed-lattice layer too.
 
 Every answer is self-auditing: `verify_certificate` replays the cover.
 It checks integrally that each generator is fixed by its subgroup, then
@@ -39,7 +42,7 @@ from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
 from .catalog import permutation_module
-from .int_lattice import GaloisModule, direct_sum, fixed_submodule, hom_module
+from .int_lattice import GaloisModule, direct_sum, fixed_submodule, hom_module, local_fixed_basis
 from .fp_module import (
     Subspace,
     _echelon_insert,
@@ -106,11 +109,12 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     """Exact minimum of sum [G:H_i] over covers with prime-to-p cokernel.
 
     Edmonds' greedy algorithm on the matroid of pairs (v in V_H, class H)
-    weighted by [G:H]: classes are taken by (index, position), M^H is
-    computed only when the loop reaches H, and each vector b of its HNF
-    basis whose image in W grows the running span is kept, with b itself
-    as the H-fixed generator.  The b span V_H, so the dimensions gained at
-    H are those V_H adds to the cheaper classes.  The first classes to
+    weighted by [G:H]: classes are taken by (index, position), a p-local
+    basis of M^H (`local_fixed_basis`) is computed only when the loop
+    reaches H, and each of its vectors b whose image in W grows the running
+    span is kept, with b itself as the H-fixed generator.  The b span V_H,
+    so the dimensions gained at H are those V_H adds to the cheaper
+    classes.  The first classes to
     reach dim W fix the minimum, sum [G:H] * (dimensions gained at H), and
     the output is deterministic.  The certificate is replayed before it
     is returned; a rejection means a defect in this argument and raises
@@ -127,7 +131,7 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
         if len(span) == w_dim:
             break
-        for b in fixed_submodule(m, cls):
+        for b in local_fixed_basis(m, cls):
             if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
                 summands.append((cls, tuple(m.canon_vector(b))))
     assert len(span) == w_dim, "the trivial class alone spans W"

@@ -4,8 +4,10 @@ Everything runs on plain Python ints (arbitrary precision); matrices are
 lists of rows.  Correctness beats speed throughout: normal forms are
 classical elementary-operation reductions.  The Smith normal form tracks
 both unimodular transforms; the Hermite normal form keeps none, and each
-lattice question (kernels, fixed lattices, inverses) is one HNF of a
-matrix augmented by an identity block.  A `GaloisModule` is stored by the
+canonical lattice (a kernel, a fixed lattice M^H, an inverse) is one HNF
+of a matrix augmented by an identity block.  The solver needs M^H only
+up to index prime to p: `local_fixed_basis` reads it off a fraction-free
+rational kernel, p-saturated, with no HNF.  A `GaloisModule` is stored by the
 matrices of a generating set, checked against the group's pc presentation;
 the matrix of any other element is built from its normal form when first
 asked for.  Input modules are held to MAX_MODULE_DIM coordinates by
@@ -14,6 +16,7 @@ asked for.  Input modules are held to MAX_MODULE_DIM coordinates by
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import mul
 
 from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power, subgroup_of
@@ -487,21 +490,18 @@ class GaloisModule:
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
 
 
-def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
-    """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
+def _fixed_system(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[IntMatrix, int]:
+    """The integer system whose kernel projects onto M^H: (rows, width).
 
-    The basis spans the lattice of integer representatives of M^H.  It
-    suffices to fix a generating set of H: free rows must satisfy
+    It suffices to fix a generating set of H: free rows must satisfy
     (A - I) x = 0 exactly, and torsion rows are congruences solved by
     adjoining one slack column per torsion row and subgroup generator.  The
-    basis is the projection to the x columns of that system's kernel, found
-    with one HNF.  The projection already contains the relation vectors
-    q_j e_{n+j}, so none are added: every action matrix maps the relation
-    lattice into itself, so (A - I) q_j e_{n+j} is a relation vector and is
-    solved by slack values alone.  M^H is stable under G only when H is
-    normal; for a class, the representative's fixed module is returned, and
-    a conjugate gHg^-1 has the fixed module g.M^H.  A class brings its own
-    generators; a tuple of members is validated and given some.
+    x columns come first, then the slack columns.  The kernel's projection
+    to the x columns already contains the relation vectors q_j e_{n+j}:
+    every action matrix maps the relation lattice into itself, so
+    (A - I) q_j e_{n+j} is a relation vector and is solved by slack values
+    alone.  A class brings its own generators; a tuple of members is
+    validated and given some.  The trivial subgroup gives no rows.
     """
     if isinstance(h, SubgroupClass):
         gens = list(h.generators)
@@ -509,8 +509,6 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
         gens = m.group.subgroup_generators(subgroup_of(m.group, h))
     n, t = m.free_rank, len(m.torsion)
     dim = n + t
-    if not gens:
-        return identity_matrix(dim)
     rows: list[list[int]] = []
     slack = len(gens) * t
     for idx, g in enumerate(gens):
@@ -520,9 +518,141 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
             if i >= n:
                 row[dim + idx * t + i - n] = m.torsion[i - n]
             rows.append(row)
+    return rows, dim + slack
+
+
+def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
+    """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
+
+    The basis spans the lattice of integer representatives of M^H: the
+    projection to the x columns of the kernel of `_fixed_system`, found
+    with one HNF.  M^H is stable under G only when H is normal; for a
+    class, the representative's fixed module is returned, and a conjugate
+    gHg^-1 has the fixed module g.M^H.
+    """
+    rows, width = _fixed_system(m, h)
+    if not rows:
+        return identity_matrix(m.dim)
     # The x columns come first, so the rows of the kernel's HNF with an x
     # pivot have x parts that are the HNF of its projection.
-    return [v[:dim] for v in kernel_basis(rows, dim + slack) if any(v[:dim])]
+    return [v[:m.dim] for v in kernel_basis(rows, width) if any(v[:m.dim])]
+
+
+def _rational_kernel(rows: IntMatrix, width: int) -> list[tuple[int, list[int]]]:
+    """One primitive kernel vector per non-pivot column f, as (f, vector).
+
+    Fraction-free Gauss-Jordan elimination brings the rows to reduced
+    echelon form over Q, each row an integer row with its content removed
+    and a positive pivot.  The vector for f is the rational kernel vector
+    that is 1 at f and 0 at every other non-pivot column, scaled to a
+    primitive integer vector, so it is positive at f and is the only
+    vector nonzero there.  The vectors come in column order and are a
+    basis of the kernel over Q, not in general over Z.
+    """
+    def cancel(row, prow, c):
+        # A positive multiple of row minus a multiple of prow (prow[c] > 0),
+        # zero in column c.
+        a, x = prow[c], row[c]
+        g = gcd(a, x)
+        a, x = a // g, x // g
+        return [a * u - x * v for u, v in zip(row, prow)]
+
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        for prow, c in zip(echelon, pivots):
+            if row[c]:
+                row = cancel(row, prow, c)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        row = [x // g for x in row]
+        # Clear the new pivot column above; earlier rows are zero before
+        # their own pivots, and the new row is zero at theirs.
+        for i, prow in enumerate(echelon):
+            if prow[lead]:
+                prow = cancel(prow, row, lead)
+                g = gcd(*prow)
+                echelon[i] = [u // g for u in prow]
+        echelon.append(row)
+        pivots.append(lead)
+    kernel = []
+    pivot_set = set(pivots)
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        # Row i reads a_i y_(c_i) + x_i y_f = 0 on this vector.
+        terms = [(c, prow[c], prow[f]) for prow, c in zip(echelon, pivots) if prow[f]]
+        scale = lcm(1, *(a for _, a, _ in terms))
+        vec = [0] * width
+        vec[f] = scale
+        for c, a, x in terms:
+            vec[c] = -x * (scale // a)
+        g = gcd(*vec)
+        kernel.append((f, [x // g for x in vec]))
+    return kernel
+
+
+def _p_saturate(kernel: list[tuple[int, list[int]]], p: int) -> list[list[int]]:
+    """Enlarge a full-rank sublattice of a saturated lattice K until its
+    vectors are independent mod p; its index in K is then prime to p.
+
+    While some F_p-combination c of the vectors vanishes mod p, the last
+    vector b_j with c_j != 0, scaled so that c_j = 1, is replaced by
+    (sum c_i b_i) / p.  That vector is integral, lies in K because K is
+    saturated, and divides the index by p, so the loop ends.  A vector whose
+    own non-pivot entry is prime to p is the only one nonzero mod p in that
+    column, and every replacement combines only the other vectors, so the
+    combinations are sought among those others alone.
+    """
+    vectors = [vec for _, vec in kernel]
+    echelon: list[tuple[list[int], int, dict[int, int]]] = []
+    for j, (f, vec) in enumerate(kernel):
+        if vec[f] % p:
+            continue
+        while True:
+            row = [x % p for x in vectors[j]]
+            combo = {j: 1}
+            for erow, piv, ecombo in echelon:
+                c = row[piv]
+                if c:
+                    row = [(a - c * b) % p for a, b in zip(row, erow)]
+                    for i, e in ecombo.items():
+                        combo[i] = (combo.get(i, 0) - c * e) % p
+            lead = next((k for k, x in enumerate(row) if x), None)
+            if lead is not None:
+                inv = pow(row[lead], -1, p)
+                echelon.append(([x * inv % p for x in row], lead,
+                                {i: e * inv % p for i, e in combo.items()}))
+                break
+            vectors[j] = [sum(c * vectors[i][k] for i, c in combo.items()) // p
+                          for k in range(len(vec))]
+    return vectors
+
+
+def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
+    """Integral H-fixed vectors whose images span image(M^H -> M/pM).
+
+    The vectors span a sublattice of M^H of index prime to p, that is,
+    all of M^H (x) Z_(p), which is all a cover with cokernel of order
+    prime to p sees.  They come from the kernel K of `_fixed_system`
+    without an HNF: one primitive rational kernel vector per non-pivot
+    column (`_rational_kernel`), p-saturated (`_p_saturate`), projected
+    to the x columns, with zero projections dropped.
+
+    Why that is exact: K is the kernel of an integer matrix, so it is
+    saturated in Z^width, and the saturated vectors are a full-rank
+    sublattice L of K that stays independent mod p.  If p divided
+    [K : L], some x in K outside L would have px = sum a_i b_i with not
+    every a_i divisible by p, a dependency of the b_i mod p.  So the index
+    is prime to p, the projection of L has index prime to p in the
+    projection of K, which is M^H, and both have the same image in M/pM.
+    """
+    rows, width = _fixed_system(m, h)
+    dim = m.dim
+    return [v[:dim] for v in _p_saturate(_rational_kernel(rows, width), m.prime)
+            if any(v[:dim])]
 
 
 def direct_sum(*modules: GaloisModule) -> GaloisModule:

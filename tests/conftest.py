@@ -3,13 +3,29 @@ import sys
 
 import pytest
 
-from edlattice.group_core import FiniteGroup, dihedral8, from_table
+from edlattice.group_core import (
+    FiniteGroup,
+    dihedral8,
+    direct_product,
+    from_table,
+    heisenberg27,
+    make_cyclic,
+    quaternion8,
+)
 
 
 @pytest.fixture(scope="session")
 def d8() -> FiniteGroup:
     """D8 = <r, s | r^4, s^2, srs = r^-1>, element r^a s^b at index a + 4b."""
     return dihedral8()
+
+
+@pytest.fixture(scope="session")
+def small_p_groups() -> list[tuple[FiniteGroup, int]]:
+    """(group, p) pairs for random cross-checks: C4, C8, C2^2, D8, Q8, C9, H27."""
+    c2 = make_cyclic(2)
+    return [(make_cyclic(4), 2), (make_cyclic(8), 2), (direct_product(c2, c2), 2),
+            (dihedral8(), 2), (quaternion8(), 2), (make_cyclic(9), 3), (heisenberg27(), 3)]
 
 
 def _permutation_group(n, even_only, name):

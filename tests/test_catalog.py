@@ -144,3 +144,25 @@ def test_entries_at_one_prime_share_the_group_and_bases():
     assert all(e.module.group is group for e in entries)
     assert build_list_L("M4", 3).module is build_list_L("M4", 3).module
     assert build_list_L("M4", 5).module.group is not group
+
+
+def test_base_sums_are_built_once_per_prime_when_first_needed(monkeypatch):
+    from edlattice import catalog
+
+    calls = []
+    real = catalog.direct_sum
+
+    def counting(*modules):
+        calls.append(len(modules))
+        return real(*modules)
+
+    monkeypatch.setattr(catalog, "direct_sum", counting)
+    catalog._regular_plus_coset.cache_clear()
+    build_list_L("M1", 5)
+    assert calls == []
+    # Z[G] (+) Z for M6, and one Z[G] (+) Z[G/H] for all M9r-M12r entries.
+    instantiated_catalog(5)
+    assert calls == [2, 2]
+    # M6 is a single entry, so only its own sum is built again.
+    instantiated_catalog(5)
+    assert calls == [2, 2, 2]

@@ -11,6 +11,7 @@ from edlattice.catalog import build_cyclic, build_list_L, permutation_module, tr
 from edlattice.ed_solver import (
     BudgetExceededError,
     CoverCertificate,
+    EdResult,
     brute_force_min_rank,
     classify_ed_le_one,
     cover_module,
@@ -18,7 +19,7 @@ from edlattice.ed_solver import (
     min_permutation_rank,
     verify_certificate,
 )
-from edlattice.fp_module import coinvariants, orbit_span, reduce_mod_p
+from edlattice.fp_module import _echelon_insert, coinvariants, orbit_span, project, reduce_mod_p
 from edlattice.group_core import (
     coset_action,
     dihedral8,
@@ -32,10 +33,12 @@ from edlattice.int_lattice import (
     GaloisModule,
     direct_sum,
     fixed_submodule,
+    hermite_normal_form,
+    local_fixed_basis,
     mat_vec,
     smith_normal_form,
 )
-from edlattice.jsonio import module_to_json
+from edlattice.jsonio import module_to_json, result_to_json
 from edlattice.random_modules import random_module
 
 
@@ -238,9 +241,9 @@ def test_fixed_lattices_are_computed_only_when_reached(monkeypatch):
 
     def counting(m, cls):
         calls.append(cls.index)
-        return fixed_submodule(m, cls)
+        return local_fixed_basis(m, cls)
 
-    monkeypatch.setattr(ed_solver, "fixed_submodule", counting)
+    monkeypatch.setattr(ed_solver, "local_fixed_basis", counting)
     # The index-1 class already spans W for M1, so the loop stops there.
     min_permutation_rank(build_list_L("M1", 3).module, 3)
     assert calls == [1]
@@ -260,7 +263,47 @@ def test_certificate_generators_are_fixed_basis_vectors(d8, case):
     res = min_permutation_rank(m, p)
     assert res.certificate.summands
     for cls, gen in res.certificate.summands:
-        assert list(gen) in [m.canon_vector(b) for b in fixed_submodule(m, cls)]
+        assert list(gen) in [m.canon_vector(b) for b in local_fixed_basis(m, cls)]
+        # gen lies in M^H: appending it to the HNF basis adds only a zero row.
+        fixed = fixed_submodule(m, cls)
+        assert hermite_normal_form(fixed + [list(gen)]) == fixed + [[0] * m.dim]
+
+
+def _hnf_greedy(m, p):
+    """The greedy of `min_permutation_rank` walking HNF bases of M^H: the
+    reference the p-local bases must agree with."""
+    w_dim, projection = coinvariants(reduce_mod_p(m))
+    span, pivots, summands = [], [], []
+    for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
+        if len(span) == w_dim:
+            break
+        for b in fixed_submodule(m, cls):
+            if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
+                summands.append((cls, tuple(m.canon_vector(b))))
+    total = sum(cls.index for cls, _ in summands)
+    return EdResult(total, total - m.free_rank, CoverCertificate(tuple(summands), total))
+
+
+def test_greedy_on_local_bases_agrees_with_the_hnf_walk(small_p_groups):
+    rng = Random(7)
+    modules = [random_module(rng, g, p, max_dim=6)
+               for g, p in small_p_groups for _ in range(45)]
+    other_generators = 0
+    for m in modules:
+        p = m.prime
+        got, want = min_permutation_rank(m, p), _hnf_greedy(m, p)
+        assert (got.min_rank, got.ed) == (want.min_rank, want.ed), m
+        got_json, want_json = result_to_json(got), result_to_json(want)
+        assert got_json["diagnostics"] == want_json["diagnostics"], m
+        assert ([cls for cls, _ in got.certificate.summands]
+                == [cls for cls, _ in want.certificate.summands]), m
+        assert verify_certificate(m, got.certificate, p)
+        assert verify_certificate(m, want.certificate, p)
+        other_generators += got.certificate != want.certificate
+    assert len(modules) >= 300
+    assert sum(not m.group.is_abelian() for m in modules) >= 100
+    # The bases differ often enough that the agreement is not vacuous.
+    assert other_generators >= 30
 
 
 def _snf_cover(m, cert, p):

@@ -25,12 +25,14 @@ from edlattice.int_lattice import (
     inverse_unimodular,
     is_prime,
     kernel_basis,
+    local_fixed_basis,
     mat_mul,
     quotient_by_orbit_relations,
     smith_normal_form,
 )
 from edlattice import int_lattice
-from edlattice.catalog import permutation_module, trivial_lattice
+from edlattice.catalog import instantiated_catalog, permutation_module, trivial_lattice
+from edlattice.fp_module import rref
 from edlattice.random_modules import random_module, random_unimodular
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -562,3 +564,31 @@ def test_fixed_submodule_against_box_enumeration():
                     assert not any(_reduce(basis, x)), (m, cls, x)
             for r in m.relation_vectors():
                 assert not any(_reduce(basis, r)), (m, cls, r)
+
+
+def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
+    # Every vector of the p-local basis lies in the HNF lattice M^H, and
+    # both have the same image in M/pM.  `needed` counts the classes where
+    # the unsaturated kernel vectors fall short of that image, so the
+    # saturation step is exercised, not just present.
+    modules = [e.module for p in (2, 3, 5) for e in instantiated_catalog(p)]
+    rng = Random(2024)
+    for g, p in small_p_groups:
+        modules += [random_module(rng, g, p, max_dim=6) for _ in range(40)]
+    assert sum(bool(m.torsion) for m in modules) >= 100
+    needed = set()
+    for k, m in enumerate(modules):
+        p = m.prime
+        for cls in subgroup_classes(m.group):
+            hnf = fixed_submodule(m, cls)
+            local = local_fixed_basis(m, cls)
+            for v in local:
+                assert not any(_reduce(hnf, v)), (m, cls, v)
+            image = rref(hnf, m.dim, p)
+            assert rref(local, m.dim, p) == image, (m, cls)
+            rows, width = int_lattice._fixed_system(m, cls)
+            raw = [v[:m.dim] for _, v in int_lattice._rational_kernel(rows, width)]
+            if rref(raw, m.dim, p) != image:
+                needed.add((m.group.name, k, cls.representative))
+    assert len(needed) >= 20
+    assert {"D8", "Q8", "C9"} <= {name for name, _, _ in needed}
