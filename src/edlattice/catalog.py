@@ -23,7 +23,13 @@ from .group_core import (
     make_cyclic,
     subgroup_classes,
 )
-from .int_lattice import GaloisModule, check_module_dim, direct_sum, quotient_by_orbit_relations
+from .int_lattice import (
+    GaloisModule,
+    check_module_dim,
+    direct_sum,
+    is_prime,
+    quotient_by_orbit_relations,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,15 @@ def admissible_r(family: str, p: int) -> range:
 
 
 def expected_table(p: int) -> list[tuple[str, tuple[int, ...], int, int]]:
-    """One row per family: (family, admissible r values, free rank, ed)."""
+    """One row per family: (family, admissible r values, free rank, ed).
+
+    p must be a prime whose square, the order of the acting group, is
+    within the group order cap; that is checked before anything is sized by
+    p, so a huge p fails at once with ValueError.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    check_group_order(p * p)
     return [
         ("M1", (), 1, 0),
         ("M2", (), p, 0),
@@ -141,7 +155,6 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     else:
         if r is None or r not in admissible_r(family, p):
             raise ValueError(f"{family} needs r in {list(admissible_r(family, p))}, got {r}")
-    check_group_order(p * p)
     g, zg, zh = _cyclic_bases(p)
     n2 = p * p
     eps = [1 if i % p == 0 else 0 for i in range(n2)]

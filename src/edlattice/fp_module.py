@@ -111,35 +111,49 @@ class FpGaloisModule:
     """M/pM for one GaloisModule M: F_p^dim with the action reduced mod p.
 
     A view, not a copy: the matrix of an element is reduced the first time
-    it is asked for, from the integral matrix that the GaloisModule builds
-    on demand.  Nothing is checked here.  Each torsion modulus is a power
-    of p, so every coordinate of M contributes one F_p coordinate.  The
-    GaloisModule constructor checked that the generators' matrices extend
-    to an action of the group and compared action(g) action(g^-1) with I
-    for every generator, so every reduced matrix is invertible.
+    it is asked for, from the stored matrix that the GaloisModule builds
+    on demand, and kept once, as sparse columns: for each column, its
+    nonzero entries mod p as (row, value) pairs with ascending rows.  `act`
+    scatters those columns over the nonzero entries of a vector, and
+    `coinvariants` reads the columns of A - I from them.  Nothing is checked
+    here.  Each torsion modulus is a power of p, so every coordinate of M
+    contributes one F_p coordinate.  The GaloisModule constructor checked
+    that the generators' matrices extend to an action of the group and
+    compared action(g) action(g^-1) with I for every generator, so every
+    reduced matrix is invertible.
     """
 
-    __slots__ = ("module", "group", "p", "dim", "_reduced")
+    __slots__ = ("module", "group", "p", "dim", "_columns")
 
     def __init__(self, module: GaloisModule):
         self.module = module
         self.group = module.group
         self.p = module.prime
         self.dim = module.dim
-        self._reduced = {}
+        self._columns = {}
 
-    def action(self, g):
-        """The matrix of g reduced mod p."""
-        mat = self._reduced.get(g)
-        if mat is None:
+    def columns(self, g):
+        """The matrix of g reduced mod p, as sparse columns."""
+        cols = self._columns.get(g)
+        if cols is None:
             p = self.p
-            mat = [[x % p for x in row] for row in self.module.action(g)]
-            self._reduced[g] = mat
-        return mat
+            cols = [[] for _ in range(self.dim)]
+            for i, row in enumerate(self.module.sparse_action(g)):
+                for j, x in row:
+                    x %= p
+                    if x:
+                        cols[j].append((i, x))
+            self._columns[g] = cols
+        return cols
 
     def act(self, g, v):
-        mat = self.action(g)
-        return [sum(map(mul, row, v)) % self.p for row in mat]
+        out = [0] * self.dim
+        for x, col in zip(v, self.columns(g)):
+            if x:
+                for i, a in col:
+                    out[i] += a * x
+        p = self.p
+        return [y % p for y in out]
 
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:
@@ -162,20 +176,27 @@ def coinvariants(m: FpGaloisModule):
     # Generators suffice: if every generator acts trivially on the quotient
     # by these columns, the whole group does.
     for g in m.group.generators() or [0]:
-        mat = m.action(g)
-        for j in range(dim):
-            col = [(mat[i][j] - (1 if i == j else 0)) % p for i in range(dim)]
-            if any(col):
-                deltas.append(col)
+        for j, col in enumerate(m.columns(g)):
+            delta = [0] * dim
+            for i, a in col:
+                delta[i] = a
+            delta[j] = (delta[j] - 1) % p
+            if any(delta):
+                deltas.append(delta)
     radical = Subspace(dim, p, deltas)
-    kept = [j for j in range(dim) if j not in radical.pivots]
+    pivots = set(radical.pivots)
+    kept = [j for j in range(dim) if j not in pivots]
+    # Column i of the projection is e_i reduced modulo the radical, read at
+    # the kept columns.  The basis is in reduced echelon form, so that
+    # residue is e_i itself for a kept i, and e_i minus the row with pivot i
+    # for a pivot i.
     projection = []
-    for a, _ in enumerate(kept):
-        projection.append([0] * dim)
-    for i in range(dim):
-        col = radical.reduce([1 if j == i else 0 for j in range(dim)])
-        for a, j in enumerate(kept):
-            projection[a][i] = col[j]
+    for j in kept:
+        row_a = [0] * dim
+        row_a[j] = 1
+        for row, piv in zip(radical.basis, radical.pivots):
+            row_a[piv] = -row[j] % p
+        projection.append(row_a)
     return len(kept), projection
 
 

@@ -1,33 +1,40 @@
 """Exact integer linear algebra and finitely generated modules with a group action.
 
-Everything runs on plain Python ints (arbitrary precision); matrices are
-lists of rows.  Correctness beats speed throughout: normal forms are
-classical elementary-operation reductions.  The Smith normal form tracks
-both unimodular transforms; the Hermite normal form keeps none, and each
-canonical lattice (a kernel, a fixed lattice M^H, an inverse) is one HNF
-of a matrix augmented by an identity block.  The solver needs M^H only
-up to index prime to p: `local_fixed_basis` reads it off a fraction-free
-rational kernel, p-saturated, with no HNF.  A `GaloisModule` is stored by the
-matrices of a generating set, checked against the group's pc presentation;
-the matrix of any other element is built from its normal form when first
-asked for.  Input modules are held to MAX_MODULE_DIM coordinates by
+Everything runs on plain Python ints (arbitrary precision).  A matrix that
+a public function takes or returns is a list of dense rows; a
+`GaloisModule` stores its action matrices sparse, each row the list of its
+nonzero entries as (column, value) pairs.  Correctness beats speed
+throughout: normal forms are classical elementary-operation reductions.
+The Smith normal form tracks both unimodular transforms; the Hermite
+normal form keeps none, and each canonical lattice (a kernel, a fixed
+lattice M^H, an inverse) is one HNF of a matrix augmented by an identity
+block.  The solver needs M^H only up to index prime to p:
+`local_fixed_basis` reads it off a fraction-free rational kernel,
+p-saturated, with no HNF.  A `GaloisModule` is stored by the matrices of a
+generating set, checked against the group's pc presentation; the matrix of
+any other element is built from its normal form when first asked for.
+Input modules are held to MAX_MODULE_DIM coordinates by
 `check_module_dim`.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 
 from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power, subgroup_of
 
 IntMatrix = list[list[int]]
+# The stored form of an action matrix: for each row, its nonzero entries as
+# (column, value) pairs with ascending columns.
+SparseMatrix = list[list[tuple[int, int]]]
 
 
 # Input modules may have at most this many coordinates.  On a 2-vCPU
-# machine the regular module of C_256 (dimension 256) solved in 4.6 s with
-# a 32 MiB peak RSS, and that of C_512 in 37 s with 108 MiB; the catalog
-# modules at p = 13 have dimension at most p^2 + p = 182.
+# machine the regular module of C_256 (dimension 256) solved and verified
+# in 0.5 s with an 18 MiB peak RSS, and that of C_512 in 2.4 s with 31 MiB;
+# the catalog modules, which are not capped, have dimension at most
+# p^2 + p (306 at p = 17).  Raising the cap changes which inputs the CLI
+# accepts, so the timings alone do not move it.
 MAX_MODULE_DIM = 256
 
 
@@ -99,8 +106,15 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(map(mul, row, v)) for row in a]
+def sparse_mat_vec(a: SparseMatrix, v: list[int]) -> list[int]:
+    """a @ v for a stored-form matrix a and a dense vector v."""
+    out = []
+    for row in a:
+        total = 0
+        for j, x in row:
+            total += x * v[j]
+        out.append(total)
+    return out
 
 
 def determinant(a: IntMatrix) -> int:
@@ -323,13 +337,20 @@ class GaloisModule:
     powers, with k = log_p |G| for a p-group, in place of |G| products per
     generator.
 
-    `action(g)` builds g's matrix from its normal form when it is first
-    asked for and keeps it, so a solve builds only the elements it reads:
-    generators, subgroup generators and the elements they lead to.
+    Every matrix is stored once, sparse (`SparseMatrix`): the pc
+    generators, their power caches and the normal forms.  A supplied
+    matrix is kept only through the check, which proves it equal to the
+    normal form kept in its place.  No zero is stored and torsion rows are
+    reduced modulo q_j, so a stored matrix is canonical and the check
+    compares stored matrices as they are.
+    `sparse_action(g)` builds g's matrix from its normal form when it is
+    first asked for and keeps it, so a solve builds only the elements it
+    reads: generators, subgroup generators and the elements they lead to.
+    `action(g)` is the dense matrix, built afresh on each call.
     """
 
     __slots__ = ("group", "prime", "free_rank", "torsion",
-                 "_generators", "_pc", "_actions")
+                 "_pc", "_actions")
 
     def __init__(self, group: FiniteGroup, prime: int, free_rank: int,
                  torsion: list[int], generator_action: dict[int, IntMatrix]):
@@ -355,22 +376,23 @@ class GaloisModule:
             raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
         if group.closure(gens) != tuple(range(group.order)):
             raise ValueError("action keys do not generate the group")
-        self._generators = {g: self._validate(generator_action[g]) for g in gens}
+        supplied = {g: self._validate(generator_action[g]) for g in gens}
         pc = group.pc_presentation()
         # powers[i] caches the powers of X_i during the check, shared with
         # the supplied generator when g_i is one.  _actions only ever holds
         # normal-form products, so every comparison in the check is against
         # the normal form and none against a supplied matrix.
-        gen_powers = {g: {1: mat} for g, mat in self._generators.items()}
+        gen_powers = {g: {1: mat} for g, mat in supplied.items()}
         powers = [gen_powers[runs[0][0]] if len(runs) == 1 and runs[0][1] == 1
                   else {1: self._word(runs, gen_powers)}
                   for runs in group.words(gens, pc.generators)]
         self._pc = [cache[1] for cache in powers]
-        self._actions: dict[int, IntMatrix] = {}
-        if not self._is_action(pc, powers):
+        self._actions: dict[int, SparseMatrix] = {}
+        if not self._is_action(pc, powers, supplied):
             raise ValueError("action is not a group homomorphism")
 
-    def _is_action(self, pc: PcPresentation, powers: list[dict[int, IntMatrix]]) -> bool:
+    def _is_action(self, pc: PcPresentation, powers: list[dict[int, SparseMatrix]],
+                   supplied: dict[int, SparseMatrix]) -> bool:
         """Whether the supplied matrices extend to an action (class docstring)."""
         x = self._pc
         if any(self._power(powers[i], r) != self._normal_form(pc.powers[i], powers)
@@ -379,13 +401,14 @@ class GaloisModule:
         if any(self._product(x[j], x[i]) != self._product(x[i], self._normal_form(w, powers))
                for (i, j), w in pc.conjugates.items()):
             return False
-        identity = identity_matrix(self.dim)
+        identity = self._identity()
         inverse = self.group.inverse
         return all(self._normal_form(g, powers) == mat
                    and self._product(mat, self._normal_form(inverse[g], powers)) == identity
-                   for g, mat in self._generators.items())
+                   for g, mat in supplied.items())
 
-    def _validate(self, mat: IntMatrix) -> IntMatrix:
+    def _validate(self, mat: IntMatrix) -> SparseMatrix:
+        """The stored form of a supplied dense matrix, after checking its shape."""
         n, t = self.free_rank, len(self.torsion)
         dim = n + t
         if len(mat) != dim or any(len(row) != dim for row in mat):
@@ -401,19 +424,32 @@ class GaloisModule:
                 qi, qj = self.torsion[i], self.torsion[j]
                 if qi > qj and mat[n + i][n + j] % (qi // qj):
                     raise ValueError("torsion block does not respect the moduli")
-        return self._canon_rows([row[:] for row in mat])
+        return ([[(j, x) for j, x in enumerate(row) if x] for row in mat[:n]]
+                + [[(j, x % q) for j, x in enumerate(row) if x % q]
+                   for row, q in zip(mat[n:], self.torsion)])
 
-    def _canon_rows(self, mat: IntMatrix) -> IntMatrix:
-        """Reduce the torsion rows of mat in place; returns mat."""
-        n = self.free_rank
-        for i, q in enumerate(self.torsion):
-            mat[n + i] = [x % q for x in mat[n + i]]
-        return mat
+    def _identity(self) -> SparseMatrix:
+        return [[(i, 1)] for i in range(self.dim)]
 
-    def _product(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
-        return self._canon_rows(mat_mul(a, b))
+    def _product(self, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+        """a @ b in stored form: each row of a scatters the rows of b it
+        names into one dense accumulator, whose nonzeros are kept, torsion
+        rows reduced modulo q_j first."""
+        dim, n = len(b), self.free_rank
+        moduli = [0] * n + self.torsion
+        out = []
+        for row, q in zip(a, moduli):
+            acc = [0] * dim
+            for k, x in row:
+                for j, y in b[k]:
+                    acc[j] += x * y
+            if q:
+                out.append([(j, z % q) for j, z in enumerate(acc) if z % q])
+            else:
+                out.append([(j, z) for j, z in enumerate(acc) if z])
+        return out
 
-    def _power(self, powers: dict[int, IntMatrix], e: int) -> IntMatrix:
+    def _power(self, powers: dict[int, SparseMatrix], e: int) -> SparseMatrix:
         """X^e for X = powers[1] and e >= 1, by square-and-multiply.
 
         powers caches X^e by exponent, and the squares X^(2^j) with it.
@@ -433,7 +469,7 @@ class GaloisModule:
             powers[e] = result
         return result
 
-    def _word(self, runs: list[tuple[int, int]], powers) -> IntMatrix:
+    def _word(self, runs: list[tuple[int, int]], powers) -> SparseMatrix:
         """The product of the powers X_s^e over the runs (s, e), left to right.
 
         powers[s] is the power cache of X_s (see `_power`).
@@ -442,20 +478,28 @@ class GaloisModule:
         for s, e in runs:
             power = self._power(powers[s], e)
             result = power if result is None else self._product(result, power)
-        return result if result is not None else identity_matrix(self.dim)
+        return result if result is not None else self._identity()
 
     @property
     def dim(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def action(self, g: int) -> IntMatrix:
-        """The matrix of g: its normal form in the pc generators, built once."""
+    def sparse_action(self, g: int) -> SparseMatrix:
+        """The stored matrix of g: its normal form in the pc generators, built once."""
         mat = self._actions.get(g)
         if mat is None:
             mat = self._normal_form(g, [{1: x} for x in self._pc])
         return mat
 
-    def _normal_form(self, g: int, powers: list[dict[int, IntMatrix]]) -> IntMatrix:
+    def action(self, g: int) -> IntMatrix:
+        """The matrix of g as dense rows, built from the stored form on each call."""
+        dense = [[0] * self.dim for _ in range(self.dim)]
+        for out, row in zip(dense, self.sparse_action(g)):
+            for j, x in row:
+                out[j] = x
+        return dense
+
+    def _normal_form(self, g: int, powers: list[dict[int, SparseMatrix]]) -> SparseMatrix:
         """The product X_0^e_0 ... X_(k-1)^e_(k-1) for g's exponents, kept in
         _actions; powers[i] is the power cache of X_i."""
         mat = self._actions.get(g)
@@ -473,7 +517,7 @@ class GaloisModule:
         return out
 
     def act(self, g: int, v: list[int]) -> list[int]:
-        return self.canon_vector(mat_vec(self.action(g), v))
+        return self.canon_vector(sparse_mat_vec(self.sparse_action(g), v))
 
     def relation_vectors(self) -> list[list[int]]:
         """Generators of the lattice of vectors representing zero (q_j e_{n+j})."""
@@ -512,8 +556,10 @@ def _fixed_system(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[
     rows: list[list[int]] = []
     slack = len(gens) * t
     for idx, g in enumerate(gens):
-        for i, action_row in enumerate(m.action(g)):
-            row = action_row + [0] * slack
+        for i, action_row in enumerate(m.sparse_action(g)):
+            row = [0] * (dim + slack)
+            for j, x in action_row:
+                row[j] = x
             row[i] -= 1
             if i >= n:
                 row[dim + idx * t + i - n] = m.torsion[i - n]
@@ -677,10 +723,17 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
         tors += [(q, k, m.free_rank + i) for i, q in enumerate(m.torsion)]
     tors.sort(key=lambda c: c[0])  # stable: equal moduli keep argument order
     coords = free + [(k, i) for _, k, i in tors]
+    position = {c: a for a, c in enumerate(coords)}
+    dim = len(coords)
     gens = {}
     for g in first.group.generators() or [0]:
-        mats = [m.action(g) for m in modules]
-        gens[g] = [[mats[k][i][j] if k == l else 0 for l, j in coords] for k, i in coords]
+        mat = [[0] * dim for _ in range(dim)]
+        for k, m in enumerate(modules):
+            for i, row in enumerate(m.sparse_action(g)):
+                out = mat[position[k, i]]
+                for j, x in row:
+                    out[position[k, j]] = x
+        gens[g] = mat
     return GaloisModule(first.group, first.prime, len(free), [q for q, _, _ in tors], gens)
 
 
@@ -698,26 +751,23 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         raise ValueError("quotient base must be a free module")
     dim = perm.free_rank
     cayley = perm.group.cayley
-    # The generators' nonzero entries, row by row: a coset lattice's
-    # matrices have one per row.
-    sparse = {g: [[(j, x) for j, x in enumerate(row) if x] for row in mat]
-              for g, mat in perm._generators.items()}
+    steps = {g: perm.sparse_action(g) for g in perm.group.generators() or [0]}
     cols: list[list[int]] = []
     for v in relations:
         if len(v) != dim:
             raise ValueError("relation vector has wrong length")
         # orbit[x] = action(x) v, filled along a search of the Cayley graph
-        # by action(g x) v = action(g) (action(x) v) for supplied generators
-        # g, and emitted in element order.
+        # by action(g x) v = action(g) (action(x) v) for generators g, and
+        # emitted in element order.
         orbit: list[list[int] | None] = [None] * perm.group.order
         orbit[0] = list(v)
         queue = [0]
         for x in queue:
             w = orbit[x]
-            for g, rows in sparse.items():
+            for g, rows in steps.items():
                 y = cayley[g][x]
                 if orbit[y] is None:
-                    orbit[y] = [sum([a * w[j] for j, a in row]) for row in rows]
+                    orbit[y] = sparse_mat_vec(rows, w)
                     queue.append(y)
         cols.extend(orbit)
     if not cols:
@@ -734,12 +784,21 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         if not is_p_power(q, perm.prime):
             raise MixedTorsionError(f"quotient has Z/{q} torsion, not a power of {perm.prime}")
     keep = keep_free + keep_tor
-    uinv = inverse_unimodular(u)
+    # Only the kept rows of u and the kept columns of u^-1 are read.
+    u_keep = [u[i] for i in keep]
+    uinv_keep = [[row[j] for j in keep] for row in inverse_unimodular(u)]
     gens = {}
-    for g in perm.group.generators() or [0]:
-        # Rows keep of u action(g) u^-1, multiplied sparse factor first.
-        conj = mat_mul([u[i] for i in keep], mat_mul(perm.action(g), uinv))
-        small = [[row[j] for j in keep] for row in conj]
+    for g, rows in steps.items():
+        # u action(g) u^-1 on the kept coordinates, action(g) u^-1 first:
+        # each of its rows sums the rows of u^-1 that action(g)'s row names.
+        a_uinv = []
+        for row in rows:
+            acc = [0] * len(keep)
+            for j, x in row:
+                for c, y in enumerate(uinv_keep[j]):
+                    acc[c] += x * y
+            a_uinv.append(acc)
+        small = mat_mul(u_keep, a_uinv)
         # A torsion generator's image has no free component in the quotient;
         # this is automatic because the relation lattice is action-stable.
         for a in range(len(keep_free)):

@@ -10,10 +10,12 @@ deadline.
 import copy
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edlattice.cli import main
@@ -215,3 +217,16 @@ def test_verify_expected_exits_0_or_2_unless_the_table_disagrees(tmp_path_factor
     if code == 3:
         # A mismatch is reported only for a well-formed table.
         parse_expected_table(data)
+
+
+@pytest.mark.parametrize("command", ["table", "verify", "catalog"])
+@pytest.mark.parametrize("prime", [2 ** 61 - 1, 10 ** 29 - 1, 1000003])
+def test_catalog_commands_refuse_a_huge_prime_at_once(command, prime):
+    # 2^61 - 1 and 1000003 are prime but their squares exceed the group
+    # order cap; 10^29 - 1 is composite.  Nothing may be sized by p first.
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([command, "--prime", str(prime)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import json
 import time
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -35,7 +36,6 @@ from edlattice.int_lattice import (
     fixed_submodule,
     hermite_normal_form,
     local_fixed_basis,
-    mat_vec,
     smith_normal_form,
 )
 from edlattice.jsonio import module_to_json, result_to_json
@@ -313,7 +313,7 @@ def _snf_cover(m, cert, p):
     columns = m.relation_vectors()
     for cls, gen in cert.summands:
         for coset in coset_action(m.group, cls).cosets:
-            columns.append(mat_vec(m.action(coset[0]), list(gen)))
+            columns.append([sum(map(mul, row, gen)) for row in m.action(coset[0])])
     d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
     return len(d) == m.dim and all(x % p for x in d)
 

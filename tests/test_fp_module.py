@@ -134,4 +134,6 @@ def test_reduction_is_a_view_of_a_checked_module(make_group, p):
         mbar = reduce_mod_p(m)
         assert (mbar.group, mbar.p, mbar.dim) == (m.group, p, m.dim)
         for g in group.elements():
-            assert mbar.action(g) == [[x % p for x in row] for row in m.action(g)]
+            dense = m.action(g)
+            assert mbar.columns(g) == [[(i, row[j] % p) for i, row in enumerate(dense) if row[j] % p]
+                                       for j in range(m.dim)]

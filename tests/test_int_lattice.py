@@ -32,7 +32,7 @@ from edlattice.int_lattice import (
 )
 from edlattice import int_lattice
 from edlattice.catalog import instantiated_catalog, permutation_module, trivial_lattice
-from edlattice.fp_module import rref
+from edlattice.fp_module import Subspace, coinvariants, reduce_mod_p, rref
 from edlattice.random_modules import random_module, random_unimodular
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -479,25 +479,69 @@ def test_module_needs_a_solvable_group(a5):
 
 
 def test_action_matrices_are_built_on_demand(monkeypatch):
-    real = int_lattice.mat_mul
+    real = GaloisModule._product
     calls = []
 
-    def counting(a, b):
+    def counting(self, a, b):
         calls.append(1)
-        return real(a, b)
+        return real(self, a, b)
 
-    monkeypatch.setattr(int_lattice, "mat_mul", counting)
+    monkeypatch.setattr(GaloisModule, "_product", counting)
     g = make_cyclic(121)
     g.pc_presentation()
     m = permutation_module(g, (0,), 11)
     # The relations of the two pc generators, not one product per element.
     assert len(calls) <= 20
     del calls[:]
-    shift = m.action(1)
-    assert m.action(1) is shift and not calls
-    mat = m.action(25)  # 25 = 3 + 2 * 11: at most a few products
-    assert len(calls) <= 4 and m.action(25) is mat
-    assert all(mat[(c + 25) % 121][c] == 1 for c in range(121))
+    shift = m.sparse_action(1)
+    assert m.sparse_action(1) is shift and not calls
+    mat = m.sparse_action(25)  # 25 = 3 + 2 * 11: at most a few products
+    assert len(calls) <= 4 and m.sparse_action(25) is mat
+    assert all(mat[(c + 25) % 121] == [(c, 1)] for c in range(121))
+
+
+@pytest.mark.parametrize("make_group,p", [
+    (lambda: make_cyclic(8), 2), (dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)],
+    ids=["C8", "D8", "Q8", "H27"])
+def test_stored_matrices_are_canonical_and_match_dense_products(make_group, p):
+    g = make_group()
+    rng = Random(3)
+    modules = [random_module(rng, g, p, max_dim=5) for _ in range(12)]
+    assert any(m.torsion for m in modules) and any(not m.torsion for m in modules)
+    for m in modules:
+        n, dim = m.free_rank, m.dim
+        moduli = [0] * n + m.torsion
+        gens = g.generators() or [0]
+        mats = _cayley_walk(g, n, m.torsion, {x: m.action(x) for x in gens})
+        mbar = reduce_mod_p(m)
+        for x in g.elements():
+            for row, q in zip(m.sparse_action(x), moduli):
+                cols = [j for j, _ in row]
+                assert cols == sorted(set(cols)) and all(0 <= j < dim for j in cols)
+                assert all(v and (not q or 0 <= v < q) for _, v in row)
+            assert m.action(x) == mats[x]
+            for _ in range(3):
+                v = [rng.randint(-5, 5) for _ in range(dim)]
+                assert mbar.act(x, v) == [sum(a * b for a, b in zip(row, v)) % p for row in mats[x]]
+        # The coinvariant projection sends e_i to its residue modulo the
+        # columns of A - I, reduced with dense rows.
+        deltas = [[(mats[x][i][j] - (i == j)) % p for i in range(dim)]
+                  for x in gens for j in range(dim)]
+        radical = Subspace(dim, p, deltas)
+        kept = [j for j in range(dim) if j not in radical.pivots]
+        residues = [radical.reduce([int(i == j) for j in range(dim)]) for i in range(dim)]
+        assert coinvariants(mbar) == (len(kept), [[r[j] for r in residues] for j in kept])
+        if not dim:
+            continue
+        # One entry of one generator changed: no longer an action.
+        x = rng.choice(gens)
+        i = rng.randrange(dim)
+        j = rng.randrange(n) if i < n else i
+        action = {y: m.action(y) for y in gens}
+        action[x][i][j] += 1
+        assert _cayley_walk(g, n, m.torsion, action) is None
+        with pytest.raises(ValueError, match="not a group homomorphism"):
+            GaloisModule(g, p, n, m.torsion, action)
 
 
 def _d8_sum_with_torsion():
