@@ -233,14 +233,30 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return k
 
 
+# The most bits a cyclic modulus p^n may have.  It keeps Z/3^200000
+# (316,993 bits) in range.  Checking a unit's order reduces modulo p^n a few
+# times, at a cost quadratic in its length: the slowest key measured at the
+# limit, a = -1 mod 3^330000, is refused in about 4 s on a 2-vCPU machine.
+MAX_MODULUS_BITS = 1 << 19
+
+
 def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
     """Z/p^n with a unit acting by multiplication; expected ed is the unit's order.
 
     The acting group is the cyclic group generated by the unit, which must
     have p-power order at most MAX_GROUP_ORDER (it is then automatically
-    faithful).
+    faithful).  p must be prime, n at least 1 and p^n at most
+    MAX_MODULUS_BITS bits long, each checked before p^n is formed.
     """
-    modulus = p ** n
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError(f"exponent {n} must be at least 1")
+    # p^n >= 2^(n (bits(p) - 1)), so the screen refuses only moduli past the
+    # limit, and what it passes has at most twice the limit's bits.
+    if (n * (p.bit_length() - 1) >= MAX_MODULUS_BITS
+            or (modulus := p ** n).bit_length() > MAX_MODULUS_BITS):
+        raise ValueError(f"modulus {p}^{n} is longer than {MAX_MODULUS_BITS} bits")
     a = automorphism % modulus
     if a % p == 0 or a == 0:
         raise ValueError(f"{automorphism} is not a unit mod {p}^{n}")
@@ -251,7 +267,7 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
         x = pow(x, p, modulus)
         d *= p
     if x != 1 or d > MAX_GROUP_ORDER:
-        raise ValueError(f"unit {a} mod {p}^{n} does not have {p}-power order "
+        raise ValueError(f"unit {automorphism} mod {p}^{n} does not have {p}-power order "
                          f"at most {MAX_GROUP_ORDER}")
     group = make_cyclic(d)
     gens = {1: [[a]]} if d > 1 else {0: [[1]]}

@@ -5,6 +5,9 @@ a public function takes or returns is a list of dense rows; a
 `GaloisModule` stores its action matrices sparse, each row the list of its
 nonzero entries as (column, value) pairs.  Correctness beats speed
 throughout: normal forms are classical elementary-operation reductions.
+A quotient by relations spins them under the generators into one HNF
+lattice, the integral analogue of `fp_module.spin`, and reads the quotient
+basis off the Smith form of that lattice's at most dim basis vectors.
 The Smith normal form tracks both unimodular transforms; the Hermite
 normal form keeps none, and each canonical lattice (a kernel, a fixed
 lattice M^H, an inverse) is one HNF of a matrix augmented by an identity
@@ -519,16 +522,6 @@ class GaloisModule:
     def act(self, g: int, v: list[int]) -> list[int]:
         return self.canon_vector(sparse_mat_vec(self.sparse_action(g), v))
 
-    def relation_vectors(self) -> list[list[int]]:
-        """Generators of the lattice of vectors representing zero (q_j e_{n+j})."""
-        n, dim = self.free_rank, self.dim
-        out = []
-        for i, q in enumerate(self.torsion):
-            vec = [0] * dim
-            vec[n + i] = q
-            out.append(vec)
-        return out
-
     def __repr__(self) -> str:
         return (f"GaloisModule({self.group.name}, p={self.prime}, "
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
@@ -740,42 +733,42 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
 def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) -> GaloisModule:
     """Quotient of a free module by the action-closed span of relation vectors.
 
-    The relation matrix has one column g.v for every relation v and element
-    g, in that order, each found from an earlier one by one product with a
-    generator's matrix.  Its SNF transform supplies a canonical basis of the
-    quotient: coordinates with invariant factor 1 disappear, factors > 1
-    become torsion coordinates, the rest stay free.  Torsion prime to the
-    working prime raises MixedTorsionError.
+    That span L is found by an integral spin, the analogue of
+    `fp_module.spin` over Z: each pending vector is reduced against the
+    HNF rows of L so far, and when a nonzero residue is left, L grows by
+    it (one HNF) and the vector's images under the generators' matrices
+    become pending.  Every vector that grew L had its generator images
+    put into L, so the final L is stable under the generators, hence
+    under G, since each g^-1 is a positive power of g.  It lies in the
+    action-closed span and contains the relations, so it is that span.
+    The spin ends because each growth raises the rank of L or lowers a
+    finite index.  L depends only on the span, not on how the relations
+    are listed, and so does the quotient.
+
+    The SNF transform of L's basis (dim x rank(L) <= dim x dim) supplies
+    a canonical basis of the quotient: coordinates with invariant factor 1
+    disappear, factors > 1 become torsion coordinates, the rest stay free.
+    Torsion prime to the working prime raises MixedTorsionError.
     """
     if perm.torsion:
         raise ValueError("quotient base must be a free module")
     dim = perm.free_rank
-    cayley = perm.group.cayley
     steps = {g: perm.sparse_action(g) for g in perm.group.generators() or [0]}
-    cols: list[list[int]] = []
-    for v in relations:
-        if len(v) != dim:
-            raise ValueError("relation vector has wrong length")
-        # orbit[x] = action(x) v, filled along a search of the Cayley graph
-        # by action(g x) v = action(g) (action(x) v) for generators g, and
-        # emitted in element order.
-        orbit: list[list[int] | None] = [None] * perm.group.order
-        orbit[0] = list(v)
-        queue = [0]
-        for x in queue:
-            w = orbit[x]
-            for g, rows in steps.items():
-                y = cayley[g][x]
-                if orbit[y] is None:
-                    orbit[y] = sparse_mat_vec(rows, w)
-                    queue.append(y)
-        cols.extend(orbit)
-    if not cols:
-        d: list[int] = []
-        u = identity_matrix(dim)
-    else:
-        cols_matrix = [[col[i] for col in cols] for i in range(dim)]
-        d, u, _ = smith_normal_form(cols_matrix)
+    if any(len(v) != dim for v in relations):
+        raise ValueError("relation vector has wrong length")
+    basis: IntMatrix = []  # the HNF rows of L so far
+    pending = list(relations)
+    while pending:
+        r = v = pending.pop()
+        for row in basis:
+            c = next(i for i, x in enumerate(row) if x)
+            q = r[c] // row[c]
+            if q:
+                r = [x - q * y for x, y in zip(r, row)]
+        if any(r):
+            basis = [row for row in hermite_normal_form(basis + [r]) if any(row)]
+            pending.extend(sparse_mat_vec(mat, v) for mat in steps.values())
+    d, u, _ = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))
     keep_tor = [i for i in range(rank) if d[i] > 1]

@@ -230,3 +230,17 @@ def test_catalog_commands_refuse_a_huge_prime_at_once(command, prime):
     assert time.perf_counter() - start < 1
     assert code == 2 and err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("key", ["cyclic@p=0,n=1,a=1", "cyclic@p=1000003,n=30000000,a=2",
+                                 "cyclic@p=4,n=3,a=3", "cyclic@p=3,n=0,a=1",
+                                 "cyclic@p=2,n=524288,a=1"])
+def test_hostile_cyclic_catalog_keys_exit_2_at_once(key):
+    # p must be prime and n >= 1 before p^n is formed, and a modulus longer
+    # than 2^19 bits (2^524288 has one bit more) is refused.
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["ed", "--catalog", key])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

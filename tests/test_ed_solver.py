@@ -310,7 +310,8 @@ def _snf_cover(m, cert, p):
     """Integral reference: the relation columns and the image of every coset
     form a matrix whose cokernel is M / image; it is finite of order prime
     to p iff the SNF has full rank and no invariant factor divisible by p."""
-    columns = m.relation_vectors()
+    columns = [[q * (i == m.free_rank + j) for i in range(m.dim)]
+               for j, q in enumerate(m.torsion)]  # q_j e_(n+j)
     for cls, gen in cert.summands:
         for coset in coset_action(m.group, cls).cosets:
             columns.append([sum(map(mul, row, gen)) for row in m.action(coset[0])])

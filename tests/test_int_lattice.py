@@ -1,5 +1,6 @@
 import itertools
 import time
+from operator import mul
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from edlattice.int_lattice import (
 from edlattice import int_lattice
 from edlattice.catalog import instantiated_catalog, permutation_module, trivial_lattice
 from edlattice.fp_module import Subspace, coinvariants, reduce_mod_p, rref
+from edlattice.jsonio import module_to_json
 from edlattice.random_modules import random_module, random_unimodular
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -296,6 +298,74 @@ def test_quotient_mixed_torsion_raises():
     reg = GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]]})
     with pytest.raises(MixedTorsionError):
         quotient_by_orbit_relations(reg, [[3, 3]])
+
+
+def _orbit_relation_cases(seed, per_group):
+    """(base, relations, g): a sum of one or two coset lattices of index at
+    most 9 over C4, C9, D8, Q8 or H27, one or two small relation vectors
+    and a group element."""
+    rng = Random(seed)
+    for group, p in [(make_cyclic(4), 2), (make_cyclic(9), 3), (dihedral8(), 2),
+                     (quaternion8(), 2), (heisenberg27(), 3)]:
+        classes = [cls for cls in subgroup_classes(group) if 1 < cls.index <= 9]
+        for _ in range(per_group):
+            base = direct_sum(*(permutation_module(group, rng.choice(classes), p)
+                                for _ in range(rng.randrange(1, 3))))
+            relations = [[rng.randrange(-2, 3) for _ in range(base.free_rank)]
+                         for _ in range(rng.randrange(1, 3))]
+            yield base, relations, rng.randrange(group.order)
+
+
+def _quotient_json(base, relations):
+    try:
+        return module_to_json(quotient_by_orbit_relations(base, relations))
+    except MixedTorsionError as exc:
+        return str(exc)
+
+
+def test_spun_relation_lattice_is_the_hnf_of_the_orbit_columns(monkeypatch):
+    # The spin must reach the span of g.v over every g and relation v, read
+    # here off the matrix whose columns the Smith form receives: the HNF
+    # rows of the spun lattice, at most dim of them.
+    seen = []
+    snf = int_lattice.smith_normal_form
+    monkeypatch.setattr(int_lattice, "smith_normal_form", lambda m: seen.append(m) or snf(m))
+    checked = 0
+    for base, relations, _ in _orbit_relation_cases(7, 8):
+        seen.clear()
+        _quotient_json(base, relations)
+        (matrix,) = seen
+        dim = base.free_rank
+        assert len(matrix) == dim and all(len(row) <= dim for row in matrix)
+        spun = [[row[j] for row in matrix] for j in range(len(matrix[0]))]
+        orbit = [[sum(map(mul, row, v)) for row in base.action(g)]
+                 for v in relations for g in range(base.group.order)]
+        assert spun == [row for row in hermite_normal_form(orbit) if any(row)], (base, relations)
+        checked += bool(spun)
+    assert checked >= 30
+
+
+def test_quotient_depends_only_on_the_relation_lattice():
+    # v and {g.v, v} span the same action-closed lattice, so the quotients
+    # agree coordinate for coordinate, not just up to isomorphism.
+    cases = list(_orbit_relation_cases(11, 8))
+    for base, relations, g in cases:
+        v = relations[0]
+        gv = [sum(map(mul, row, v)) for row in base.action(g)]
+        assert _quotient_json(base, [v]) == _quotient_json(base, [gv, v]), (base, v, g)
+    assert len(cases) == 40
+
+
+def test_quotient_by_no_relations_keeps_the_base():
+    # The Smith form of a dim x 0 matrix has no invariant factors and u = I.
+    assert smith_normal_form([[], [], []]) == ([], identity_matrix(3), [])
+    assert smith_normal_form([]) == ([], [], [])
+    base = permutation_module(dihedral8(), subgroup_classes(dihedral8())[1], 2)
+    assert module_to_json(quotient_by_orbit_relations(base, [])) == module_to_json(base)
+    empty = trivial_lattice(dihedral8(), 2, 0)
+    for relations in ([], [[]]):
+        q = quotient_by_orbit_relations(empty, relations)
+        assert (q.dim, module_to_json(q)) == (0, module_to_json(empty))
 
 
 def test_hom_module_ranks():
@@ -606,7 +676,9 @@ def test_fixed_submodule_against_box_enumeration():
                 x = list(x)
                 if all(m.act(h, x) == m.canon_vector(x) for h in members):
                     assert not any(_reduce(basis, x)), (m, cls, x)
-            for r in m.relation_vectors():
+            # the relation vectors q_j e_(n+j)
+            for j, q in enumerate(m.torsion):
+                r = [q * (i == m.free_rank + j) for i in range(m.dim)]
                 assert not any(_reduce(basis, r)), (m, cls, r)
 
 
