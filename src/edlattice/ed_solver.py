@@ -16,8 +16,9 @@ of pairs (v, H) with v in V_H whose vectors span W, at cost sum [G:H]; a
 minimal cover takes a basis of W.  These pairs form a linear matroid on W
 weighted by the index, so Edmonds' greedy algorithm is exact: take the
 classes cheapest first and, for each, walk a p-local basis of M^H
-(`local_fixed_basis`: integral H-fixed vectors spanning a sublattice of
-index prime to p, so with the image of M^H in M/pM), keeping every vector
+(`local_fixed_basis`: integral H-fixed vectors from one elimination whose
+pivots are all prime to p, hence units of Z_(p), so they span a sublattice
+of index prime to p and have the image of M^H in M/pM), keeping every vector
 whose image in W is independent of those already kept.  Those images span
 V_H, so each class gains exactly the dimensions V_H adds, and a kept
 vector is already an integral H-fixed generator; nothing has to be lifted
@@ -42,7 +43,14 @@ from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
 from .catalog import permutation_module
-from .int_lattice import GaloisModule, direct_sum, fixed_submodule, hom_module, local_fixed_basis
+from .int_lattice import (
+    GaloisModule,
+    direct_sum,
+    fixed_submodule,
+    hom_module,
+    is_prime,
+    local_fixed_basis,
+)
 from .fp_module import (
     Subspace,
     _echelon_insert,
@@ -110,12 +118,13 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
 
     Edmonds' greedy algorithm on the matroid of pairs (v in V_H, class H)
     weighted by [G:H]: classes are taken by (index, position), a p-local
-    basis of M^H (`local_fixed_basis`) is computed only when the loop
-    reaches H, and each of its vectors b whose image in W grows the running
-    span is kept, with b itself as the H-fixed generator.  The b span V_H,
-    so the dimensions gained at H are those V_H adds to the cheaper
-    classes.  The first classes to
-    reach dim W fix the minimum, sum [G:H] * (dimensions gained at H), and
+    basis of M^H (`local_fixed_basis`, an elimination that pivots only on
+    entries prime to p, so its kernel vectors span M^H over Z_(p)) is
+    computed only when the loop reaches H, and each of its vectors b whose
+    image in W grows the running span is kept, with b itself as the
+    H-fixed generator.  The b span V_H, so the dimensions gained at H are
+    those V_H adds to the cheaper classes.  The first classes to reach
+    dim W fix the minimum, sum [G:H] * (dimensions gained at H), and
     the output is deterministic.  The certificate is replayed before it
     is returned; a rejection means a defect in this argument and raises
     AssertionError.
@@ -304,7 +313,9 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
     """
     if p == 2:
         raise ValueError("classifier is only valid for odd p")
-    if p < 2 or not group.is_p_group(p):
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not group.is_p_group(p):
         raise ValueError("acting group must be a p-group for odd prime p")
     actions = [coset_action(group, cls) for cls in summands]
     degrees = [a.degree for a in actions]

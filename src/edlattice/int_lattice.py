@@ -12,12 +12,12 @@ The Smith normal form tracks both unimodular transforms; the Hermite
 normal form keeps none, and each canonical lattice (a kernel, a fixed
 lattice M^H, an inverse) is one HNF of a matrix augmented by an identity
 block.  The solver needs M^H only up to index prime to p:
-`local_fixed_basis` reads it off a fraction-free rational kernel,
-p-saturated, with no HNF.  A `GaloisModule` is stored by the matrices of a
-generating set, checked against the group's pc presentation; the matrix of
-any other element is built from its normal form when first asked for.
-Input modules are held to MAX_MODULE_DIM coordinates by
-`check_module_dim`.
+`local_fixed_basis` reads it off one fraction-free elimination whose
+pivots are all prime to p, hence units of Z_(p), with no HNF.  A
+`GaloisModule` is stored by the matrices of a generating set, checked
+against the group's pc presentation; the matrix of any other element is
+built from its normal form when first asked for.  Input modules are held
+to MAX_MODULE_DIM coordinates by `check_module_dim`.
 """
 
 from __future__ import annotations
@@ -118,30 +118,6 @@ def sparse_mat_vec(a: SparseMatrix, v: list[int]) -> list[int]:
             total += x * v[j]
         out.append(total)
     return out
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
@@ -577,16 +553,24 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
     return [v[:m.dim] for v in kernel_basis(rows, width) if any(v[:m.dim])]
 
 
-def _rational_kernel(rows: IntMatrix, width: int) -> list[tuple[int, list[int]]]:
-    """One primitive kernel vector per non-pivot column f, as (f, vector).
+def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
+    """Integer kernel vectors of the rows that span the kernel K over Z_(p).
 
     Fraction-free Gauss-Jordan elimination brings the rows to reduced
-    echelon form over Q, each row an integer row with its content removed
-    and a positive pivot.  The vector for f is the rational kernel vector
-    that is 1 at f and 0 at every other non-pivot column, scaled to a
-    primitive integer vector, so it is positive at f and is the only
-    vector nonzero there.  The vectors come in column order and are a
-    basis of the kernel over Q, not in general over Z.
+    echelon form over Q, each row an integer row with its content removed.
+    A new row's pivot is its first entry prime to p, made positive; one
+    exists because the row's content is 1.  One vector comes per non-pivot
+    column f, in column order: the rational kernel vector that is 1 at f
+    and 0 at every other non-pivot column, scaled by the lcm of the pivots
+    it divides by and made primitive.
+
+    Why their span has index prime to p in K: every pivot is a unit of
+    Z_(p), and stays one, because clearing a column multiplies an earlier
+    row by a divisor of the new pivot and then divides it by its content,
+    which divides its own pivot.  So over Z_(p) each pivot entry of a
+    kernel vector is fixed by its free entries, which may be anything, and
+    the vectors, each a unit of Z_(p) times the one that is 1 at its f, are
+    a Z_(p)-basis of K (x) Z_(p).  They are integral and lie in K.
     """
     def cancel(row, prow, c):
         # A positive multiple of row minus a multiple of prow (prow[c] > 0),
@@ -602,13 +586,15 @@ def _rational_kernel(rows: IntMatrix, width: int) -> list[tuple[int, list[int]]]
         for prow, c in zip(echelon, pivots):
             if row[c]:
                 row = cancel(row, prow, c)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
+        g = gcd(*row)
+        if not g:
             continue
-        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
         row = [x // g for x in row]
-        # Clear the new pivot column above; earlier rows are zero before
-        # their own pivots, and the new row is zero at theirs.
+        lead = next(j for j, x in enumerate(row) if x % p)
+        if row[lead] < 0:
+            row = [-x for x in row]
+        # Clear the new pivot column in the earlier rows; the new row is
+        # zero at their pivots.
         for i, prow in enumerate(echelon):
             if prow[lead]:
                 prow = cancel(prow, row, lead)
@@ -629,45 +615,8 @@ def _rational_kernel(rows: IntMatrix, width: int) -> list[tuple[int, list[int]]]
         for c, a, x in terms:
             vec[c] = -x * (scale // a)
         g = gcd(*vec)
-        kernel.append((f, [x // g for x in vec]))
+        kernel.append([x // g for x in vec])
     return kernel
-
-
-def _p_saturate(kernel: list[tuple[int, list[int]]], p: int) -> list[list[int]]:
-    """Enlarge a full-rank sublattice of a saturated lattice K until its
-    vectors are independent mod p; its index in K is then prime to p.
-
-    While some F_p-combination c of the vectors vanishes mod p, the last
-    vector b_j with c_j != 0, scaled so that c_j = 1, is replaced by
-    (sum c_i b_i) / p.  That vector is integral, lies in K because K is
-    saturated, and divides the index by p, so the loop ends.  A vector whose
-    own non-pivot entry is prime to p is the only one nonzero mod p in that
-    column, and every replacement combines only the other vectors, so the
-    combinations are sought among those others alone.
-    """
-    vectors = [vec for _, vec in kernel]
-    echelon: list[tuple[list[int], int, dict[int, int]]] = []
-    for j, (f, vec) in enumerate(kernel):
-        if vec[f] % p:
-            continue
-        while True:
-            row = [x % p for x in vectors[j]]
-            combo = {j: 1}
-            for erow, piv, ecombo in echelon:
-                c = row[piv]
-                if c:
-                    row = [(a - c * b) % p for a, b in zip(row, erow)]
-                    for i, e in ecombo.items():
-                        combo[i] = (combo.get(i, 0) - c * e) % p
-            lead = next((k for k, x in enumerate(row) if x), None)
-            if lead is not None:
-                inv = pow(row[lead], -1, p)
-                echelon.append(([x * inv % p for x in row], lead,
-                                {i: e * inv % p for i, e in combo.items()}))
-                break
-            vectors[j] = [sum(c * vectors[i][k] for i, c in combo.items()) // p
-                          for k in range(len(vec))]
-    return vectors
 
 
 def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
@@ -675,23 +624,14 @@ def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> li
 
     The vectors span a sublattice of M^H of index prime to p, that is,
     all of M^H (x) Z_(p), which is all a cover with cokernel of order
-    prime to p sees.  They come from the kernel K of `_fixed_system`
-    without an HNF: one primitive rational kernel vector per non-pivot
-    column (`_rational_kernel`), p-saturated (`_p_saturate`), projected
-    to the x columns, with zero projections dropped.
-
-    Why that is exact: K is the kernel of an integer matrix, so it is
-    saturated in Z^width, and the saturated vectors are a full-rank
-    sublattice L of K that stays independent mod p.  If p divided
-    [K : L], some x in K outside L would have px = sum a_i b_i with not
-    every a_i divisible by p, a dependency of the b_i mod p.  So the index
-    is prime to p, the projection of L has index prime to p in the
-    projection of K, which is M^H, and both have the same image in M/pM.
+    prime to p sees.  They are the kernel vectors of `_fixed_system` from
+    `_local_kernel`, projected to the x columns, with zero projections
+    dropped; no HNF is taken.  Their span has index prime to p in the
+    kernel, whose projection is M^H, so the projected span has index prime
+    to p in M^H and the same image in M/pM.
     """
     rows, width = _fixed_system(m, h)
-    dim = m.dim
-    return [v[:dim] for v in _p_saturate(_rational_kernel(rows, width), m.prime)
-            if any(v[:dim])]
+    return [v[:m.dim] for v in _local_kernel(rows, width, m.prime) if any(v[:m.dim])]
 
 
 def direct_sum(*modules: GaloisModule) -> GaloisModule:

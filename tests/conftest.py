@@ -57,6 +57,37 @@ def a5() -> FiniteGroup:
     return _permutation_group(5, True, "A5")
 
 
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+@pytest.fixture(scope="session")
+def determinant():
+    """The exact determinant of a square integer matrix, for unimodularity
+    and index checks; the library itself never needs one."""
+    return _bareiss_determinant
+
+
 def pytest_terminal_summary(terminalreporter):
     # The acceptance tests append one line per criterion; surface them in
     # the run summary so a plain `pytest -v` shows the full scoreboard.

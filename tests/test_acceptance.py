@@ -32,7 +32,6 @@ from edlattice.ed_solver import (
 from edlattice.fp_module import coinvariants, fixed_image_subspace, reduce_mod_p
 from edlattice.group_core import direct_product, make_cyclic, subgroup_classes
 from edlattice.int_lattice import (
-    determinant,
     direct_sum,
     is_p_power,
     mat_mul,
@@ -318,7 +317,7 @@ def test_criterion_8_fixed_image_and_coinvariants():
                f"dimensions match")
 
 
-def test_criterion_9_normal_form_properties():
+def test_criterion_9_normal_form_properties(determinant):
     rng = Random(0)
     start = time.perf_counter()
     for _ in range(10_000):

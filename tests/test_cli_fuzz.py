@@ -184,6 +184,16 @@ def test_classify_input_exits_0_or_2(tmp_path_factory, data, prime):
     assert code in (0, 2), err
 
 
+@pytest.mark.parametrize("order, prime", [(9, 9), (16, 4)])
+def test_classify_refuses_a_prime_power_that_is_not_prime(tmp_path_factory, order, prime):
+    # C9 is a 9-group and C16 a 4-group as far as orders go, so only a
+    # primality check stops these from printing an answer.
+    data = {"group": {"type": "cyclic", "order": order}, "summands": [[0]],
+            "vector": [1] * order}
+    code, err = _run(tmp_path_factory, data, ["classify", "--input", "--prime", str(prime)])
+    assert code == 2 and "not prime" in err, err
+
+
 VALID_ROWS = [{"family": family, "r_values": list(r_values), "rank": rank, "ed": ed}
               for family, r_values, rank, ed in expected_table(2)]
 ROW_VALUES = st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2), st.sampled_from(["M1", "M99"]))
@@ -234,10 +244,11 @@ def test_catalog_commands_refuse_a_huge_prime_at_once(command, prime):
 
 @pytest.mark.parametrize("key", ["cyclic@p=0,n=1,a=1", "cyclic@p=1000003,n=30000000,a=2",
                                  "cyclic@p=4,n=3,a=3", "cyclic@p=3,n=0,a=1",
-                                 "cyclic@p=2,n=524288,a=1"])
+                                 "cyclic@p=2,n=524288,a=1", "cyclic@p=3,n=330000,a=-1"])
 def test_hostile_cyclic_catalog_keys_exit_2_at_once(key):
     # p must be prime and n >= 1 before p^n is formed, and a modulus longer
-    # than 2^19 bits (2^524288 has one bit more) is refused.
+    # than 2^19 bits (2^524288 has one bit more) is refused.  A unit that is
+    # not 1 mod p is refused before any power of it is taken.
     start = time.perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(["ed", "--catalog", key])

@@ -1,5 +1,7 @@
 import itertools
 import time
+from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from random import Random
 
@@ -17,7 +19,6 @@ from edlattice.group_core import (
 from edlattice.int_lattice import (
     GaloisModule,
     MixedTorsionError,
-    determinant,
     direct_sum,
     fixed_submodule,
     hermite_normal_form,
@@ -61,7 +62,7 @@ def _reduce(basis, v):
     return v
 
 
-def _assert_hnf_of(h, m, seed):
+def _assert_hnf_of(h, m, seed, determinant):
     """h has HNF shape and spans the row lattice of m."""
     pivots = []
     for row in h:
@@ -88,11 +89,11 @@ def _assert_hnf_of(h, m, seed):
     assert hermite_normal_form(mat_mul(random_unimodular(Random(seed), len(m)), m)) == h
 
 
-def test_hnf_frozen_example():
+def test_hnf_frozen_example(determinant):
     m = [[2, 4], [6, 8]]
     h = hermite_normal_form(m)
     assert h == [[2, 0], [0, 4]]
-    _assert_hnf_of(h, m, 0)
+    _assert_hnf_of(h, m, 0, determinant)
 
 
 def test_snf_frozen_example():
@@ -104,13 +105,13 @@ def test_snf_frozen_example():
 
 @given(small_matrix)
 @settings(max_examples=60)
-def test_hnf_properties(m):
-    _assert_hnf_of(hermite_normal_form(m), m, len(m) * 10 + len(m[0]))
+def test_hnf_properties(determinant, m):
+    _assert_hnf_of(hermite_normal_form(m), m, len(m) * 10 + len(m[0]), determinant)
 
 
 @given(small_matrix)
 @settings(max_examples=60)
-def test_snf_properties(m):
+def test_snf_properties(determinant, m):
     d, u, v = smith_normal_form(m)
     prod = mat_mul(mat_mul(u, m), v)
     for i, row in enumerate(prod):
@@ -682,11 +683,61 @@ def test_fixed_submodule_against_box_enumeration():
                 assert not any(_reduce(basis, r)), (m, cls, r)
 
 
+def _first_nonzero_kernel(rows, width):
+    """The kernel vectors a first-nonzero pivot rule gives: one per non-pivot
+    column f of the reduced echelon form over Q, 1 at f and 0 at the other
+    non-pivot columns, scaled to a primitive integer vector."""
+    echelon, pivots = [], []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for prow, c in zip(echelon, pivots):
+            x = row[c]
+            row = [a - x * b for a, b in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        echelon = [[a - prow[lead] * b for a, b in zip(prow, row)] for prow in echelon]
+        echelon.append(row)
+        pivots.append(lead)
+    kernel = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        vec = [Fraction(f == j) for j in range(width)]
+        for prow, c in zip(echelon, pivots):
+            vec[c] = -prow[f]
+        den = lcm(*(x.denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = gcd(*ints)
+        kernel.append([x // g for x in ints])
+    return kernel
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_local_kernel_pivots_on_a_unit(p):
+    # A first-nonzero pivot (p) gives (-1, p, 0) and (-1, 0, p), which are
+    # dependent mod p; the unit pivot (1) gives a basis over Z_(p).
+    assert _first_nonzero_kernel([[p, 1, 1]], 3) == [[-1, p, 0], [-1, 0, p]]
+    assert int_lattice._local_kernel([[p, 1, 1]], 3, p) == [[1, -p, 0], [0, -1, 1]]
+
+
+@given(small_matrix, st.sampled_from([2, 3, 5]))
+@settings(max_examples=100)
+def test_local_kernel_spans_the_kernel_mod_p(m, p):
+    cols = len(m[0])
+    basis = int_lattice._local_kernel(m, cols, p)
+    for vec in basis:
+        assert all(sum(row[j] * vec[j] for j in range(cols)) == 0 for row in m)
+    assert len(basis) == cols - len(smith_normal_form(m)[0])
+    assert rref(basis, cols, p) == rref(kernel_basis(m), cols, p)
+
+
 def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
     # Every vector of the p-local basis lies in the HNF lattice M^H, and
     # both have the same image in M/pM.  `needed` counts the classes where
-    # the unsaturated kernel vectors fall short of that image, so the
-    # saturation step is exercised, not just present.
+    # first-nonzero pivots would fall short of that image, so the unit
+    # pivot rule is exercised, not just present.
     modules = [e.module for p in (2, 3, 5) for e in instantiated_catalog(p)]
     rng = Random(2024)
     for g, p in small_p_groups:
@@ -703,7 +754,7 @@ def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
             image = rref(hnf, m.dim, p)
             assert rref(local, m.dim, p) == image, (m, cls)
             rows, width = int_lattice._fixed_system(m, cls)
-            raw = [v[:m.dim] for _, v in int_lattice._rational_kernel(rows, width)]
+            raw = [v[:m.dim] for v in _first_nonzero_kernel(rows, width)]
             if rref(raw, m.dim, p) != image:
                 needed.add((m.group.name, k, cls.representative))
     assert len(needed) >= 20
