@@ -234,12 +234,41 @@ def multiplicative_order(a: int, modulus: int) -> int:
 
 
 # The most bits a cyclic modulus p^n may have.  It keeps Z/3^200000
-# (316,993 bits) in range.  Checking a unit's order reduces modulo p^n a few
-# times, at a cost quadratic in its length.  A unit that is not 1 mod p is
-# refused before that, so a = -1 mod 3^330000 exits at once; the
-# slowest key measured at the limit, a = -2 mod 3^330000, is refused in
-# about 4.7 s on a 2-vCPU machine.
+# (316,993 bits) in range.  A unit's order is read off one p-adic valuation
+# (see `_p_power_order`): one division of a - 1 or a + 1 by p^(n-k), whose
+# quotient is at most p^k, so forming p^n is the largest cost at the limit.
 MAX_MODULUS_BITS = 1 << 19
+
+
+def _p_power_order(a: int, p: int, n: int) -> int | None:
+    """Order of the unit a in [0, p^n) if a power of p within MAX_GROUP_ORDER, else None.
+
+    A unit of p-power order is 1 mod p, since its order mod p divides both
+    a power of p and p - 1.  For such a unit the order is read off a p-adic
+    valuation.  For odd p, or p = 2 and a = 1 mod 4, it is p^(n - v_p(a - 1)),
+    and 1 when a = 1.  For p = 2 and a = 3 mod 4, a^2 - 1 = (a - 1)(a + 1) has
+    valuation 1 + v_2(a + 1), and the order of a is twice that of a^2, so
+    it is 2^max(1, n - v_2(a + 1)).  With p^k the largest power of p within
+    MAX_GROUP_ORDER, the order is within the cap iff p^(n-k) divides that
+    a - 1 or a + 1; the quotient is then at most p^k, with few factors p.
+    """
+    if a % p != 1:
+        return None
+    if a == 1:
+        return 1
+    t, least = (a + 1, 1) if p == 2 and a % 4 == 3 else (a - 1, 0)
+    k = 0
+    while p ** (k + 1) <= MAX_GROUP_ORDER:
+        k += 1
+    shift = max(n - k, 0)
+    q, r = divmod(t, p ** shift)
+    if r:
+        return None
+    v = shift  # v_p(t) is at least this; only n - v matters, so stop at n
+    while v < n and q % p == 0:
+        q //= p
+        v += 1
+    return p ** max(least, n - v)
 
 
 def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
@@ -262,16 +291,8 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
     a = automorphism % modulus
     if a % p == 0 or a == 0:
         raise ValueError(f"{automorphism} is not a unit mod {p}^{n}")
-    # A unit of p-power order has order dividing p^(n-1), so repeated p-th
-    # powers reach 1 in fewer than n steps; stop early past the group cap.
-    # Such a unit is 1 mod p, since its order mod p divides both a power of
-    # p and p - 1, so any other unit is refused before a power is taken.
-    d, x = 1, a
-    if a % p == 1:
-        while x != 1 and d < modulus and d <= MAX_GROUP_ORDER:
-            x = pow(x, p, modulus)
-            d *= p
-    if x != 1 or d > MAX_GROUP_ORDER:
+    d = _p_power_order(a, p, n)
+    if d is None:
         raise ValueError(f"unit {automorphism} mod {p}^{n} does not have {p}-power order "
                          f"at most {MAX_GROUP_ORDER}")
     group = make_cyclic(d)

@@ -181,24 +181,50 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
     return len(spin(reduce_mod_p(m), [gen for _, gen in cert.summands])) == m.dim
 
 
+def _projective_points(image_basis, p):
+    """One representative per line of the span of a reduced echelon basis.
+
+    Each is b_lead + sum of c_j b_j over the rows after lead: a 1 at the
+    lead, zeros before it, any tail after it.  The basis is in reduced
+    echelon form, so the point leads with 1 too and is the line's
+    representative with leading coefficient 1.  Points come in the
+    lexicographic order of their coefficient tuples, so later leads first.
+    """
+    k = len(image_basis)
+    for lead in range(k - 1, -1, -1):
+        rows = image_basis[lead + 1:]
+        for tail in itertools.product(range(p), repeat=k - 1 - lead):
+            point = list(image_basis[lead])
+            for c, b in zip(tail, rows):
+                if c:
+                    point = [(x + c * y) % p for x, y in zip(point, b)]
+            yield point
+
+
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
                          enumeration_cap: int = 200000) -> EdResult:
     """Exhaustive oracle: no coinvariants, no Nakayama, no greedy.
 
-    Depth-first search over multisets of subgroup classes, trying every
-    candidate generator image in image(M^H -> M/pM) and accumulating orbit
-    spans until all of M/pM is spanned.  Candidates that do not grow the
-    span are skipped; that preserves exact minimality because subspace sums
-    are order independent, so a non-contributing summand can be dropped
-    from any cover.  States (class floor, span) already reached at least as
-    cheaply are pruned.
+    A summand Z[G/H] sending the coset H to an integral H-fixed vector
+    reaches M/pM as the orbit span of that vector's image, a point of
+    image(M^H -> M/pM); the map is a cover iff those spans sum to M/pM.
+    The search takes the classes by (index, position) and records each
+    distinct orbit span once, with the first (hence cheapest) class and
+    point that reach it.  That loses no cover: a dearer summand with the
+    same span can be swapped for the recorded one without raising the
+    cost, and a span used twice adds nothing the first use did not, so
+    some minimal cover is a set of distinct recorded spans.  The search
+    runs depth first over subsets of that cost-sorted list; a candidate
+    that does not grow the running span is skipped (subspace sums are
+    order independent, so it can be dropped from any cover), and the
+    scan along the list stops once its cost passes the limit.  States
+    (list floor, span) already reached at least as cheaply are pruned.
 
-    The enumeration stays exhaustive; only repeated F_p work is shared,
-    in dicts that live for this call alone.  c.v has the orbit span of v
-    for c prime to p, so each projective point of M/pM is spun once, as
-    its representative with leading coefficient 1, however many classes
-    offer it; and each join of the running span with a point's span is
-    computed once per search.
+    Only repeated F_p work is shared, in dicts that live for this call
+    alone.  c.v has the orbit span of v for c prime to p, so each
+    projective point of M/pM is spun once, as its representative with
+    leading coefficient 1, however many classes offer it; and each join
+    of the running span with a candidate span is computed once per search.
 
     enumeration_cap bounds the work twice: the point count p^dim, checked
     before any enumeration, and the number of search states visited; past
@@ -214,37 +240,22 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     mbar = reduce_mod_p(m)
     classes = subgroup_classes(m.group)
     fixed = [fixed_submodule(m, c) for c in classes]
-    # Candidate points per class: all of image(M^H -> M/pM), deduplicated
-    # by the orbit span they generate (equal spans contribute identically).
-    class_points: list[list[tuple[list[int], Subspace]]] = []
+    # candidates[pos] = (cost, class_index, point, span), one per distinct
+    # orbit span, from the cheapest class offering it; costs never fall.
+    candidates: list[tuple[int, int, list[int], Subspace]] = []
+    offered: set[Subspace] = set()
     point_spans: dict[tuple[int, ...], Subspace] = {}
-    for basis in fixed:
-        reduced = [[x % p for x in b] for b in basis]
-        image_basis, _ = rref(reduced, dim, p)
-        points = []
-        seen_spans = set()
-        for coeffs in itertools.product(range(p), repeat=len(image_basis)):
-            # Dividing a vector by its leading coefficient gives an earlier
-            # one with the same span, so the first of each span leads with 1.
-            if next((c for c in coeffs if c), 0) != 1:
-                continue
-            point = [0] * dim
-            for c, b in zip(coeffs, image_basis):
-                if c:
-                    point = [(point[i] + c * b[i]) % p for i in range(dim)]
-            # image_basis is reduced echelon, so the point leads with 1 too:
-            # it is the projective point's representative.
+    # sorted() is stable, so equal indices keep their enumeration order.
+    for ci in sorted(range(len(classes)), key=lambda i: classes[i].index):
+        image_basis, _ = rref([[x % p for x in b] for b in fixed[ci]], dim, p)
+        for point in _projective_points(image_basis, p):
             key = tuple(point)
             span = point_spans.get(key)
             if span is None:
                 span = point_spans[key] = orbit_span(mbar, point)
-            if span in seen_spans:
-                continue
-            seen_spans.add(span)
-            points.append((point, span))
-        class_points.append(points)
-    by_cost = sorted(range(len(classes)), key=lambda i: (classes[i].index, i))
-    costs = [c.index for c in classes]
+            if span not in offered:
+                offered.add(span)
+                candidates.append((classes[ci].index, ci, point, span))
     best: list = [None, None]  # cost, chosen [(class_index, point)]
     reached: dict = {}
     # joins[span][pspan] is span + pspan.  Each distinct sum is kept once
@@ -269,22 +280,20 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
             return
         reached[state] = cost
         span_joins = joins.setdefault(span, {})
-        for pos in range(floor, len(by_cost)):
-            ci = by_cost[pos]
-            step = costs[ci]
+        for pos in range(floor, len(candidates)):
+            step, ci, point, pspan = candidates[pos]
             limit = rank_budget if best[0] is None else min(rank_budget, best[0] - 1)
             if cost + step > limit:
+                break  # every later candidate costs at least as much
+            joined = span_joins.get(pspan)
+            if joined is None:
+                joined = span.add(pspan)
+                joined = span_joins[pspan] = sums.setdefault(joined, joined)
+            if joined.dim == span.dim:
                 continue
-            for point, pspan in class_points[ci]:
-                joined = span_joins.get(pspan)
-                if joined is None:
-                    joined = span.add(pspan)
-                    joined = span_joins[pspan] = sums.setdefault(joined, joined)
-                if joined.dim == span.dim:
-                    continue
-                chosen.append((ci, point))
-                search(pos, joined, cost + step, chosen)
-                chosen.pop()
+            chosen.append((ci, point))
+            search(pos + 1, joined, cost + step, chosen)
+            chosen.pop()
 
     search(0, Subspace(dim, p), 0, [])
     if best[0] is None:

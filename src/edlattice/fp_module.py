@@ -40,18 +40,14 @@ def _echelon_insert(basis, pivots, row, p):
     return row
 
 
-def rref(vectors, dim, p):
-    """Canonical reduced row echelon basis over F_p.
+def _reduced_echelon(basis, pivots, dim, p):
+    """Sort monic rows with distinct leads by pivot and back-substitute.
 
-    Returns (rows, pivots): pivot entries are 1, pivot columns are cleared
-    everywhere else, pivot columns strictly increase.  Canonical: two spans
-    are equal iff their rref output is identical.
+    Each row's lead is its pivot, so a semi-echelon basis from
+    `_echelon_insert` qualifies as it is; the result is the canonical
+    reduced form of its span.
     """
-    basis = []
-    pivots = []
-    for v in vectors:
-        _echelon_insert(basis, pivots, [x % p for x in v], p)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
     basis = [basis[i] for i in order]
     pivots = [pivots[i] for i in order]
     # Back-substitute bottom-up; at step i the row is already clean at every
@@ -64,17 +60,41 @@ def rref(vectors, dim, p):
     return basis, pivots
 
 
+def rref(vectors, dim, p):
+    """Canonical reduced row echelon basis over F_p.
+
+    Returns (rows, pivots): pivot entries are 1, pivot columns are cleared
+    everywhere else, pivot columns strictly increase.  Canonical: two spans
+    are equal iff their rref output is identical.
+    """
+    basis = []
+    pivots = []
+    for v in vectors:
+        _echelon_insert(basis, pivots, [x % p for x in v], p)
+    return _reduced_echelon(basis, pivots, dim, p)
+
+
 class Subspace:
     """A subspace of F_p^n held in canonical reduced echelon form."""
 
-    __slots__ = ("ambient_dim", "p", "basis", "pivots")
+    __slots__ = ("ambient_dim", "p", "basis", "pivots", "_hash")
 
     def __init__(self, ambient_dim, p, vectors=()):
+        self._set(ambient_dim, p, *rref(list(vectors), ambient_dim, p))
+
+    def _set(self, ambient_dim, p, basis, pivots):
         self.ambient_dim = ambient_dim
         self.p = p
-        basis, pivots = rref(list(vectors), ambient_dim, p)
         self.basis = tuple(tuple(row) for row in basis)
         self.pivots = tuple(pivots)
+        self._hash = hash((ambient_dim, p, self.basis))
+
+    @classmethod
+    def _from_echelon(cls, ambient_dim, p, basis, pivots):
+        """The span of a semi-echelon basis, without inserting its rows again."""
+        space = cls.__new__(cls)
+        space._set(ambient_dim, p, *_reduced_echelon(basis, pivots, ambient_dim, p))
+        return space
 
     @property
     def dim(self):
@@ -94,14 +114,20 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim and self.p == other.p
-        return Subspace(self.ambient_dim, self.p, list(self.basis) + list(other.basis))
+        # A reduced basis is semi-echelon, so only other's rows need inserting.
+        basis, pivots = list(self.basis), list(self.pivots)
+        for row in other.basis:
+            _echelon_insert(basis, pivots, row, self.p)
+        if len(basis) == self.dim:
+            return self
+        return Subspace._from_echelon(self.ambient_dim, self.p, basis, pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.p == other.p
                 and self.ambient_dim == other.ambient_dim and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.p, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, p={self.p})"
@@ -220,14 +246,8 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) ->
     return Subspace(w_dim, m.prime, vectors)
 
 
-def spin(m: FpGaloisModule, vectors) -> list[list[int]]:
-    """Semi-echelon basis of the least G-stable subspace containing the vectors.
-
-    Apply each generator to every vector that enlarged the running echelon
-    basis, until no image does or the basis fills the space.  Generator
-    images suffice because every g^-1 is a positive power of g in a finite
-    group.
-    """
+def _spin(m: FpGaloisModule, vectors):
+    """`spin`, returning the semi-echelon rows together with their pivots."""
     p = m.p
     rows: list[list[int]] = []
     pivots: list[int] = []
@@ -237,11 +257,22 @@ def spin(m: FpGaloisModule, vectors) -> list[list[int]]:
         row = _echelon_insert(rows, pivots, pending.pop(), p)
         if row is not None:
             pending.extend(m.act(g, row) for g in gens)
-    return rows
+    return rows, pivots
+
+
+def spin(m: FpGaloisModule, vectors) -> list[list[int]]:
+    """Semi-echelon basis of the least G-stable subspace containing the vectors.
+
+    Apply each generator to every vector that enlarged the running echelon
+    basis, until no image does or the basis fills the space.  Generator
+    images suffice because every g^-1 is a positive power of g in a finite
+    group.
+    """
+    return _spin(m, vectors)[0]
 
 
 def orbit_span(m: FpGaloisModule, v) -> Subspace:
     """F_p-span of the orbit {g.v : g in the group}: the spin of v."""
     if len(v) != m.dim:
         raise ValueError("vector length does not match the module dimension")
-    return Subspace(m.dim, m.p, spin(m, [v]))
+    return Subspace._from_echelon(m.dim, m.p, *_spin(m, [v]))

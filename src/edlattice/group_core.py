@@ -23,6 +23,7 @@ whether an order or modulus is a power of p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log2
 from typing import Iterable, NamedTuple, Sequence
 
 # A Cayley table of order n holds n^2 Python ints: about 200 MiB at
@@ -40,20 +41,18 @@ def check_group_order(order: int) -> int:
 def is_p_power(n: int, p: int) -> bool:
     """True iff n = p^k for some k >= 0 (1 counts).
 
-    Divides out p^(2^j) from the largest j with p^(2^j) <= n down to j = 0:
-    O(log log n) big divisions rather than one per factor of p.
+    If n = p^k then k lies within one of (bits(n) - 1) / log2(p), so one
+    power of p just below that is formed and raised until it reaches n: a
+    few multiplications, and no long division of n.
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     if n < 1:
         return False
-    powers = [p]
-    while powers[-1] * powers[-1] <= n:
-        powers.append(powers[-1] * powers[-1])
-    for q in reversed(powers):
-        if n % q == 0:
-            n //= q
-    return n == 1
+    power = p ** max(int((n.bit_length() - 1) / log2(p)) - 1, 0)
+    while power < n:
+        power *= p
+    return power == n
 
 
 class FiniteGroup:

@@ -413,9 +413,17 @@ class GaloisModule:
     def _product(self, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         """a @ b in stored form: each row of a scatters the rows of b it
         names into one dense accumulator, whose nonzeros are kept, torsion
-        rows reduced modulo q_j first."""
+        rows reduced modulo q_j first.
+
+        Torsion rows of b are read with entries in (-q_k/2, q_k/2].  That
+        moves a term x*y of torsion row i by x*q_k, which q_i divides
+        (x is a well-defined map Z/q_k -> Z/q_i), and it keeps the sums
+        short when an entry is near q_k, as -1 mod a long q_k is."""
         dim, n = len(b), self.free_rank
         moduli = [0] * n + self.torsion
+        if self.torsion:
+            b = b[:n] + [[(j, y - q if 2 * y > q else y) for j, y in row]
+                         for row, q in zip(b[n:], self.torsion)]
         out = []
         for row, q in zip(a, moduli):
             acc = [0] * dim

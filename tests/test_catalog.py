@@ -1,6 +1,10 @@
+import time
+from random import Random
+
 import pytest
 
 from edlattice.catalog import (
+    _p_power_order,
     admissible_r,
     build_cyclic,
     build_list_L,
@@ -13,7 +17,8 @@ from edlattice.catalog import (
     twisted_torsion_module,
     unit_group,
 )
-from edlattice.group_core import make_cyclic, subgroup_classes
+from edlattice.ed_solver import min_permutation_rank
+from edlattice.group_core import MAX_GROUP_ORDER, is_p_power, make_cyclic, subgroup_classes
 
 
 def test_expected_table_shape():
@@ -78,6 +83,52 @@ def test_build_cyclic_validation():
         build_cyclic(3, 2, 3)  # not a unit
     with pytest.raises(ValueError):
         build_cyclic(3, 2, 2)  # order 6 is not a power of 3
+
+
+@pytest.mark.parametrize("p, n", [(2, 14), (3, 8), (5, 6)])
+def test_build_cyclic_order_matches_multiplicative_order(p, n):
+    # Units of p-power order mod 2^14, 3^8 and 5^6 reach orders 2^12, 3^7
+    # and 5^5, past the cap of 2048, so seeded units land on both sides.
+    # Every refusal goes through build_cyclic; so does every acceptance of
+    # order at most 243 (a cyclic group of order 2048 takes seconds to
+    # build), and the rest check the order the builder would use.
+    modulus = p ** n
+    rng = Random(p * 100 + n)
+    accepted = refused = 0
+    for _ in range(200):
+        a = rng.randrange(1, modulus)
+        if a % p == 0:
+            continue
+        if rng.random() < 0.7:
+            a = a - a % p + 1  # 1 mod p, so its order is a power of p
+        order = multiplicative_order(a, modulus)
+        if is_p_power(order, p) and order <= MAX_GROUP_ORDER:
+            assert _p_power_order(a, p, n) == order
+            if order <= 243:
+                assert build_cyclic(p, n, a).expected_ed == order
+            accepted += 1
+        else:
+            assert _p_power_order(a, p, n) is None
+            with pytest.raises(ValueError, match="order"):
+                build_cyclic(p, n, a)
+            refused += 1
+    assert accepted and refused
+
+
+@pytest.mark.parametrize("key, ed", [("cyclic@p=3,n=330000,a=-2", None),
+                                     ("cyclic@p=2,n=524287,a=-1", 2)])
+def test_cyclic_keys_at_the_modulus_limit_are_decided_at_once(key, ed):
+    # -2 mod 3^330000 has order 3^329999, far past the cap; -1 mod 2^524287
+    # has order 2 and builds Z/2^524287 twisted by -1.
+    start = time.perf_counter()
+    if ed is None:
+        with pytest.raises(ValueError, match="order"):
+            parse_catalog_key(key)
+    else:
+        entry = parse_catalog_key(key)
+        assert entry.expected_ed == ed
+        assert min_permutation_rank(entry.module, entry.p).ed == ed
+    assert time.perf_counter() - start < 1
 
 
 def test_build_norm_one_expected_values():

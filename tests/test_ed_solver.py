@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from operator import mul
@@ -20,7 +21,14 @@ from edlattice.ed_solver import (
     min_permutation_rank,
     verify_certificate,
 )
-from edlattice.fp_module import _echelon_insert, coinvariants, orbit_span, project, reduce_mod_p
+from edlattice.fp_module import (
+    Subspace,
+    _echelon_insert,
+    coinvariants,
+    orbit_span,
+    project,
+    reduce_mod_p,
+)
 from edlattice.group_core import (
     coset_action,
     dihedral8,
@@ -410,6 +418,65 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
         brute_force_min_rank(m, p, group.order * max(1, m.dim))
         # c.v spans what v spans, so one spin per line through 0 suffices.
         assert len(spun) == len(set(spun)) <= (p ** m.dim - 1) // (p - 1)
+
+
+def _unpruned_min_rank(m, p, rank_budget):
+    """Least total index of a cover of M/pM within the budget, or None.
+
+    Lists every multiset of summands (class H, nonzero point of the image
+    of M^H in M/pM), cheapest total first, and asks of each whether the
+    orbits of its points span M/pM.  No span is merged with another, a
+    summand may repeat, and nothing is remembered between multisets.
+    """
+    dim = m.dim
+    mbar = reduce_mod_p(m)
+    summands = []  # (index, every image g.v of the point)
+    for cls in subgroup_classes(m.group):
+        basis = [[x % p for x in b] for b in fixed_submodule(m, cls)]
+        points = {tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(dim))
+                  for coeffs in itertools.product(range(p), repeat=len(basis))}
+        for point in sorted(points - {(0,) * dim}):
+            orbit = [mbar.act(g, list(point)) for g in m.group.elements()]
+            summands.append((cls.index, orbit))
+
+    def multisets(start, cost):
+        if cost == 0:
+            yield []
+            return
+        for i in range(start, len(summands)):
+            if summands[i][0] <= cost:
+                for rest in multisets(i, cost - summands[i][0]):
+                    yield [i] + rest
+
+    for total in range(rank_budget + 1):
+        for chosen in multisets(0, total):
+            vectors = [w for i in chosen for w in summands[i][1]]
+            if Subspace(dim, p, vectors).dim == dim:
+                return total
+    return None
+
+
+@pytest.mark.parametrize("make_group, p", [
+    (lambda: make_cyclic(2), 2), (lambda: make_cyclic(4), 2),
+    (lambda: direct_product(make_cyclic(2), make_cyclic(2)), 2), (dihedral8, 2),
+    (quaternion8, 2), (lambda: make_cyclic(3), 3), (lambda: make_cyclic(9), 3)],
+    ids=["C2", "C4", "C2^2", "D8", "Q8", "C3", "C9"])
+def test_brute_force_matches_an_unpruned_enumeration(make_group, p):
+    # The oracle offers each orbit span once, from its cheapest class, and
+    # searches subsets; this reference has none of that.
+    group = make_group()
+    rng = Random(23)
+    for _ in range(20):
+        m = random_module(rng, group, p, max_dim=3)
+        if m.dim == 0:
+            continue
+        budget = group.order * m.dim
+        least = brute_force_min_rank(m, p, budget).min_rank
+        assert _unpruned_min_rank(m, p, budget) == least
+        # One below the minimum, neither finds a cover.
+        assert _unpruned_min_rank(m, p, least - 1) is None
+        with pytest.raises(BudgetExceededError, match="no cover within rank budget"):
+            brute_force_min_rank(m, p, least - 1)
 
 
 def _sum_of_random_modules(group, seed):

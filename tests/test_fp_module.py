@@ -11,6 +11,7 @@ from edlattice.fp_module import (
     project,
     reduce_mod_p,
     rref,
+    spin,
 )
 from edlattice.group_core import dihedral8, heisenberg27, make_cyclic, quaternion8
 from edlattice.int_lattice import GaloisModule
@@ -47,6 +48,30 @@ def test_subspace_add_and_with_vector():
     a = Subspace(3, 2, [[1, 0, 0]])
     b = Subspace(3, 2, [[0, 1, 0]])
     assert a.add(b).dim == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_sums_and_orbit_spans_are_canonical(p):
+    # add and orbit_span skip the full echelon pass; their results must be
+    # the very basis, and hash, that Subspace(...) gives the same span.
+    rng = Random(p)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        a, b = (Subspace(n, p, [[rng.randrange(p) for _ in range(n)]
+                                for _ in range(rng.randrange(4))]) for _ in range(2))
+        joined = a.add(b)
+        expected = Subspace(n, p, list(a.basis) + list(b.basis))
+        assert joined == expected and hash(joined) == hash(expected)
+        assert joined.pivots == expected.pivots
+    group = {2: dihedral8, 3: heisenberg27, 5: lambda: make_cyclic(25)}[p]()
+    for _ in range(12):
+        mbar = reduce_mod_p(random_module(rng, group, p, max_dim=4))
+        for _ in range(4):
+            v = [rng.randrange(p) for _ in range(mbar.dim)]
+            span = orbit_span(mbar, v)
+            expected = Subspace(mbar.dim, p, spin(mbar, [v]))
+            assert span == expected and hash(span) == hash(expected)
+            assert span.pivots == expected.pivots
 
 
 def test_coinvariants_regular_c2():
