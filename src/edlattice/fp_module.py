@@ -144,9 +144,10 @@ class FpGaloisModule:
     `coinvariants` reads the columns of A - I from them.  Nothing is checked
     here.  Each torsion modulus is a power of p, so every coordinate of M
     contributes one F_p coordinate.  The GaloisModule constructor checked
-    that the generators' matrices extend to an action of the group and
-    compared action(g) action(g^-1) with I for every generator, so every
-    reduced matrix is invertible.
+    that the generators' matrices extend to an action of the group and that
+    each has an integral inverse (action(g) action(g^-1) = I, compared
+    directly or, for a pc generator g_i with g_i^r_i = 1, as the power
+    relation X_i^r_i = I), so every reduced matrix is invertible.
     """
 
     __slots__ = ("module", "group", "p", "dim", "_columns")

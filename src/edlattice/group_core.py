@@ -8,12 +8,13 @@ construction in O(n^2 log n).  Every order read from input is held to
 MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
-once per instance and kept on it: the generating set (`generators`), the
-pc presentation (`pc_presentation`, which modules check their action
-against), the subgroup classes (`subgroup_classes`), each with the
-generators it was first reached with, and each coset action
-(`coset_action`).  Every solve on the same group object shares them; the
-caches live and die with the group, with no module-level state.
+once per instance and kept on it: the element orders (`element_order`),
+the generating set (`generators`), the pc presentation
+(`pc_presentation`, which modules check their action against), the
+subgroup classes (`subgroup_classes`), each with the generators it was
+first reached with, and each coset action (`coset_action`).  Every solve
+on the same group object shares them; the caches live and die with the
+group, with no module-level state.
 
 Generating sets of subgroups given by their members come from one greedy,
 `FiniteGroup.subgroup_generators`, and `is_p_power` is the one test of
@@ -23,7 +24,7 @@ whether an order or modulus is a power of p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import gcd, log2
 from typing import Iterable, NamedTuple, Sequence
 
 # A Cayley table of order n holds n^2 Python ints: about 200 MiB at
@@ -63,7 +64,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "cayley", "inverse", "name",
-                 "_generators", "_pc", "_classes", "_coset_actions")
+                 "_orders", "_generators", "_pc", "_classes", "_coset_actions")
 
     def __init__(self, cayley: Sequence[Sequence[int]], name: str = "") -> None:
         n = len(cayley)
@@ -91,6 +92,7 @@ class FiniteGroup:
         self.cayley = table
         self.inverse = inverse
         self.name = name or f"G{n}"
+        self._orders: list[int] | None = None
         self._generators: list[int] | None = None
         self._pc: PcPresentation | None = None
         self._classes: list[SubgroupClass] | None = None
@@ -122,11 +124,27 @@ class FiniteGroup:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.cayley[x][a]
-            k += 1
-        return k
+        return self._element_orders()[a]
+
+    def _element_orders(self) -> list[int]:
+        """The order of every element, computed once per group.
+
+        One walk over the powers of each element whose order is still
+        unknown: if a has order k, a^j has order k/gcd(j, k).  So a cyclic
+        group costs one walk, not one per element.
+        """
+        if self._orders is None:
+            orders = [0] * self.order
+            for a in range(self.order):
+                if not orders[a]:
+                    powers = [a]
+                    while powers[-1] != 0:
+                        powers.append(self.cayley[powers[-1]][a])
+                    k = len(powers)
+                    for j, x in enumerate(powers, 1):
+                        orders[x] = k // gcd(j, k)
+            self._orders = orders
+        return self._orders
 
     def is_abelian(self) -> bool:
         return all(
@@ -160,9 +178,10 @@ class FiniteGroup:
         index, each kept unless already reached.  Every member lies in the
         closure of the result, even when the members do not form a subgroup.
         """
+        orders = self._element_orders()
         gens: list[int] = []
         reached = {0}
-        for a in sorted(members, key=lambda x: (-self.element_order(x), x)):
+        for a in sorted(members, key=lambda x: (-orders[x], x)):
             if a not in reached:
                 gens.append(a)
                 reached = set(self.closure(gens))

@@ -8,16 +8,16 @@ throughout: normal forms are classical elementary-operation reductions.
 A quotient by relations spins them under the generators into one HNF
 lattice, the integral analogue of `fp_module.spin`, and reads the quotient
 basis off the Smith form of that lattice's at most dim basis vectors.
-The Smith normal form tracks both unimodular transforms; the Hermite
-normal form keeps none, and each canonical lattice (a kernel, a fixed
-lattice M^H, an inverse) is one HNF of a matrix augmented by an identity
-block.  The solver needs M^H only up to index prime to p:
-`local_fixed_basis` reads it off one fraction-free elimination whose
-pivots are all prime to p, hence units of Z_(p), with no HNF.  A
-`GaloisModule` is stored by the matrices of a generating set, checked
-against the group's pc presentation; the matrix of any other element is
-built from its normal form when first asked for.  Input modules are held
-to MAX_MODULE_DIM coordinates by `check_module_dim`.
+The Smith normal form tracks both unimodular transforms and the inverse
+of its row transform; the Hermite normal form keeps none, and each
+canonical lattice (a kernel, a fixed lattice M^H, an inverse) is one HNF
+of a matrix augmented by an identity block.  The solver needs M^H only up
+to index prime to p: `local_fixed_basis` reads it off one fraction-free
+elimination whose pivots are all prime to p, hence units of Z_(p), with
+no HNF.  A `GaloisModule` is stored by the matrices of a generating set,
+checked against the group's pc presentation; the matrix of any other
+element is built from its normal form when first asked for.  Input
+modules are held to MAX_MODULE_DIM coordinates by `check_module_dim`.
 """
 
 from __future__ import annotations
@@ -165,19 +165,34 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     return h
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
+def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms.
 
-    Returns (d, u, v) where u @ m @ v is diagonal with the invariant factors
-    d (positive, each dividing the next) in its leading diagonal entries and
-    zeros elsewhere; u and v are unimodular.  d lists only the nonzero
-    invariant factors, so len(d) is the rank.
+    Returns (d, u, v, u_inv) where u @ m @ v is diagonal with the invariant
+    factors d (positive, each dividing the next) in its leading diagonal
+    entries and zeros elsewhere; u and v are unimodular and u_inv is the
+    inverse of u.  d lists only the nonzero invariant factors, so len(d)
+    is the rank.
+
+    u_inv starts as I and takes the inverse of each elementary row
+    operation on u as a column operation (Cohen, GTM 138, section 2.4):
+    if u becomes E u, then u^-1 becomes u^-1 E^-1.  A row swap is a
+    column swap, u[i] -= q u[t] is column t += q column i, u[t] += u[i]
+    is column i -= column t, and a negated row is a negated column.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
     u = identity_matrix(rows)
+    w = identity_matrix(rows)  # u^-1
     v = identity_matrix(cols)
+
+    def swap_rows(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+        for row in w:
+            row[i], row[k] = row[k], row[i]
+
     t = 0
     while t < min(rows, cols):
         # Move the smallest nonzero entry of the trailing block to (t, t);
@@ -191,8 +206,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
             break
         i0, j0 = best
         if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
+            swap_rows(t, i0)
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
@@ -208,9 +222,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
                             a[i][j] -= q * a[t][j]
                         for j in range(rows):
                             u[i][j] -= q * u[t][j]
+                        for row in w:
+                            row[t] += q * row[i]
                     if a[i][t]:  # remainder is smaller; promote it
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
+                        swap_rows(t, i)
                         break
             else:
                 # Column clear; clear row t with column operations.
@@ -246,13 +261,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
                 a[t][j] += a[offender][j]
             for j in range(rows):
                 u[t][j] += u[offender][j]
+            for row in w:
+                row[offender] -= row[t]
             continue
         if pivot < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+            for row in w:
+                row[t] = -row[t]
         t += 1
     d = [a[i][i] for i in range(t)]
-    return d, u, v
+    return d, u, v, w
 
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
@@ -312,7 +331,9 @@ class GaloisModule:
     action of G.  For each supplied generator g the product of its matrix
     with the normal form of g^-1 is also compared with I, with both factors
     integral; that proves A unimodular and D invertible mod p with no
-    determinant.  The check costs O(k^2) products plus O(k log p) for the
+    determinant.  When g is a pc generator g_i with g_i^r_i = 1 that
+    product is X_i^r_i, already compared with I, so it is not formed
+    again.  The check costs O(k^2) products plus O(k log p) for the
     powers, with k = log_p |G| for a p-group, in place of |G| products per
     generator.
 
@@ -382,8 +403,12 @@ class GaloisModule:
             return False
         identity = self._identity()
         inverse = self.group.inverse
+        # For g = g_i with g_i^r_i = 1 the inverse check's product is
+        # X_i^r_i, which the power check has already compared with I.
+        periodic = {g for g, w in zip(pc.generators, pc.powers) if w == 0}
         return all(self._normal_form(g, powers) == mat
-                   and self._product(mat, self._normal_form(inverse[g], powers)) == identity
+                   and (g in periodic
+                        or self._product(mat, self._normal_form(inverse[g], powers)) == identity)
                    for g, mat in supplied.items())
 
     def _validate(self, mat: IntMatrix) -> SparseMatrix:
@@ -415,25 +440,45 @@ class GaloisModule:
         names into one dense accumulator, whose nonzeros are kept, torsion
         rows reduced modulo q_j first.
 
+        The accumulator is allocated once per call and only the columns a
+        row wrote are read back: a column is listed when a term lands on it
+        while it holds 0, and is reset to 0 when read, in ascending order.
+        A column that cancels to 0 and is written again is listed twice;
+        its second reading finds the 0 left by the first and is skipped.
+        So a row costs its terms, not dim, which matters on the large
+        permutation-like catalog matrices.
+
         Torsion rows of b are read with entries in (-q_k/2, q_k/2].  That
         moves a term x*y of torsion row i by x*q_k, which q_i divides
         (x is a well-defined map Z/q_k -> Z/q_i), and it keeps the sums
         short when an entry is near q_k, as -1 mod a long q_k is."""
-        dim, n = len(b), self.free_rank
+        n = self.free_rank
         moduli = [0] * n + self.torsion
         if self.torsion:
             b = b[:n] + [[(j, y - q if 2 * y > q else y) for j, y in row]
                          for row, q in zip(b[n:], self.torsion)]
+        acc = [0] * len(b)
         out = []
         for row, q in zip(a, moduli):
-            acc = [0] * dim
+            written = []
             for k, x in row:
                 for j, y in b[k]:
-                    acc[j] += x * y
-            if q:
-                out.append([(j, z % q) for j, z in enumerate(acc) if z % q])
-            else:
-                out.append([(j, z) for j, z in enumerate(acc) if z])
+                    z = acc[j]
+                    if not z:
+                        written.append(j)
+                    acc[j] = z + x * y
+            written.sort()
+            entries = []
+            for j in written:
+                z = acc[j]
+                if z:
+                    acc[j] = 0
+                    if q:
+                        z %= q
+                        if not z:
+                            continue
+                    entries.append((j, z))
+            out.append(entries)
         return out
 
     def _power(self, powers: dict[int, SparseMatrix], e: int) -> SparseMatrix:
@@ -693,10 +738,12 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     finite index.  L depends only on the span, not on how the relations
     are listed, and so does the quotient.
 
-    The SNF transform of L's basis (dim x rank(L) <= dim x dim) supplies
+    The SNF transform u of L's basis (dim x rank(L) <= dim x dim) supplies
     a canonical basis of the quotient: coordinates with invariant factor 1
     disappear, factors > 1 become torsion coordinates, the rest stay free.
-    Torsion prime to the working prime raises MixedTorsionError.
+    Each generator acts on it by u action(g) u^-1, with u^-1 read off the
+    Smith form, which carries it, so no HNF inverts u.  Torsion prime to
+    the working prime raises MixedTorsionError.
     """
     if perm.torsion:
         raise ValueError("quotient base must be a free module")
@@ -716,7 +763,7 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         if any(r):
             basis = [row for row in hermite_normal_form(basis + [r]) if any(row)]
             pending.extend(sparse_mat_vec(mat, v) for mat in steps.values())
-    d, u, _ = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
+    d, u, _, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))
     keep_tor = [i for i in range(rank) if d[i] > 1]
@@ -727,7 +774,7 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     keep = keep_free + keep_tor
     # Only the kept rows of u and the kept columns of u^-1 are read.
     u_keep = [u[i] for i in keep]
-    uinv_keep = [[row[j] for j in keep] for row in inverse_unimodular(u)]
+    uinv_keep = [[row[j] for j in keep] for row in u_inv]
     gens = {}
     for g, rows in steps.items():
         # u action(g) u^-1 on the kept coordinates, action(g) u^-1 first:

@@ -33,6 +33,7 @@ from edlattice.fp_module import coinvariants, fixed_image_subspace, reduce_mod_p
 from edlattice.group_core import direct_product, make_cyclic, subgroup_classes
 from edlattice.int_lattice import (
     direct_sum,
+    identity_matrix,
     is_p_power,
     mat_mul,
     quotient_by_orbit_relations,
@@ -323,7 +324,7 @@ def test_criterion_9_normal_form_properties(determinant):
     for _ in range(10_000):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = smith_normal_form(matrix)
+        d, u, v, u_inv = smith_normal_form(matrix)
         product = mat_mul(mat_mul(u, matrix), v)
         for i in range(rows):
             for j in range(cols):
@@ -332,6 +333,7 @@ def test_criterion_9_normal_form_properties(determinant):
         for i in range(len(d) - 1):
             assert d[i + 1] % d[i] == 0, matrix
         assert determinant(u) in (1, -1) and determinant(v) in (1, -1), matrix
+        assert mat_mul(u, u_inv) == identity_matrix(rows), matrix
     _record(9, f"10000 random normal forms: diagonal shape, divisibility "
-               f"chain, unimodular transforms, zero failures "
+               f"chain, unimodular transforms, u @ u^-1 = I, zero failures "
                f"({time.perf_counter() - start:.1f}s)")

@@ -323,7 +323,7 @@ def _snf_cover(m, cert, p):
     for cls, gen in cert.summands:
         for coset in coset_action(m.group, cls).cosets:
             columns.append([sum(map(mul, row, gen)) for row in m.action(coset[0])])
-    d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
+    d, _, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
     return len(d) == m.dim and all(x % p for x in d)
 
 

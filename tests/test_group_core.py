@@ -228,6 +228,40 @@ def test_subgroup_generators_cover_a_non_subgroup(g, picks):
     assert set(members) <= set(g.closure(gens))
 
 
+def _order_by_walk(g, a):
+    k, x = 1, a
+    while x != 0:
+        x = g.mul(x, a)
+        k += 1
+    return k
+
+
+def _reference_subgroup_generators(g, members):
+    """The greedy with each member's order found by walking its own powers."""
+    gens, reached = [], {0}
+    for a in sorted(members, key=lambda x: (-_order_by_walk(g, x), x)):
+        if a not in reached:
+            gens.append(a)
+            reached = set(g.closure(gens))
+    return gens
+
+
+@pytest.mark.parametrize("make_group", [lambda: make_cyclic(2048), _c2_cubed, _c2_times_c4,
+                                        dihedral8, quaternion8, heisenberg27])
+def test_subgroup_generators_match_the_element_order_sort(make_group):
+    g = make_group()
+    if g.order > 64:
+        # subgroup_classes is slow at this order: take the even elements
+        # and a non-subgroup listed out of order.
+        member_sets = [range(0, g.order, 2), [6, 3, 12, 0, 5]]
+    else:
+        member_sets = [cls.representative for cls in subgroup_classes(g)] + [[5, 1, 3]]
+    for members in member_sets:
+        assert g.subgroup_generators(members) == _reference_subgroup_generators(g, members)
+    assert g.generators() == _reference_subgroup_generators(g, g.elements())
+    assert all(g.element_order(x) == _order_by_walk(g, x) for x in g.elements())
+
+
 def _reference_subgroup_classes(group):
     """Depth-first enumeration seeded with every member, then conjugacy dedup."""
     known = {(0,)}

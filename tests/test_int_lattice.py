@@ -97,10 +97,17 @@ def test_hnf_frozen_example(determinant):
 
 
 def test_snf_frozen_example():
-    d, u, v = smith_normal_form([[2, 4], [6, 8]])
+    d, u, v, u_inv = smith_normal_form([[2, 4], [6, 8]])
     assert d == [2, 4]
+    assert mat_mul(u, u_inv) == identity_matrix(2)
     prod = mat_mul(mat_mul(u, [[2, 4], [6, 8]]), v)
     assert prod == [[2, 0], [0, 4]]
+    # 2 does not divide 3, so row 1 is added to row 0 and u^-1 takes the
+    # inverse column operation.
+    d, u, v, u_inv = smith_normal_form([[2, 0], [0, 3]])
+    assert d == [1, 6]
+    assert mat_mul(mat_mul(u, [[2, 0], [0, 3]]), v) == [[1, 0], [0, 6]]
+    assert mat_mul(u, u_inv) == identity_matrix(2)
 
 
 @given(small_matrix)
@@ -112,7 +119,7 @@ def test_hnf_properties(determinant, m):
 @given(small_matrix)
 @settings(max_examples=60)
 def test_snf_properties(determinant, m):
-    d, u, v = smith_normal_form(m)
+    d, u, v, u_inv = smith_normal_form(m)
     prod = mat_mul(mat_mul(u, m), v)
     for i, row in enumerate(prod):
         for j, x in enumerate(row):
@@ -124,6 +131,7 @@ def test_snf_properties(determinant, m):
         assert b % a == 0
     assert determinant(u) in (1, -1)
     assert determinant(v) in (1, -1)
+    assert mat_mul(u, u_inv) == identity_matrix(len(m))
 
 
 @given(small_matrix)
@@ -359,8 +367,8 @@ def test_quotient_depends_only_on_the_relation_lattice():
 
 def test_quotient_by_no_relations_keeps_the_base():
     # The Smith form of a dim x 0 matrix has no invariant factors and u = I.
-    assert smith_normal_form([[], [], []]) == ([], identity_matrix(3), [])
-    assert smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], [], []]) == ([], identity_matrix(3), [], identity_matrix(3))
+    assert smith_normal_form([]) == ([], [], [], [])
     base = permutation_module(dihedral8(), subgroup_classes(dihedral8())[1], 2)
     assert module_to_json(quotient_by_orbit_relations(base, [])) == module_to_json(base)
     empty = trivial_lattice(dihedral8(), 2, 0)
@@ -569,6 +577,115 @@ def test_action_matrices_are_built_on_demand(monkeypatch):
     mat = m.sparse_action(25)  # 25 = 3 + 2 * 11: at most a few products
     assert len(calls) <= 4 and m.sparse_action(25) is mat
     assert all(mat[(c + 25) % 121] == [(c, 1)] for c in range(121))
+
+
+def test_pc_generators_with_trivial_power_skip_the_inverse_product(monkeypatch):
+    real = GaloisModule._product
+    calls = []
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(GaloisModule, "_product", counting)
+    c2 = make_cyclic(2)
+    g = direct_product(direct_product(c2, c2), c2)
+    pc = g.pc_presentation()
+    assert sorted(pc.generators) == g.generators() and pc.powers == (0, 0, 0)
+    # Each pc generator negates one coordinate.  Three squares for the
+    # power relations and two products per commutator relation; each
+    # inverse check would form X_i X_i = X_i^2 again, so none is made.
+    action = {x: [[-1 if i == j == k else int(i == j) for j in range(3)] for i in range(3)]
+              for k, x in enumerate(pc.generators)}
+    GaloisModule(g, 2, 3, [], action)
+    assert len(calls) == 9
+    # The power check alone still rejects a matrix of order 4 for an involution.
+    action[pc.generators[0]] = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        GaloisModule(g, 2, 3, [], action)
+
+
+def _trivial_module(p, free_rank, torsion):
+    """A module over the trivial group, to call `_product` on."""
+    return GaloisModule(make_cyclic(1), p, free_rank, torsion,
+                        {0: identity_matrix(free_rank + len(torsion))})
+
+
+@st.composite
+def _product_operands(draw):
+    """(module, a, b): two stored-form matrices of one random block shape.
+
+    Free rows have no torsion columns, entry (i, k) of torsion rows is a
+    multiple of q_i/q_k when q_i > q_k, and torsion rows are reduced
+    modulo q_i.  A density picks one entry per row (permutation-like), a
+    random subset, or every allowed entry.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=0, max_value=4))
+    torsion = sorted(draw(st.lists(st.sampled_from([p, p * p, p ** 3]),
+                                   min_size=0 if n else 1, max_size=3)))
+    moduli = [0] * n + torsion
+    dim = len(moduli)
+    density = draw(st.sampled_from(["permutation", "sparse", "full"]))
+    value = st.integers(min_value=-30, max_value=30)
+
+    def matrix():
+        out = []
+        for i, q in enumerate(moduli):
+            allowed = range(n) if i < n else range(dim)
+            if density == "permutation":
+                cols = [draw(st.sampled_from(allowed))]
+            elif density == "sparse":
+                cols = [k for k in allowed if draw(st.booleans())]
+            else:
+                cols = list(allowed)
+            row = []
+            for k in cols:
+                x = draw(value)
+                if q and moduli[k] and q > moduli[k]:
+                    x *= q // moduli[k]
+                if q:
+                    x %= q
+                if x:
+                    row.append((k, x))
+            out.append(row)
+        return out
+
+    return _trivial_module(p, n, torsion), matrix(), matrix()
+
+
+@given(_product_operands())
+@settings(max_examples=200)
+def test_product_matches_a_dense_reference(operands):
+    m, a, b = operands
+    n, dim = m.free_rank, m.dim
+
+    def dense(sparse):
+        rows = [[0] * dim for _ in range(dim)]
+        for out, row in zip(rows, sparse):
+            for j, x in row:
+                out[j] = x
+        return rows
+
+    want = mat_mul(dense(a), dense(b))
+    for i, q in enumerate(m.torsion):
+        want[n + i] = [x % q for x in want[n + i]]
+    got = m._product(a, b)
+    assert dense(got) == want
+    assert all(x for row in got for _, x in row)
+    assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in got)
+
+
+def test_product_rereads_a_column_that_cancels_and_is_written_again():
+    # Row 0 writes column 0 with 1, cancels it with -1, then writes 2.
+    # Row 1 cancels column 0 and leaves it 0.  The torsion row (mod 4)
+    # cancels column 0, writes it again with -1 (b's 3 read as -1), and
+    # sums column 2 to 4, which is 0 mod 4.
+    m = _trivial_module(2, 3, [4])
+    a = [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 1)], [(2, 1)], [(0, 2), (1, 2), (3, 1)]]
+    b = [[(0, 1), (2, 2)], [(0, -1)], [(0, 2), (1, 5)], [(0, 3)]]
+    assert m._product(a, b) == [[(0, 2), (1, 5), (2, 2)], [(2, 2)], [(0, 2), (1, 5)],
+                                [(0, 3)]]
 
 
 @pytest.mark.parametrize("make_group,p", [
