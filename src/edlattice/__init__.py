@@ -46,7 +46,6 @@ from .ed_solver import (
     EdResult,
     brute_force_min_rank,
     classify_ed_le_one,
-    cover_module,
     genus_equal,
     min_permutation_rank,
     verify_certificate,
@@ -61,8 +60,6 @@ from .catalog import (
     parse_catalog_key,
     permutation_module,
     trivial_lattice,
-    twisted_torsion_module,
-    unit_group,
 )
 
 __all__ = [
@@ -84,7 +81,6 @@ __all__ = [
     "classify_ed_le_one",
     "coinvariants",
     "coset_action",
-    "cover_module",
     "dihedral8",
     "direct_product",
     "direct_sum",
@@ -110,7 +106,5 @@ __all__ = [
     "subgroup_classes",
     "subgroup_of",
     "trivial_lattice",
-    "twisted_torsion_module",
-    "unit_group",
     "verify_certificate",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from .group_core import (
     MAX_GROUP_ORDER,
@@ -19,7 +19,6 @@ from .group_core import (
     SubgroupClass,
     check_group_order,
     coset_action,
-    is_p_power,
     make_cyclic,
     subgroup_classes,
 )
@@ -222,17 +221,6 @@ def build_norm_one(indices: list[SubgroupClass], g: FiniteGroup, p: int) -> Cata
     return entry
 
 
-def multiplicative_order(a: int, modulus: int) -> int:
-    x = a % modulus
-    k = 1
-    while x != 1:
-        x = (x * a) % modulus
-        k += 1
-        if k > modulus:
-            raise ValueError(f"{a} is not a unit mod {modulus}")
-    return k
-
-
 # The most bits a cyclic modulus p^n may have.  It keeps Z/3^200000
 # (316,993 bits) in range.  A unit's order is read off one p-adic valuation
 # (see `_p_power_order`): one division of a - 1 or a + 1 by p^(n-k), whose
@@ -299,45 +287,6 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
     gens = {1: [[a]]} if d > 1 else {0: [[1]]}
     module = GaloisModule(group, p, 0, [modulus], gens)
     return CatalogEntry("cyclic", p, None, module, 0, d)
-
-
-def unit_group(modulus: int) -> tuple[FiniteGroup, list[int]]:
-    """The multiplicative group mod `modulus` as a table group.
-
-    Returns (group, values) with values[i] the unit represented by element
-    index i; index 0 is the unit 1.
-    """
-    values = [x for x in range(1, modulus) if gcd(x, modulus) == 1]
-    index = {v: i for i, v in enumerate(values)}
-    table = [[index[(x * y) % modulus] for y in values] for x in values]
-    return FiniteGroup(table, name=f"U{modulus}"), values
-
-
-def twisted_torsion_module(p: int, n: int, units: list[int]) -> GaloisModule:
-    """Z/p^n acted on by the (p-power order) unit subgroup generated by `units`."""
-    modulus = p ** n
-    elems = {1}
-    frontier = [1]
-    gens = [u % modulus for u in units]
-    for u in gens:
-        if u % p == 0 or u == 0:
-            raise ValueError(f"{u} is not a unit mod {modulus}")
-    while frontier:
-        x = frontier.pop()
-        for u in gens:
-            y = (x * u) % modulus
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    values = [1] + sorted(elems - {1})
-    size = len(values)
-    if not is_p_power(size, p):
-        raise ValueError(f"unit subgroup has order {size}, not a power of {p}")
-    index = {v: i for i, v in enumerate(values)}
-    table = [[index[(x * y) % modulus] for y in values] for x in values]
-    group = FiniteGroup(table, name=f"U{modulus}sub{size}")
-    action = {index[u]: [[u]] for u in gens} if size > 1 else {0: [[1]]}
-    return GaloisModule(group, p, 0, [modulus], action)
 
 
 def parse_catalog_key(key: str) -> CatalogEntry:

@@ -189,16 +189,17 @@ def _oracle_groups(p: int):
     return [make_cyclic(p), make_cyclic(p * p)]
 
 
-def verify_sections(p: int, expected_rows, seed: int = 0, max_r: int | None = None,
-                    genus_budget: int = 4096, oracle_count: int = 25,
-                    genus_rank_cap: int = 12):
-    """The verification suite; returns [(name, noun, ok, total)].
+# The genus-invariance section of `verify` covers catalog entries of free
+# rank up to this: it compares each entry with itself in a random basis,
+# and the integer kernel in rank^2 unknowns behind genus_equal is minutes
+# of work in pure Python for the rank-25 entries at p=5 in such a basis.
+VERIFY_GENUS_RANK_CAP = 12
+# Random modules that the oracle section of `verify` checks.
+VERIFY_ORACLE_COUNT = 25
 
-    The genus-invariance section only covers entries of free rank up to
-    genus_rank_cap: the equivariant-map basis behind genus_equal needs an
-    integer kernel in rank^2 unknowns, which is minutes of work in pure
-    Python for the rank-25 entries at p=5.
-    """
+
+def verify_sections(p: int, expected_rows, seed: int, max_r: int | None, genus_budget: int):
+    """The verification suite; returns [(name, noun, ok, total)]."""
     entries = catalog.instantiated_catalog(p, max_r)
     sections = []
 
@@ -226,7 +227,7 @@ def verify_sections(p: int, expected_rows, seed: int = 0, max_r: int | None = No
     rng = Random(seed)
     ok = total = 0
     for e in entries:
-        if e.module.torsion or e.module.free_rank > genus_rank_cap:
+        if e.module.torsion or e.module.free_rank > VERIFY_GENUS_RANK_CAP:
             continue
         total += 1
         other = conjugate_basis(rng, e.module)
@@ -260,7 +261,7 @@ def verify_sections(p: int, expected_rows, seed: int = 0, max_r: int | None = No
     groups = _oracle_groups(p)
     rng = Random(seed)
     ok = 0
-    for _ in range(oracle_count):
+    for _ in range(VERIFY_ORACLE_COUNT):
         group = rng.choice(groups)
         module = random_module(rng, group, p, max_dim=4)
         fast = min_permutation_rank(module, p)
@@ -268,7 +269,7 @@ def verify_sections(p: int, expected_rows, seed: int = 0, max_r: int | None = No
         if (fast.min_rank == slow.min_rank
                 and verify_certificate(module, fast.certificate, p)):
             ok += 1
-    sections.append(("oracle", "modules", ok, oracle_count))
+    sections.append(("oracle", "modules", ok, VERIFY_ORACLE_COUNT))
     return sections
 
 

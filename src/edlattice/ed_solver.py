@@ -42,10 +42,8 @@ from dataclasses import dataclass
 from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
-from .catalog import permutation_module
 from .int_lattice import (
     GaloisModule,
-    direct_sum,
     fixed_submodule,
     hom_module,
     is_prime,
@@ -353,15 +351,32 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
     return 1
 
 
+# The most unknowns, rank(l) * rank(m), that `genus_equal` hands to
+# `hom_module`, whose system has that many columns and that many rows per
+# group generator before its HNF.  625 admits rank 25 against rank 25, the
+# largest catalog lattices at p = 5 that are compared with their covers.
+# On a shared 2-vCPU machine the slowest catalog input at the cap,
+# `genus` of M12r@p=5,r=1 against itself, took 7.6 s, and the regular
+# module of C_32 (1,024 unknowns, now refused) took 3.5 s.  The cap bounds
+# the size of the system, not the growth of its entries: `hom_module` of
+# the regular module of C_16 against itself in a random basis took 107 s.
+MAX_HOM_UNKNOWNS = 625
+# Random combinations of the Hom basis tried when exhausting them all
+# would pass the budget.
+GENUS_TRIALS = 64
+
+
 def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
-                budget: int = 10 ** 6, seed: int = 0, trials: int = 64) -> str:
+                budget: int = 10 ** 6, seed: int = 0) -> str:
     """'yes' / 'no' / 'unknown': do the lattices agree after localizing at p?
 
     Equivalent to the existence of an equivariant map with determinant
     prime to p, i.e. an F_p-combination of the Hom basis with nonzero
     determinant mod p.  Exhaustive over all p^k combinations while that
-    count fits the budget (exact yes/no); beyond it, seeded random sampling
-    (yes on a hit, unknown otherwise).
+    count fits the budget (exact yes/no); beyond it, GENUS_TRIALS seeded
+    random combinations (yes on a hit, unknown otherwise).  Lattices whose
+    Hom system would have more than MAX_HOM_UNKNOWNS unknowns raise
+    ValueError before it is built.
     """
     if l.torsion or m.torsion:
         raise ValueError("genus comparison expects torsion-free modules")
@@ -374,6 +389,9 @@ def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
     n = l.free_rank
     if n == 0:
         return "yes"
+    if n * n > MAX_HOM_UNKNOWNS:
+        raise ValueError(f"genus comparison of rank {n} lattices needs {n * n} unknowns, "
+                         f"more than {MAX_HOM_UNKNOWNS}")
     basis = hom_module(l, m)
     k = len(basis)
     if k == 0:
@@ -395,15 +413,8 @@ def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
                 return "yes"
         return "no"
     rng = Random(seed)
-    for _ in range(trials):
+    for _ in range(GENUS_TRIALS):
         coeffs = [rng.randrange(p) for _ in range(k)]
         if any(coeffs) and _det_nonzero_mod_p(combine(coeffs), p):
             return "yes"
     return "unknown"
-
-
-def cover_module(m: GaloisModule, cert: CoverCertificate) -> GaloisModule:
-    """The permutation lattice of a certificate, as a module over m's group."""
-    if not cert.summands:
-        return GaloisModule(m.group, m.prime, 0, [], {g: [] for g in m.group.generators()} or {0: []})
-    return direct_sum(*(permutation_module(m.group, cls, m.prime) for cls, _ in cert.summands))

@@ -100,18 +100,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def reduce(self, v):
-        """Residue of v modulo this subspace (zero iff v is a member)."""
-        v = [x % self.p for x in v]
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(v[j] - c * row[j]) % self.p for j in range(self.ambient_dim)]
-        return v
-
-    def contains(self, v):
-        return not any(self.reduce(v))
-
     def add(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim and self.p == other.p
         # A reduced basis is semi-echelon, so only other's rows need inserting.

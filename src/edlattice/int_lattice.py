@@ -8,9 +8,10 @@ throughout: normal forms are classical elementary-operation reductions.
 A quotient by relations spins them under the generators into one HNF
 lattice, the integral analogue of `fp_module.spin`, and reads the quotient
 basis off the Smith form of that lattice's at most dim basis vectors.
-The Smith normal form tracks both unimodular transforms and the inverse
-of its row transform; the Hermite normal form keeps none, and each
-canonical lattice (a kernel, a fixed lattice M^H, an inverse) is one HNF
+The Smith normal form serves quotients only: it tracks its row transform
+and that transform's inverse, and no column transform.  The Hermite
+normal form keeps no transform; it holds the spun lattice, and each
+canonical kernel (the oracle's fixed lattice M^H among them) is one HNF
 of a matrix augmented by an identity block.  The solver needs M^H only up
 to index prime to p: `local_fixed_basis` reads it off one fraction-free
 elimination whose pivots are all prime to p, hence units of Z_(p), with
@@ -124,9 +125,11 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form h of m.
 
     Pivots are positive and entries above each pivot are reduced into
-    [0, pivot), so h is canonical for the row span of m.  No transform is
-    kept: a caller that needs one augments m with an identity block (see
-    `kernel_basis` and `inverse_unimodular`).
+    [0, pivot), so h is canonical for the row span of m.  It has two
+    callers: `kernel_basis`, which augments m with an identity block
+    instead of keeping a transform, and the spin in
+    `quotient_by_orbit_relations`, which keeps the spun relation lattice in
+    this form.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -165,14 +168,18 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     return h
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
+    """Smith normal form with the row transform and its inverse.
 
-    Returns (d, u, v, u_inv) where u @ m @ v is diagonal with the invariant
-    factors d (positive, each dividing the next) in its leading diagonal
-    entries and zeros elsewhere; u and v are unimodular and u_inv is the
-    inverse of u.  d lists only the nonzero invariant factors, so len(d)
-    is the rank.
+    Returns (d, u, u_inv): u is unimodular, u_inv is its inverse, and
+    u @ m @ v is diagonal for some unimodular v, with the invariant factors
+    d (positive, each dividing the next) in its leading diagonal entries
+    and zeros elsewhere.  d lists only the nonzero invariant factors, so
+    len(d) is the rank.  v is not built, since a quotient reads only u and
+    u^-1, but the result can be checked without it: u @ m = diag(d) v^-1,
+    so with r = len(d) the rows r and later of u @ m are zero and row
+    i < r is d_i times row i of v^-1, and those r integer rows extend to a
+    unimodular matrix, so their invariant factors are all 1.
 
     u_inv starts as I and takes the inverse of each elementary row
     operation on u as a column operation (Cohen, GTM 138, section 2.4):
@@ -185,7 +192,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, In
     a = [row[:] for row in m]
     u = identity_matrix(rows)
     w = identity_matrix(rows)  # u^-1
-    v = identity_matrix(cols)
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
@@ -210,8 +216,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, In
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
         while True:
             # Clear column t with row operations.
             for i in range(t + 1, rows):
@@ -235,12 +239,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, In
                         if q:
                             for row in a:
                                 row[j] -= q * row[t]
-                            for row in v:
-                                row[j] -= q * row[t]
                         if a[t][j]:
                             for row in a:
-                                row[t], row[j] = row[j], row[t]
-                            for row in v:
                                 row[t], row[j] = row[j], row[t]
                             break
                 else:
@@ -271,22 +271,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix, In
                 row[t] = -row[t]
         t += 1
     d = [a[i][i] for i in range(t)]
-    return d, u, v, w
-
-
-def inverse_unimodular(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    [I | u^-1] = u^-1 [u | I] spans the row lattice of [u | I] and is in
-    Hermite normal form, so it is the HNF of [u | I]; a left block other
-    than I means u is not unimodular.
-    """
-    n = len(u)
-    identity = identity_matrix(n)
-    h = hermite_normal_form([row + e for row, e in zip(u, identity)])
-    if [row[:n] for row in h] != identity:
-        raise ValueError("matrix is not unimodular")
-    return [row[n:] for row in h]
+    return d, u, w
 
 
 def kernel_basis(m: IntMatrix, cols: int | None = None) -> list[list[int]]:
@@ -742,8 +727,9 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     a canonical basis of the quotient: coordinates with invariant factor 1
     disappear, factors > 1 become torsion coordinates, the rest stay free.
     Each generator acts on it by u action(g) u^-1, with u^-1 read off the
-    Smith form, which carries it, so no HNF inverts u.  Torsion prime to
-    the working prime raises MixedTorsionError.
+    Smith form, which builds it alongside u; the Smith form's column
+    transform is never needed, so it is not built.  Torsion prime to the
+    working prime raises MixedTorsionError.
     """
     if perm.torsion:
         raise ValueError("quotient base must be a free module")
@@ -763,7 +749,7 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         if any(r):
             basis = [row for row in hermite_normal_form(basis + [r]) if any(row)]
             pending.extend(sparse_mat_vec(mat, v) for mat in steps.values())
-    d, u, _, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
+    d, u, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))
     keep_tor = [i for i in range(rank) if d[i] > 1]

@@ -16,7 +16,6 @@ from .int_lattice import (
     MixedTorsionError,
     direct_sum,
     identity_matrix,
-    inverse_unimodular,
     mat_mul,
     quotient_by_orbit_relations,
 )
@@ -24,11 +23,17 @@ from .int_lattice import (
 __all__ = ["random_unimodular", "random_module", "conjugate_basis"]
 
 
-def random_unimodular(rng: Random, n: int) -> list[list[int]]:
-    """A small-entry unimodular matrix built from elementary row operations."""
+def random_unimodular(rng: Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A small-entry unimodular matrix u and its inverse, built together.
+
+    u is a product of elementary row operations u[i] += c u[j].  The
+    inverse w starts as I and takes each operation's inverse on the right,
+    the column operation w[:, j] -= c w[:, i], so w u = I throughout.
+    """
     u = identity_matrix(n)
+    w = identity_matrix(n)
     if n < 2:
-        return u
+        return u, w
     for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -37,7 +42,9 @@ def random_unimodular(rng: Random, n: int) -> list[list[int]]:
         c = rng.choice((-1, 1))
         for k in range(n):
             u[i][k] += c * u[j][k]
-    return u
+        for row in w:
+            row[j] -= c * row[i]
+    return u, w
 
 
 def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
@@ -49,8 +56,7 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     n = module.free_rank
     if n < 2:
         return module
-    u = random_unimodular(rng, n)
-    w = inverse_unimodular(u)
+    u, w = random_unimodular(rng, n)
     gens = module.group.generators() or [0]
     action = {}
     for g in gens:

@@ -1,17 +1,21 @@
 import itertools
 import sys
+from math import gcd
 
 import pytest
 
+from edlattice.catalog import permutation_module
 from edlattice.group_core import (
     FiniteGroup,
     dihedral8,
     direct_product,
     from_table,
     heisenberg27,
+    is_p_power,
     make_cyclic,
     quaternion8,
 )
+from edlattice.int_lattice import GaloisModule, direct_sum, identity_matrix, mat_mul
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +90,97 @@ def determinant():
     """The exact determinant of a square integer matrix, for unimodularity
     and index checks; the library itself never needs one."""
     return _bareiss_determinant
+
+
+def _check_smith_form(m: list[list[int]], d: list[int], u, u_inv) -> None:
+    """Assert that u @ m @ v = diag(d) for some unimodular v, without v.
+
+    u @ m = diag(d) v^-1 on its first r = len(d) rows and is zero below
+    them, so row i < r of u @ m is d_i times an integer row, and those r
+    rows extend to a unimodular matrix: their r x r minors have gcd 1.
+    Conversely those conditions give such a v.
+    """
+    r = len(d)
+    assert all(x > 0 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:])), d
+    assert mat_mul(u, u_inv) == identity_matrix(len(m))
+    um = mat_mul(u, m)
+    assert not any(map(any, um[r:]))
+    assert all(x % di == 0 for row, di in zip(um, d) for x in row)
+    q = [[x // di for x in row] for row, di in zip(um, d)]
+    cols = len(m[0]) if m else 0
+    minors = [_bareiss_determinant([[row[j] for j in chosen] for row in q])
+              for chosen in itertools.combinations(range(cols), r)]
+    assert gcd(*minors) == 1
+
+
+@pytest.fixture(scope="session")
+def check_smith_form():
+    """The Smith form check that needs no column transform."""
+    return _check_smith_form
+
+
+def _multiplicative_order(a: int, modulus: int) -> int:
+    """The order of the unit a mod `modulus`, by walking its powers."""
+    x = a % modulus
+    k = 1
+    while x != 1:
+        x = (x * a) % modulus
+        k += 1
+        if k > modulus:
+            raise ValueError(f"{a} is not a unit mod {modulus}")
+    return k
+
+
+@pytest.fixture(scope="session")
+def multiplicative_order():
+    """A unit's order by brute force: the reference for `catalog._p_power_order`."""
+    return _multiplicative_order
+
+
+def _twisted_torsion_module(p: int, n: int, units: list[int]) -> GaloisModule:
+    """Z/p^n acted on by the (p-power order) unit subgroup generated by `units`."""
+    modulus = p ** n
+    elems = {1}
+    frontier = [1]
+    gens = [u % modulus for u in units]
+    for u in gens:
+        if u % p == 0 or u == 0:
+            raise ValueError(f"{u} is not a unit mod {modulus}")
+    while frontier:
+        x = frontier.pop()
+        for u in gens:
+            y = (x * u) % modulus
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    values = [1] + sorted(elems - {1})
+    size = len(values)
+    if not is_p_power(size, p):
+        raise ValueError(f"unit subgroup has order {size}, not a power of {p}")
+    index = {v: i for i, v in enumerate(values)}
+    table = [[index[(x * y) % modulus] for y in values] for x in values]
+    group = FiniteGroup(table, name=f"U{modulus}sub{size}")
+    action = {index[u]: [[u]] for u in gens} if size > 1 else {0: [[1]]}
+    return GaloisModule(group, p, 0, [modulus], action)
+
+
+@pytest.fixture(scope="session")
+def twisted_torsion_module():
+    """Z/p^n twisted by a unit subgroup, for sweeps over every such action."""
+    return _twisted_torsion_module
+
+
+def _cover_module(m: GaloisModule, cert) -> GaloisModule:
+    """The permutation lattice of a certificate, as a module over m's group."""
+    if not cert.summands:
+        return GaloisModule(m.group, m.prime, 0, [], {g: [] for g in m.group.generators()} or {0: []})
+    return direct_sum(*(permutation_module(m.group, cls, m.prime) for cls, _ in cert.summands))
+
+
+@pytest.fixture(scope="session")
+def cover_module():
+    """The permutation lattice that a certificate claims covers m."""
+    return _cover_module
 
 
 def pytest_terminal_summary(terminalreporter):

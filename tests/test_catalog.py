@@ -11,11 +11,8 @@ from edlattice.catalog import (
     build_norm_one,
     expected_table,
     instantiated_catalog,
-    multiplicative_order,
     parse_catalog_key,
     permutation_module,
-    twisted_torsion_module,
-    unit_group,
 )
 from edlattice.ed_solver import min_permutation_rank
 from edlattice.group_core import MAX_GROUP_ORDER, is_p_power, make_cyclic, subgroup_classes
@@ -75,7 +72,7 @@ def test_permutation_module_matrices_are_permutations():
         assert sorted(map(tuple, mat)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
-def test_build_cyclic_validation():
+def test_build_cyclic_validation(multiplicative_order):
     assert multiplicative_order(4, 9) == 3
     entry = build_cyclic(3, 2, 4)
     assert entry.expected_ed == 3 and entry.module.group.order == 3
@@ -86,7 +83,7 @@ def test_build_cyclic_validation():
 
 
 @pytest.mark.parametrize("p, n", [(2, 14), (3, 8), (5, 6)])
-def test_build_cyclic_order_matches_multiplicative_order(p, n):
+def test_build_cyclic_order_matches_multiplicative_order(p, n, multiplicative_order):
     # Units of p-power order mod 2^14, 3^8 and 5^6 reach orders 2^12, 3^7
     # and 5^5, past the cap of 2048, so seeded units land on both sides.
     # Every refusal goes through build_cyclic; so does every acceptance of
@@ -142,15 +139,7 @@ def test_build_norm_one_expected_values():
         build_norm_one([], c9, 3)
 
 
-def test_unit_group_mod_8():
-    group, values = unit_group(8)
-    assert values == [1, 3, 5, 7]
-    assert group.order == 4
-    # every nonidentity element squares to 1: the Klein four group
-    assert all(group.mul(i, i) == 0 for i in range(4))
-
-
-def test_twisted_torsion_module_klein():
+def test_twisted_torsion_module_klein(twisted_torsion_module):
     m = twisted_torsion_module(2, 3, [3, 5])
     assert m.group.order == 4
     assert list(m.torsion) == [8]

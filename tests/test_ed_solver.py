@@ -16,7 +16,6 @@ from edlattice.ed_solver import (
     EdResult,
     brute_force_min_rank,
     classify_ed_le_one,
-    cover_module,
     genus_equal,
     min_permutation_rank,
     verify_certificate,
@@ -200,7 +199,7 @@ def test_genus_unknown_is_explicit():
     assert genus_equal(reg, split, 2, budget=1) == "unknown"
 
 
-def test_cover_module_matches_certificate():
+def test_cover_module_matches_certificate(cover_module):
     entry = build_list_L("M2", 3)
     res = min_permutation_rank(entry.module, 3)
     cover = cover_module(entry.module, res.certificate)
@@ -323,7 +322,7 @@ def _snf_cover(m, cert, p):
     for cls, gen in cert.summands:
         for coset in coset_action(m.group, cls).cosets:
             columns.append([sum(map(mul, row, gen)) for row in m.action(coset[0])])
-    d, _, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
+    d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
     return len(d) == m.dim and all(x % p for x in d)
 
 

@@ -40,7 +40,7 @@ def test_subspace_structural_equality(vectors):
     t = Subspace(3, 5, [[2 * x % 5 for x in v] for v in vectors])
     assert s == t and hash(s) == hash(t)
     for v in vectors:
-        assert s.contains(v)
+        assert s.add(Subspace(3, 5, [v])) == s
     assert s.dim <= 3
 
 
@@ -105,8 +105,8 @@ def test_orbit_span_is_group_stable():
     m = reduce_mod_p(permutation_module(g, (0, 3, 6), 3))
     span = orbit_span(m, [1, 0, 0])
     for x in g.elements():
-        for b in span.basis:
-            assert span.contains(m.act(x, list(b)))
+        images = Subspace(span.ambient_dim, 3, [m.act(x, list(b)) for b in span.basis])
+        assert span.add(images) == span
     assert span.dim == 3
 
 

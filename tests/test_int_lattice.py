@@ -24,7 +24,6 @@ from edlattice.int_lattice import (
     hermite_normal_form,
     hom_module,
     identity_matrix,
-    inverse_unimodular,
     is_prime,
     kernel_basis,
     local_fixed_basis,
@@ -86,7 +85,7 @@ def _assert_hnf_of(h, m, seed, determinant):
             prod *= piv
         assert prod == abs(determinant(m))
     # canonical: a unimodular change of rows leaves h unchanged
-    assert hermite_normal_form(mat_mul(random_unimodular(Random(seed), len(m)), m)) == h
+    assert hermite_normal_form(mat_mul(random_unimodular(Random(seed), len(m))[0], m)) == h
 
 
 def test_hnf_frozen_example(determinant):
@@ -96,18 +95,15 @@ def test_hnf_frozen_example(determinant):
     _assert_hnf_of(h, m, 0, determinant)
 
 
-def test_snf_frozen_example():
-    d, u, v, u_inv = smith_normal_form([[2, 4], [6, 8]])
+def test_snf_frozen_example(check_smith_form):
+    d, u, u_inv = smith_normal_form([[2, 4], [6, 8]])
     assert d == [2, 4]
-    assert mat_mul(u, u_inv) == identity_matrix(2)
-    prod = mat_mul(mat_mul(u, [[2, 4], [6, 8]]), v)
-    assert prod == [[2, 0], [0, 4]]
+    check_smith_form([[2, 4], [6, 8]], d, u, u_inv)
     # 2 does not divide 3, so row 1 is added to row 0 and u^-1 takes the
     # inverse column operation.
-    d, u, v, u_inv = smith_normal_form([[2, 0], [0, 3]])
+    d, u, u_inv = smith_normal_form([[2, 0], [0, 3]])
     assert d == [1, 6]
-    assert mat_mul(mat_mul(u, [[2, 0], [0, 3]]), v) == [[1, 0], [0, 6]]
-    assert mat_mul(u, u_inv) == identity_matrix(2)
+    check_smith_form([[2, 0], [0, 3]], d, u, u_inv)
 
 
 @given(small_matrix)
@@ -118,20 +114,8 @@ def test_hnf_properties(determinant, m):
 
 @given(small_matrix)
 @settings(max_examples=60)
-def test_snf_properties(determinant, m):
-    d, u, v, u_inv = smith_normal_form(m)
-    prod = mat_mul(mat_mul(u, m), v)
-    for i, row in enumerate(prod):
-        for j, x in enumerate(row):
-            if i == j and i < len(d):
-                assert x == d[i] > 0
-            else:
-                assert x == 0
-    for a, b in zip(d, d[1:]):
-        assert b % a == 0
-    assert determinant(u) in (1, -1)
-    assert determinant(v) in (1, -1)
-    assert mat_mul(u, u_inv) == identity_matrix(len(m))
+def test_snf_properties(check_smith_form, m):
+    check_smith_form(m, *smith_normal_form(m))
 
 
 @given(small_matrix)
@@ -150,12 +134,11 @@ def test_kernel_frozen():
     assert kernel_basis([[0, 0]]) == identity_matrix(2)
 
 
-def test_inverse_unimodular():
-    for n in range(1, 7):
-        u = random_unimodular(Random(n), n)
-        assert mat_mul(u, inverse_unimodular(u)) == identity_matrix(n)
-    with pytest.raises(ValueError, match="not unimodular"):
-        inverse_unimodular([[2, 0], [0, 1]])
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60)
+def test_random_unimodular_pair_is_inverse(n, seed):
+    u, u_inv = random_unimodular(Random(seed), n)
+    assert mat_mul(u, u_inv) == mat_mul(u_inv, u) == identity_matrix(n)
 
 
 def _mult_module(p, n, unit, group_order):
@@ -367,8 +350,8 @@ def test_quotient_depends_only_on_the_relation_lattice():
 
 def test_quotient_by_no_relations_keeps_the_base():
     # The Smith form of a dim x 0 matrix has no invariant factors and u = I.
-    assert smith_normal_form([[], [], []]) == ([], identity_matrix(3), [], identity_matrix(3))
-    assert smith_normal_form([]) == ([], [], [], [])
+    assert smith_normal_form([[], [], []]) == ([], identity_matrix(3), identity_matrix(3))
+    assert smith_normal_form([]) == ([], [], [])
     base = permutation_module(dihedral8(), subgroup_classes(dihedral8())[1], 2)
     assert module_to_json(quotient_by_orbit_relations(base, [])) == module_to_json(base)
     empty = trivial_lattice(dihedral8(), 2, 0)
@@ -717,7 +700,11 @@ def test_stored_matrices_are_canonical_and_match_dense_products(make_group, p):
                   for x in gens for j in range(dim)]
         radical = Subspace(dim, p, deltas)
         kept = [j for j in range(dim) if j not in radical.pivots]
-        residues = [radical.reduce([int(i == j) for j in range(dim)]) for i in range(dim)]
+        # In reduced echelon form e_i's residue is e_i minus the basis row
+        # with pivot i, if there is one.
+        pivot_rows = dict(zip(radical.pivots, radical.basis))
+        residues = [[(int(i == j) - pivot_rows.get(i, [0] * dim)[j]) % p for j in range(dim)]
+                    for i in range(dim)]
         assert coinvariants(mbar) == (len(kept), [[r[j] for r in residues] for j in kept])
         if not dim:
             continue

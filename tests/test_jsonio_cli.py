@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from edlattice import catalog, cli, jsonio
+from edlattice import catalog, cli, ed_solver, jsonio
 from edlattice.catalog import build_list_L, parse_catalog_key
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
@@ -208,6 +208,20 @@ def test_cli_genus(tmp_path, capsys):
     code = main(["genus", "--catalog", "M2@p=2", "--catalog", "M1@p=2"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "genus_equal=no"
+
+
+def test_cli_genus_rejects_oversized_hom_system_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Hom system was built")
+
+    # If the cap were bypassed, this raises (exit 3) instead of allocating.
+    monkeypatch.setattr(ed_solver, "hom_module", refuse)
+    key = "perm@p=2,n=64,indices=64"  # rank 64: 4,096 unknowns
+    start = time.perf_counter()
+    assert main(["genus", "--catalog", key, "--catalog", key]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: genus comparison") and str(ed_solver.MAX_HOM_UNKNOWNS) in err
 
 
 def test_cli_genus_needs_two_modules(capsys):
