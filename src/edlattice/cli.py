@@ -56,12 +56,19 @@ def _resolve_module(text: str, prime: int | None):
     return entry.module, entry.p
 
 
+def _budget(args, default: int) -> int:
+    """--budget when given, refusing a negative one; else the default."""
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
+    return default if args.budget is None else args.budget
+
+
 def _cmd_ed(args) -> int:
     if bool(args.input) == bool(args.catalog):
         raise ValueError("give exactly one of --input or --catalog")
     module, p = _resolve_module(args.input or args.catalog, args.prime)
+    budget = _budget(args, module.group.order * max(1, module.dim))
     if args.oracle:
-        budget = args.budget or module.group.order * max(1, module.dim)
         result = brute_force_min_rank(module, p, budget)
     else:
         result = min_permutation_rank(module, p)
@@ -144,7 +151,7 @@ def _cmd_genus(args) -> int:
     second, q = _resolve_module(inputs[1], p)
     if p != q:
         raise ValueError("the two modules use different primes")
-    answer = genus_equal(first, second, p, budget=args.budget or 10 ** 6, seed=args.seed)
+    answer = genus_equal(first, second, p, budget=_budget(args, 10 ** 6), seed=args.seed)
     if args.json:
         print(dump_json({"genus_equal": answer, "prime": p}))
     else:
@@ -191,8 +198,9 @@ def _oracle_groups(p: int):
 
 # The genus-invariance section of `verify` covers catalog entries of free
 # rank up to this: it compares each entry with itself in a random basis,
-# and the integer kernel in rank^2 unknowns behind genus_equal is minutes
-# of work in pure Python for the rank-25 entries at p=5 in such a basis.
+# and the p-local Hom kernel in rank^2 unknowns behind genus_equal still
+# takes about 30 s for each rank-25 entry at p=5 in such a basis
+# (M12r@p=5,r=1 on a shared 2-vCPU machine).
 VERIFY_GENUS_RANK_CAP = 12
 # Random modules that the oracle section of `verify` checks.
 VERIFY_ORACLE_COUNT = 25
@@ -280,7 +288,7 @@ def _cmd_verify(args) -> int:
         expected_rows = catalog.expected_table(args.prime)
     sections = verify_sections(args.prime, expected_rows, seed=args.seed,
                                max_r=args.max_r,
-                               genus_budget=args.budget or 4096)
+                               genus_budget=_budget(args, 4096))
     passed = all(ok == total for _, _, ok, total in sections)
     if args.json:
         print(dump_json({

@@ -199,8 +199,7 @@ def _projective_points(image_basis, p):
             yield point
 
 
-def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
-                         enumeration_cap: int = 200000) -> EdResult:
+def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     """Exhaustive oracle: no coinvariants, no Nakayama, no greedy.
 
     A summand Z[G/H] sending the coset H to an integral H-fixed vector
@@ -224,17 +223,18 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     leading coefficient 1, however many classes offer it; and each join
     of the running span with a candidate span is computed once per search.
 
-    enumeration_cap bounds the work twice: the point count p^dim, checked
-    before any enumeration, and the number of search states visited; past
-    either the search raises BudgetExceededError rather than run on.
+    ORACLE_ENUMERATION_CAP bounds the work twice: the point count p^dim,
+    checked before any enumeration, and the number of search states
+    visited; past either the search raises BudgetExceededError rather than
+    run on.
     """
     _check_prime(m, p)
     if m.dim == 0:
         return EdResult(0, 0, CoverCertificate((), 0))
     dim = m.dim
-    if p ** dim > enumeration_cap:
-        raise BudgetExceededError(
-            f"point enumeration {p}^{dim} exceeds cap {enumeration_cap}")
+    cap = ORACLE_ENUMERATION_CAP
+    if p ** dim > cap:
+        raise BudgetExceededError(f"point enumeration {p}^{dim} exceeds cap {cap}")
     mbar = reduce_mod_p(m)
     classes = subgroup_classes(m.group)
     fixed = [fixed_submodule(m, c) for c in classes]
@@ -265,9 +265,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int,
     def search(floor, span, cost, chosen):
         nonlocal visited
         visited += 1
-        if visited > enumeration_cap:
-            raise BudgetExceededError(
-                f"search visited more than {enumeration_cap} states")
+        if visited > cap:
+            raise BudgetExceededError(f"search visited more than {cap} states")
         if span.dim == dim:
             if best[0] is None or cost < best[0]:
                 best[0], best[1] = cost, list(chosen)
@@ -351,15 +350,18 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
     return 1
 
 
+# The brute-force oracle's cap on its point count p^dim (dimension 17 at
+# p = 2) and on its visited search states; current answers need 317.
+ORACLE_ENUMERATION_CAP = 200000
 # The most unknowns, rank(l) * rank(m), that `genus_equal` hands to
 # `hom_module`, whose system has that many columns and that many rows per
-# group generator before its HNF.  625 admits rank 25 against rank 25, the
-# largest catalog lattices at p = 5 that are compared with their covers.
-# On a shared 2-vCPU machine the slowest catalog input at the cap,
-# `genus` of M12r@p=5,r=1 against itself, took 7.6 s, and the regular
-# module of C_32 (1,024 unknowns, now refused) took 3.5 s.  The cap bounds
-# the size of the system, not the growth of its entries: `hom_module` of
-# the regular module of C_16 against itself in a random basis took 107 s.
+# group generator.  625 admits rank 25 against rank 25, the largest
+# catalog lattices at p = 5 that are compared with their covers.  On a
+# shared 2-vCPU machine `genus` of M12r@p=5,r=1 against itself took 4.3 s,
+# and against itself in a random basis 30 s; the regular module of C_16
+# against itself in a random basis took 1.8 s (an integer HNF of the same
+# system, `kernel_basis`, takes 98 s).  The cap bounds the size of the
+# system, not the growth of its entries, which a random basis raises.
 MAX_HOM_UNKNOWNS = 625
 # Random combinations of the Hom basis tried when exhausting them all
 # would pass the budget.
@@ -371,8 +373,9 @@ def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
     """'yes' / 'no' / 'unknown': do the lattices agree after localizing at p?
 
     Equivalent to the existence of an equivariant map with determinant
-    prime to p, i.e. an F_p-combination of the Hom basis with nonzero
-    determinant mod p.  Exhaustive over all p^k combinations while that
+    prime to p, i.e. an F_p-combination of the maps from `hom_module`
+    (they reduce onto the image of Hom mod p) with nonzero determinant
+    mod p.  Exhaustive over all p^k combinations while that
     count fits the budget (exact yes/no); beyond it, GENUS_TRIALS seeded
     random combinations (yes on a hit, unknown otherwise).  Lattices whose
     Hom system would have more than MAX_HOM_UNKNOWNS unknowns raise

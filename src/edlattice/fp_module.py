@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import mul
 
 from .group_core import SubgroupClass
-from .int_lattice import GaloisModule, fixed_submodule
+from .int_lattice import GaloisModule, fixed_submodule, sparse_mat_vec
 
 
 def _echelon_insert(basis, pivots, row, p):
@@ -124,51 +124,26 @@ class Subspace:
 class FpGaloisModule:
     """M/pM for one GaloisModule M: F_p^dim with the action reduced mod p.
 
-    A view, not a copy: the matrix of an element is reduced the first time
-    it is asked for, from the stored matrix that the GaloisModule builds
-    on demand, and kept once, as sparse columns: for each column, its
-    nonzero entries mod p as (row, value) pairs with ascending rows.  `act`
-    scatters those columns over the nonzero entries of a vector, and
-    `coinvariants` reads the columns of A - I from them.  Nothing is checked
-    here.  Each torsion modulus is a power of p, so every coordinate of M
-    contributes one F_p coordinate.  The GaloisModule constructor checked
-    that the generators' matrices extend to an action of the group and that
-    each has an integral inverse (action(g) action(g^-1) = I, compared
-    directly or, for a pc generator g_i with g_i^r_i = 1, as the power
-    relation X_i^r_i = I), so every reduced matrix is invertible.
+    A view that keeps no matrices: `act` reduces the product with the
+    module's stored rows mod p, exact since every torsion modulus is a
+    power of p.  Nothing is checked here: the GaloisModule constructor
+    checked that the generators' matrices extend to an action with
+    integral inverses (action(g) action(g^-1) = I, or for a pc generator
+    g_i with g_i^r_i = 1 the power relation X_i^r_i = I), so every reduced
+    matrix is invertible.
     """
 
-    __slots__ = ("module", "group", "p", "dim", "_columns")
+    __slots__ = ("module", "group", "p", "dim")
 
     def __init__(self, module: GaloisModule):
         self.module = module
         self.group = module.group
         self.p = module.prime
         self.dim = module.dim
-        self._columns = {}
-
-    def columns(self, g):
-        """The matrix of g reduced mod p, as sparse columns."""
-        cols = self._columns.get(g)
-        if cols is None:
-            p = self.p
-            cols = [[] for _ in range(self.dim)]
-            for i, row in enumerate(self.module.sparse_action(g)):
-                for j, x in row:
-                    x %= p
-                    if x:
-                        cols[j].append((i, x))
-            self._columns[g] = cols
-        return cols
 
     def act(self, g, v):
-        out = [0] * self.dim
-        for x, col in zip(v, self.columns(g)):
-            if x:
-                for i, a in col:
-                    out[i] += a * x
         p = self.p
-        return [y % p for y in out]
+        return [y % p for y in sparse_mat_vec(self.module.sparse_action(g), v)]
 
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:
@@ -191,10 +166,12 @@ def coinvariants(m: FpGaloisModule):
     # Generators suffice: if every generator acts trivially on the quotient
     # by these columns, the whole group does.
     for g in m.group.generators() or [0]:
-        for j, col in enumerate(m.columns(g)):
-            delta = [0] * dim
-            for i, a in col:
-                delta[i] = a
+        # Column j of A - I, read off the stored rows of A.
+        cols = [[0] * dim for _ in range(dim)]
+        for i, row in enumerate(m.module.sparse_action(g)):
+            for j, x in row:
+                cols[j][i] = x % p
+        for j, delta in enumerate(cols):
             delta[j] = (delta[j] - 1) % p
             if any(delta):
                 deltas.append(delta)

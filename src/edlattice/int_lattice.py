@@ -10,15 +10,16 @@ lattice, the integral analogue of `fp_module.spin`, and reads the quotient
 basis off the Smith form of that lattice's at most dim basis vectors.
 The Smith normal form serves quotients only: it tracks its row transform
 and that transform's inverse, and no column transform.  The Hermite
-normal form keeps no transform; it holds the spun lattice, and each
-canonical kernel (the oracle's fixed lattice M^H among them) is one HNF
-of a matrix augmented by an identity block.  The solver needs M^H only up
-to index prime to p: `local_fixed_basis` reads it off one fraction-free
-elimination whose pivots are all prime to p, hence units of Z_(p), with
-no HNF.  A `GaloisModule` is stored by the matrices of a generating set,
-checked against the group's pc presentation; the matrix of any other
-element is built from its normal form when first asked for.  Input
-modules are held to MAX_MODULE_DIM coordinates by `check_module_dim`.
+normal form keeps no transform; it holds the spun lattice, and the
+oracle's fixed lattice M^H is one HNF of a matrix augmented by an
+identity block.  The solver's questions are local at p, so
+`local_fixed_basis` (M^H) and `hom_module` (Hom) read their kernels up to
+index prime to p off one fraction-free elimination whose pivots are all
+prime to p, hence units of Z_(p).  A `GaloisModule` is stored by the
+matrices of a generating set, checked against the group's pc
+presentation; the matrix of any other element is built from its normal
+form when first asked for.  Input modules are held to MAX_MODULE_DIM
+coordinates by `check_module_dim`.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ def kernel_basis(m: IntMatrix, cols: int | None = None) -> list[list[int]]:
     a zero left block are exactly (0, x) for x in the kernel.  In its HNF
     those rows come last, have echelon form of their own and are reduced
     only by each other, so their right blocks are the HNF of the kernel
-    (Cohen, GTM 138, section 2.4.3).
+    (Cohen, GTM 138, section 2.4.3).  It serves `fixed_submodule`, the
+    oracle's reference, independent of the solver's p-local elimination.
     """
     if cols is None:
         cols = len(m[0]) if m else 0
@@ -783,11 +785,13 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
 
 
 def hom_module(l: GaloisModule, m: GaloisModule) -> list[IntMatrix]:
-    """Z-basis of the equivariant maps l -> m between lattices.
+    """Equivariant maps l -> m spanning Hom up to an index prime to p.
 
     A map is a free-rank(m) x free-rank(l) matrix F with F A_l(g) = A_m(g) F
-    for every generator g; the solution space is the integer kernel of the
-    stacked linearized system, canonicalized by HNF.
+    for every generator g.  The maps are the `_local_kernel` vectors of
+    that stacked system at the working prime: rank Hom of them, integral
+    and equivariant, so they reduce mod p onto the image of Hom in
+    Hom(l/pl, m/pm), all that a question local at p reads.
     """
     if l.torsion or m.torsion:
         raise ValueError("hom_module expects torsion-free modules")
@@ -809,4 +813,4 @@ def hom_module(l: GaloisModule, m: GaloisModule) -> list[IntMatrix]:
                     row[k * nl + j] -= am[i][k]
                 rows.append(row)
     return [[vec[i * nl:(i + 1) * nl] for i in range(nm)]
-            for vec in kernel_basis(rows, unknowns)]
+            for vec in _local_kernel(rows, unknowns, l.prime)]

@@ -46,7 +46,7 @@ from edlattice.int_lattice import (
     smith_normal_form,
 )
 from edlattice.jsonio import module_to_json, result_to_json
-from edlattice.random_modules import random_module
+from edlattice.random_modules import conjugate_basis, random_module
 
 
 def _sign(g):
@@ -133,11 +133,13 @@ def test_certificate_wrong_prime_raises():
         verify_certificate(entry.module, res.certificate, 5)
 
 
-def test_brute_force_budget_errors():
+def test_brute_force_budget_errors(monkeypatch):
     g = make_cyclic(2)
     m = trivial_lattice(g, 2, 5)
-    with pytest.raises(BudgetExceededError):
-        brute_force_min_rank(m, 2, 20, enumeration_cap=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(ed_solver, "ORACLE_ENUMERATION_CAP", 10)
+        with pytest.raises(BudgetExceededError):
+            brute_force_min_rank(m, 2, 20)
     with pytest.raises(BudgetExceededError):
         brute_force_min_rank(m, 2, 3)  # needs rank 5
 
@@ -197,6 +199,21 @@ def test_genus_unknown_is_explicit():
     split = direct_sum(trivial_lattice(g, 2, 1), _sign(g))
     # budget 1 forbids the exhaustive pass; sampling cannot prove "no"
     assert genus_equal(reg, split, 2, budget=1) == "unknown"
+
+
+C16_REGULAR_RANDOM_BASIS = Path(__file__).parent / "data" / "c16_regular_random_basis.json"
+
+
+def test_genus_of_a_dense_basis_lattice_is_fast():
+    # An integer HNF of this Hom system (`kernel_basis`) takes 98-107 s;
+    # the p-local kernel that `hom_module` uses takes about 2 s.
+    reg = permutation_module(make_cyclic(16), (0,), 2)
+    other = conjugate_basis(Random(0), reg)
+    # The committed CLI input is this module.
+    assert json.loads(C16_REGULAR_RANDOM_BASIS.read_text()) == module_to_json(other)
+    start = time.perf_counter()
+    assert genus_equal(reg, other, 2) == "yes"
+    assert time.perf_counter() - start < 30
 
 
 def test_cover_module_matches_certificate(cover_module):
@@ -503,14 +520,15 @@ def test_solver_matches_oracle_on_larger_sums(make_group, seed):
 D8_DIM9_ORACLE = Path(__file__).parent / "data" / "d8_dim9_oracle.json"
 
 
-def test_oracle_search_is_bounded_by_the_enumeration_cap():
+def test_oracle_search_is_bounded_by_the_enumeration_cap(monkeypatch):
     # 2^9 points pass the point cap, but the search over them does not end
     # in reasonable time; the visited-state count stops it.
     m = _sum_of_random_modules(dihedral8(), 0)
     assert (m.free_rank, m.torsion) == (5, [2, 2, 2, 4])
     # The committed CLI input is this module.
     assert json.loads(D8_DIM9_ORACLE.read_text()) == module_to_json(m)
+    monkeypatch.setattr(ed_solver, "ORACLE_ENUMERATION_CAP", 1000)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="visited more than 1000 states"):
-        brute_force_min_rank(m, 2, m.group.order * m.dim, enumeration_cap=1000)
+        brute_force_min_rank(m, 2, m.group.order * m.dim)
     assert time.perf_counter() - start < 1.0

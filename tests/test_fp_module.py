@@ -160,5 +160,6 @@ def test_reduction_is_a_view_of_a_checked_module(make_group, p):
         assert (mbar.group, mbar.p, mbar.dim) == (m.group, p, m.dim)
         for g in group.elements():
             dense = m.action(g)
-            assert mbar.columns(g) == [[(i, row[j] % p) for i, row in enumerate(dense) if row[j] % p]
-                                       for j in range(m.dim)]
+            for j in range(m.dim):
+                e_j = [int(i == j) for i in range(m.dim)]
+                assert mbar.act(g, e_j) == [row[j] % p for row in dense]

@@ -374,6 +374,50 @@ def test_hom_module_ranks():
         assert mat_mul(f, swap) == mat_mul(swap, f)
 
 
+def _torsion_free_module(rng, group, p):
+    while True:
+        m = random_module(rng, group, p, max_dim=5)
+        if not m.torsion and m.free_rank:
+            return m
+
+
+def test_hom_module_spans_the_hnf_kernel_mod_p():
+    # The p-local Hom basis against the HNF kernel of the same system, built
+    # here from F A_l(g) - A_m(g) F = 0: same rank, same image mod p, and
+    # every map integral and equivariant.
+    c2 = make_cyclic(2)
+    groups = [(make_cyclic(4), 2), (make_cyclic(8), 2), (dihedral8(), 2), (quaternion8(), 2),
+              (direct_product(c2, make_cyclic(4)), 2), (make_cyclic(9), 3), (heisenberg27(), 3)]
+    rng = Random(17)
+    pairs = 0
+    for group, p in groups:
+        for _ in range(10):
+            l, m = _torsion_free_module(rng, group, p), _torsion_free_module(rng, group, p)
+            nl, nm = l.free_rank, m.free_rank
+            rows = []
+            for g in group.generators():
+                al, am = l.action(g), m.action(g)
+                for i in range(nm):
+                    for j in range(nl):
+                        row = [[0] * nl for _ in range(nm)]
+                        for k in range(nl):
+                            row[i][k] += al[k][j]
+                        for k in range(nm):
+                            row[k][j] -= am[i][k]
+                        rows.append([x for r in row for x in r])
+            maps = hom_module(l, m)
+            flat = [[x for r in f for x in r] for f in maps]
+            reference = kernel_basis(rows, nl * nm)
+            assert len(flat) == len(reference)
+            assert rref(flat, nl * nm, p) == rref(reference, nl * nm, p)
+            for f in maps:
+                assert all(isinstance(x, int) for r in f for x in r)
+                for g in group.elements():
+                    assert mat_mul(f, l.action(g)) == mat_mul(m.action(g), f)
+            pairs += bool(maps)
+    assert pairs >= 50
+
+
 def test_fixed_submodule_is_conjugation_invariant():
     g = direct_product(make_cyclic(2), make_cyclic(2))
     gens = {k: mat for k, mat in zip(g.generators(), (

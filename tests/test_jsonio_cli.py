@@ -142,6 +142,25 @@ def test_cli_ed_oracle_exits_2_past_the_search_cap(capsys):
     assert "visited more than" in capsys.readouterr().err
 
 
+def test_cli_ed_oracle_honors_a_zero_budget(capsys):
+    # A rank budget of 0 admits no cover of a nonzero module.
+    assert main(["ed", "--catalog", "M7@p=3", "--oracle", "--budget", "0"]) == 2
+    assert "no cover within rank budget 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed", "--catalog", "M7@p=3", "--oracle"],
+    ["ed", "--catalog", "M7@p=3"],
+    ["genus", "--catalog", "M2@p=2", "--catalog", "M1@p=2"],
+    ["verify", "--prime", "2"],
+])
+def test_cli_refuses_a_negative_budget(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv + ["--budget", "-1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: --budget must be nonnegative")
+
+
 def test_cli_ed_file_requires_prime(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(module_to_json(build_list_L("M3", 2).module)))
@@ -207,6 +226,15 @@ def test_cli_genus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "genus_equal=yes"
     code = main(["genus", "--catalog", "M2@p=2", "--catalog", "M1@p=2"])
     assert code == 0
+    assert capsys.readouterr().out.strip() == "genus_equal=no"
+
+
+def test_cli_genus_honors_a_zero_budget(capsys):
+    # A budget of 0 forbids the exhaustive pass, which alone can answer no.
+    argv = ["genus", "--catalog", "M2@p=2", "--catalog", "perm@p=2,n=4,indices=1+1"]
+    assert main(argv + ["--budget", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "genus_equal=unknown"
+    assert main(argv) == 0
     assert capsys.readouterr().out.strip() == "genus_equal=no"
 
 
