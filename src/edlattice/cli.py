@@ -144,7 +144,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_genus(args) -> int:
-    inputs = list(args.input or []) + list(args.catalog or [])
+    # --input and --catalog append to one list, in command-line order.
+    inputs = args.modules or []
     if len(inputs) != 2:
         raise ValueError("genus needs exactly two modules (--input/--catalog twice)")
     first, p = _resolve_module(inputs[0], args.prime)
@@ -328,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     genus = sub.add_parser("genus", help="same genus at p: yes / no / unknown")
     genus.add_argument("--prime", type=int)
-    genus.add_argument("--input", action="append")
-    genus.add_argument("--catalog", action="append")
+    genus.add_argument("--input", action="append", dest="modules", metavar="INPUT")
+    genus.add_argument("--catalog", action="append", dest="modules", metavar="CATALOG")
     genus.add_argument("--budget", type=int)
     genus.add_argument("--seed", type=int, default=0)
     genus.add_argument("--json", action="store_true")

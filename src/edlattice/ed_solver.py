@@ -121,11 +121,17 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     computed only when the loop reaches H, and each of its vectors b whose
     image in W grows the running span is kept, with b itself as the
     H-fixed generator.  The b span V_H, so the dimensions gained at H are
-    those V_H adds to the cheaper classes.  The first classes to reach
-    dim W fix the minimum, sum [G:H] * (dimensions gained at H), and
-    the output is deterministic.  The certificate is replayed before it
-    is returned; a rejection means a defect in this argument and raises
-    AssertionError.
+    those V_H adds to the cheaper classes.  Each class's generators extend
+    those of the smaller subgroup it was reached from, so the classes
+    share one dict of elimination states by generator prefix: each prefix
+    is eliminated once per solve, and a class appends only its remaining
+    generators' blocks.  The rows are the same, appended in the same order
+    and pivoted under the same rule as in a fresh elimination, so every
+    basis, hence every certificate, is bit for bit the same.  The first
+    classes to reach dim W fix the minimum, sum [G:H] * (dimensions gained
+    at H), and the output is deterministic.  The certificate is replayed
+    before it is returned; a rejection means a defect in this argument and
+    raises AssertionError.
     """
     _check_prime(m, p)
     if m.dim == 0:
@@ -134,11 +140,14 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     span: list[list[int]] = []
     pivots: list[int] = []
     summands = []
+    # Elimination states of the fixed-point systems by generator prefix,
+    # shared by the classes of this solve alone.
+    prefixes: dict = {}
     # sorted() is stable, so equal indices keep their enumeration order.
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
         if len(span) == w_dim:
             break
-        for b in local_fixed_basis(m, cls):
+        for b in local_fixed_basis(m, cls, prefixes):
             if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
                 summands.append((cls, tuple(m.canon_vector(b))))
     assert len(span) == w_dim, "the trivial class alone spans W"

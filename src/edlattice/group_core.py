@@ -9,7 +9,8 @@ MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
 once per instance and kept on it: the element orders (`element_order`),
-the generating set (`generators`), the pc presentation
+the generating set (`generators`) and those of the member sets asked for
+(`subgroup_generators`), the pc presentation
 (`pc_presentation`, which modules check their action against), the
 subgroup classes (`subgroup_classes`), each with the generators it was
 first reached with, and each coset action (`coset_action`).  Every solve
@@ -64,7 +65,8 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "cayley", "inverse", "name",
-                 "_orders", "_generators", "_pc", "_classes", "_coset_actions")
+                 "_orders", "_generators", "_subgroup_gens", "_pc", "_classes",
+                 "_coset_actions")
 
     def __init__(self, cayley: Sequence[Sequence[int]], name: str = "") -> None:
         n = len(cayley)
@@ -94,6 +96,7 @@ class FiniteGroup:
         self.name = name or f"G{n}"
         self._orders: list[int] | None = None
         self._generators: list[int] | None = None
+        self._subgroup_gens: dict[tuple[int, ...], list[int]] = {}
         self._pc: PcPresentation | None = None
         self._classes: list[SubgroupClass] | None = None
         self._coset_actions: dict = {}
@@ -177,15 +180,20 @@ class FiniteGroup:
         Greedy and deterministic: members by descending element order, then
         index, each kept unless already reached.  Every member lies in the
         closure of the result, even when the members do not form a subgroup.
+        Computed once per member set; each call returns a fresh list.
         """
-        orders = self._element_orders()
-        gens: list[int] = []
-        reached = {0}
-        for a in sorted(members, key=lambda x: (-orders[x], x)):
-            if a not in reached:
-                gens.append(a)
-                reached = set(self.closure(gens))
-        return gens
+        key = tuple(sorted(members))
+        gens = self._subgroup_gens.get(key)
+        if gens is None:
+            orders = self._element_orders()
+            gens = []
+            reached = {0}
+            for a in sorted(key, key=lambda x: (-orders[x], x)):
+                if a not in reached:
+                    gens.append(a)
+                    reached = set(self.closure(gens))
+            self._subgroup_gens[key] = gens
+        return list(gens)
 
     def generators(self) -> list[int]:
         """`subgroup_generators` of the whole group.

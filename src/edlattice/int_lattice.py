@@ -15,11 +15,13 @@ oracle's fixed lattice M^H is one HNF of a matrix augmented by an
 identity block.  The solver's questions are local at p, so
 `local_fixed_basis` (M^H) and `hom_module` (Hom) read their kernels up to
 index prime to p off one fraction-free elimination whose pivots are all
-prime to p, hence units of Z_(p).  A `GaloisModule` is stored by the
-matrices of a generating set, checked against the group's pc
-presentation; the matrix of any other element is built from its normal
-form when first asked for.  Input modules are held to MAX_MODULE_DIM
-coordinates by `check_module_dim`.
+prime to p, hence units of Z_(p); that elimination extends a stored
+state row by row, so the fixed-point systems of one solve, which share
+generator prefixes, eliminate each prefix once.  A `GaloisModule` is
+stored by the matrices of a generating set, checked against the group's
+pc presentation; the matrix of any other element is built from its
+normal form when first asked for.  Input modules are held to
+MAX_MODULE_DIM coordinates by `check_module_dim`.
 """
 
 from __future__ import annotations
@@ -543,37 +545,55 @@ class GaloisModule:
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
 
 
+def _subgroup_generators(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[int, ...]:
+    """The generators of H whose blocks make up its fixed-point system.
+
+    A class brings its own generators; a tuple of members is validated and
+    given some.
+    """
+    if isinstance(h, SubgroupClass):
+        return h.generators
+    return tuple(m.group.subgroup_generators(subgroup_of(m.group, h)))
+
+
+def _fixed_block(m: GaloisModule, g: int, k: int, width: int) -> IntMatrix:
+    """The rows A_g - I of generator number k, `width` columns wide.
+
+    Free rows must satisfy (A_g - I) x = 0 exactly; a torsion row i is a
+    congruence modulo q_i, solved by its own slack column at
+    dim + k t + (i - n), where t is the torsion length.  So generator k's
+    slack lies after the x columns and after every earlier generator's.
+    """
+    n, t, dim = m.free_rank, len(m.torsion), m.dim
+    rows = []
+    for i, action_row in enumerate(m.sparse_action(g)):
+        row = [0] * width
+        for j, x in action_row:
+            row[j] = x
+        row[i] -= 1
+        if i >= n:
+            row[dim + k * t + i - n] = m.torsion[i - n]
+        rows.append(row)
+    return rows
+
+
 def _fixed_system(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[IntMatrix, int]:
     """The integer system whose kernel projects onto M^H: (rows, width).
 
-    It suffices to fix a generating set of H: free rows must satisfy
-    (A - I) x = 0 exactly, and torsion rows are congruences solved by
-    adjoining one slack column per torsion row and subgroup generator.  The
-    x columns come first, then the slack columns.  The kernel's projection
-    to the x columns already contains the relation vectors q_j e_{n+j}:
-    every action matrix maps the relation lattice into itself, so
-    (A - I) q_j e_{n+j} is a relation vector and is solved by slack values
-    alone.  A class brings its own generators; a tuple of members is
-    validated and given some.  The trivial subgroup gives no rows.
+    It suffices to fix a generating set of H, so the system stacks one
+    `_fixed_block` per generator, in order: the x columns come first, then
+    the slack columns.  The kernel's projection to the x columns already
+    contains the relation vectors q_j e_{n+j}: every action matrix maps the
+    relation lattice into itself, so (A - I) q_j e_{n+j} is a relation
+    vector and is solved by slack values alone.  The trivial subgroup gives
+    no rows.
     """
-    if isinstance(h, SubgroupClass):
-        gens = list(h.generators)
-    else:
-        gens = m.group.subgroup_generators(subgroup_of(m.group, h))
-    n, t = m.free_rank, len(m.torsion)
-    dim = n + t
+    gens = _subgroup_generators(m, h)
+    width = m.dim + len(gens) * len(m.torsion)
     rows: list[list[int]] = []
-    slack = len(gens) * t
-    for idx, g in enumerate(gens):
-        for i, action_row in enumerate(m.sparse_action(g)):
-            row = [0] * (dim + slack)
-            for j, x in action_row:
-                row[j] = x
-            row[i] -= 1
-            if i >= n:
-                row[dim + idx * t + i - n] = m.torsion[i - n]
-            rows.append(row)
-    return rows, dim + slack
+    for k, g in enumerate(gens):
+        rows += _fixed_block(m, g, k, width)
+    return rows, width
 
 
 def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
@@ -596,13 +616,10 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
 def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
     """Integer kernel vectors of the rows that span the kernel K over Z_(p).
 
-    Fraction-free Gauss-Jordan elimination brings the rows to reduced
-    echelon form over Q, each row an integer row with its content removed.
-    A new row's pivot is its first entry prime to p, made positive; one
-    exists because the row's content is 1.  One vector comes per non-pivot
-    column f, in column order: the rational kernel vector that is 1 at f
-    and 0 at every other non-pivot column, scaled by the lcm of the pivots
-    it divides by and made primitive.
+    Fraction-free Gauss-Jordan elimination (`_local_eliminate`) brings the
+    rows to reduced echelon form over Q, each row an integer row with its
+    content removed, and pivots each on its first entry prime to p.  One
+    vector comes per non-pivot column (`_local_kernel_vectors`).
 
     Why their span has index prime to p in K: every pivot is a unit of
     Z_(p), and stays one, because clearing a column multiplies an earlier
@@ -612,6 +629,24 @@ def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
     the vectors, each a unit of Z_(p) times the one that is 1 at its f, are
     a Z_(p)-basis of K (x) Z_(p).  They are integral and lie in K.
     """
+    echelon: IntMatrix = []
+    pivots: list[int] = []
+    _local_eliminate(echelon, pivots, rows, p)
+    return _local_kernel_vectors(echelon, pivots, width, width)
+
+
+def _local_eliminate(echelon: IntMatrix, pivots: list[int], rows: IntMatrix, p: int) -> None:
+    """Append the rows to a reduced echelon state (echelon, pivots) in place.
+
+    A new row is reduced by the echelon rows, and its content removed; a
+    nonzero remainder pivots on its first entry prime to p, made positive
+    (one exists because the row's content is 1), and that column is
+    cleared in the earlier rows.  The rows of the state are replaced, never
+    changed, so a copy of the two lists leaves the state it was taken from
+    intact.  The state after a list of rows depends only on the rows, in
+    order, so eliminating a prefix once and appending the rest gives what
+    one elimination of the whole list gives.
+    """
     def cancel(row, prow, c):
         # A positive multiple of row minus a multiple of prow (prow[c] > 0),
         # zero in column c.
@@ -620,8 +655,6 @@ def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
         a, x = a // g, x // g
         return [a * u - x * v for u, v in zip(row, prow)]
 
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
     for row in rows:
         for prow, c in zip(echelon, pivots):
             if row[c]:
@@ -642,24 +675,43 @@ def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
                 echelon[i] = [u // g for u in prow]
         echelon.append(row)
         pivots.append(lead)
+
+
+def _local_kernel_vectors(echelon: IntMatrix, pivots: list[int], width: int,
+                          dim: int) -> list[list[int]]:
+    """The kernel vectors of a `_local_eliminate` state, cut to their first dim entries.
+
+    One vector per non-pivot column f < width, in column order: the
+    rational kernel vector that is 1 at f and 0 at every other non-pivot
+    column, scaled by the lcm of the pivots it divides by and made
+    primitive over all width columns, then cut to its first dim entries.
+    A vector whose cut is zero is left out; one can be zero only when
+    f >= dim and no row with a pivot below dim has an entry at f, so such
+    columns are skipped before their vector is built.
+    """
+    low = [prow for prow, c in zip(echelon, pivots) if c < dim]
     kernel = []
     pivot_set = set(pivots)
     for f in range(width):
-        if f in pivot_set:
+        if f in pivot_set or (f >= dim and not any(prow[f] for prow in low)):
             continue
         # Row i reads a_i y_(c_i) + x_i y_f = 0 on this vector.
         terms = [(c, prow[c], prow[f]) for prow, c in zip(echelon, pivots) if prow[f]]
         scale = lcm(1, *(a for _, a, _ in terms))
-        vec = [0] * width
-        vec[f] = scale
-        for c, a, x in terms:
-            vec[c] = -x * (scale // a)
-        g = gcd(*vec)
-        kernel.append([x // g for x in vec])
+        entries = [(c, -x * (scale // a)) for c, a, x in terms]
+        g = gcd(scale, *(y for _, y in entries))
+        vec = [0] * dim
+        if f < dim:
+            vec[f] = scale // g
+        for c, y in entries:
+            if c < dim:
+                vec[c] = y // g
+        kernel.append(vec)
     return kernel
 
 
-def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
+def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...],
+                      prefixes: dict | None = None) -> list[list[int]]:
     """Integral H-fixed vectors whose images span image(M^H -> M/pM).
 
     The vectors span a sublattice of M^H of index prime to p, that is,
@@ -669,9 +721,34 @@ def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> li
     dropped; no HNF is taken.  Their span has index prime to p in the
     kernel, whose projection is M^H, so the projected span has index prime
     to p in M^H and the same image in M/pM.
+
+    prefixes maps generator tuples to elimination states of M, and lets
+    calls on one module share work: the system of (g_1, ..., g_k) is the
+    system of any prefix (g_1, ..., g_j) with the blocks of g_(j+1), ...,
+    g_k appended, the earlier rows given the later generators' slack
+    columns as zeros.  Those zeros come after every earlier column, so
+    they never become pivots, and the rows are appended in the order and
+    pivoted under the rule of one elimination of the whole system.  So the
+    state of the longest stored prefix is copied and extended by the
+    remaining blocks, one stored state per block, and the answer is bit
+    for bit that of a fresh elimination.  A dict must hold states of one
+    module only; without one, a fresh dict is used.
     """
-    rows, width = _fixed_system(m, h)
-    return [v[:m.dim] for v in _local_kernel(rows, width, m.prime) if any(v[:m.dim])]
+    if prefixes is None:
+        prefixes = {}
+    gens = _subgroup_generators(m, h)
+    t, dim = len(m.torsion), m.dim
+    j = len(gens)
+    while j and gens[:j] not in prefixes:
+        j -= 1
+    echelon, pivots = prefixes.get(gens[:j], ([], []))
+    for k in range(j, len(gens)):
+        echelon = [row + [0] * t for row in echelon] if t else list(echelon)
+        pivots = list(pivots)
+        _local_eliminate(echelon, pivots, _fixed_block(m, gens[k], k, dim + (k + 1) * t),
+                         m.prime)
+        prefixes[gens[:k + 1]] = (echelon, pivots)
+    return _local_kernel_vectors(echelon, pivots, dim + len(gens) * t, dim)
 
 
 def direct_sum(*modules: GaloisModule) -> GaloisModule:

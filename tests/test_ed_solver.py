@@ -263,9 +263,9 @@ def test_solver_matches_oracle_on_d8(d8, seed):
 def test_fixed_lattices_are_computed_only_when_reached(monkeypatch):
     calls = []
 
-    def counting(m, cls):
+    def counting(m, cls, prefixes):
         calls.append(cls.index)
-        return local_fixed_basis(m, cls)
+        return local_fixed_basis(m, cls, prefixes)
 
     monkeypatch.setattr(ed_solver, "local_fixed_basis", counting)
     # The index-1 class already spans W for M1, so the loop stops there.

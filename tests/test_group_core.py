@@ -262,6 +262,15 @@ def test_subgroup_generators_match_the_element_order_sort(make_group):
     assert all(g.element_order(x) == _order_by_walk(g, x) for x in g.elements())
 
 
+def test_subgroup_generators_returns_a_fresh_list_per_call():
+    g = dihedral8()
+    members = [cls.representative for cls in subgroup_classes(g)][-1]
+    first = g.subgroup_generators(members)
+    first.append(-1)
+    assert g.subgroup_generators(reversed(members)) == first[:-1]
+    assert g.subgroup_generators(members) is not g.subgroup_generators(members)
+
+
 def _reference_subgroup_classes(group):
     """Depth-first enumeration seeded with every member, then conjugacy dedup."""
     known = {(0,)}

@@ -881,6 +881,42 @@ def test_local_kernel_spans_the_kernel_mod_p(m, p):
     assert rref(basis, cols, p) == rref(kernel_basis(m), cols, p)
 
 
+def _fresh_local_basis(m, cls):
+    rows, width = int_lattice._fixed_system(m, cls)
+    return [v[:m.dim] for v in int_lattice._local_kernel(rows, width, m.prime) if any(v[:m.dim])]
+
+
+def test_shared_prefix_states_match_a_fresh_elimination():
+    # One dict of prefix states per module serves the classes in the
+    # greedy's order, reversed and shuffled; every answer must be the fresh
+    # elimination's, and no stored state may change once stored.
+    c2 = make_cyclic(2)
+    groups = [(direct_product(direct_product(c2, c2), c2), 2),
+              (direct_product(c2, make_cyclic(4)), 2), (dihedral8(), 2),
+              (quaternion8(), 2), (heisenberg27(), 3)]
+    rng = Random(18)
+    modules = [random_module(rng, g, p, max_dim=6) for g, p in groups for _ in range(12)]
+    assert sum(bool(m.torsion) for m in modules) >= 10
+    assert sum(not m.torsion for m in modules) >= 10
+    extended = 0
+    for m in modules:
+        classes = sorted(subgroup_classes(m.group), key=lambda c: c.index)
+        fresh = {cls: _fresh_local_basis(m, cls) for cls in classes}
+        shuffled = list(classes)
+        rng.shuffle(shuffled)
+        prefixes = {}
+        for cls in classes + classes[::-1] + shuffled:
+            gens = cls.generators
+            stored = max((j for j in range(len(gens) + 1) if gens[:j] in prefixes), default=0)
+            extended += 0 < stored < len(gens)
+            before = {k: ([list(row) for row in echelon], list(pivots))
+                      for k, (echelon, pivots) in prefixes.items()}
+            assert local_fixed_basis(m, cls, prefixes) == fresh[cls], (m, cls)
+            for k, state in before.items():
+                assert prefixes[k] == state, (m, cls, k)
+    assert extended >= 20
+
+
 def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
     # Every vector of the p-local basis lies in the HNF lattice M^H, and
     # both have the same image in M/pM.  `needed` counts the classes where

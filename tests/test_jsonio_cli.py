@@ -229,6 +229,15 @@ def test_cli_genus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "genus_equal=no"
 
 
+def test_cli_genus_keeps_the_order_of_catalog_and_input(capsys):
+    # The catalog key comes first and fixes the prime the file is read at;
+    # taking the file first would ask for --prime.
+    data = Path(__file__).parent / "data" / "c16_regular_random_basis.json"
+    code = main(["genus", "--catalog", "perm@p=2,n=16,indices=16", "--input", str(data)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "genus_equal=yes"
+
+
 def test_cli_genus_honors_a_zero_budget(capsys):
     # A budget of 0 forbids the exhaustive pass, which alone can answer no.
     argv = ["genus", "--catalog", "M2@p=2", "--catalog", "perm@p=2,n=4,indices=1+1"]
