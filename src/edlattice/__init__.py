@@ -18,6 +18,7 @@ from .group_core import (
     heisenberg27,
     make_cyclic,
     quaternion8,
+    subgroup_class,
     subgroup_classes,
     subgroup_of,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "quotient_by_orbit_relations",
     "reduce_mod_p",
     "smith_normal_form",
+    "subgroup_class",
     "subgroup_classes",
     "subgroup_of",
     "trivial_lattice",

@@ -20,6 +20,7 @@ from .group_core import (
     check_group_order,
     coset_action,
     make_cyclic,
+    subgroup_class,
     subgroup_classes,
 )
 from .int_lattice import (
@@ -85,7 +86,7 @@ def expected_table(p: int) -> list[tuple[str, tuple[int, ...], int, int]]:
     ]
 
 
-def permutation_module(group: FiniteGroup, subgroup, prime: int) -> GaloisModule:
+def permutation_module(group: FiniteGroup, subgroup: SubgroupClass, prime: int) -> GaloisModule:
     """The coset lattice Z[G/H] with basis the cosets in canonical order."""
     act = coset_action(group, subgroup)
     deg = act.degree
@@ -127,8 +128,8 @@ def _cyclic_bases(p: int) -> tuple[FiniteGroup, GaloisModule, GaloisModule]:
     construction, so sharing is safe.
     """
     g = make_cyclic(p * p)
-    return (g, permutation_module(g, (0,), p),
-            permutation_module(g, tuple(range(0, p * p, p)), p))
+    return (g, permutation_module(g, subgroup_class(g, (0,)), p),
+            permutation_module(g, subgroup_class(g, range(0, p * p, p)), p))
 
 
 @lru_cache(maxsize=None)

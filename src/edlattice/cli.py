@@ -25,7 +25,14 @@ from .ed_solver import (
     verify_certificate,
 )
 from .fp_module import coinvariants, fixed_image_subspace, reduce_mod_p
-from .group_core import dihedral8, direct_product, heisenberg27, make_cyclic, quaternion8
+from .group_core import (
+    dihedral8,
+    direct_product,
+    heisenberg27,
+    make_cyclic,
+    quaternion8,
+    subgroup_class,
+)
 from .int_lattice import direct_sum
 from .jsonio import (
     dump_json,
@@ -245,12 +252,12 @@ def verify_sections(p: int, expected_rows, seed: int, max_r: int | None, genus_b
             ok += 1
     sections.append(("genus", "entries", ok, total))
 
-    full_group = tuple(range(p * p))
     ok = total = 0
     for e in entries:
         if e.family not in ("M9r", "M10r", "M11r", "M12r"):
             continue
         total += 1
+        full_group = subgroup_class(e.module.group, range(p * p))
         if fixed_image_subspace(e.module, full_group).dim == 0:
             ok += 1
     sections.append(("fixed-image", "entries", ok, total))

@@ -196,7 +196,7 @@ def project(projection, v, p):
     return [sum(map(mul, row, v)) % p for row in projection]
 
 
-def fixed_image_subspace(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> Subspace:
+def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
     """Image of the integral fixed submodule M^h in the coinvariants W of M/pM.
 
     Integral fixed points matter here: a class can be fixed mod p without

@@ -17,6 +17,10 @@ first reached with, and each coset action (`coset_action`).  Every solve
 on the same group object shares them; the caches live and die with the
 group, with no module-level state.
 
+A subgroup travels as one validated `SubgroupClass`, from
+`subgroup_classes` or, for a member list, `subgroup_class`.  A coset
+action keeps the permutation of each group generator only.
+
 Generating sets of subgroups given by their members come from one greedy,
 `FiniteGroup.subgroup_generators`, and `is_p_power` is the one test of
 whether an order or modulus is a power of p.
@@ -99,7 +103,7 @@ class FiniteGroup:
         self._subgroup_gens: dict[tuple[int, ...], list[int]] = {}
         self._pc: PcPresentation | None = None
         self._classes: list[SubgroupClass] | None = None
-        self._coset_actions: dict = {}
+        self._coset_actions: dict[tuple[int, ...], CosetAction] = {}
         # Light's test: the elements s with (x s) y = x (s y) for all x, y
         # are closed under products, so checking a generating set suffices.
         # Each generator picked here at least doubles the reached set when
@@ -287,13 +291,12 @@ class SubgroupClass:
     """A subgroup up to conjugacy.
 
     representative: sorted element indices of one member of the class;
-    index = [G:H]; class_size = number of distinct conjugates;
-    generators: elements whose closure is the representative.
+    index = [G:H]; generators: elements whose closure is the
+    representative.  Consumers take it as valid.
     """
 
     representative: tuple[int, ...]
     index: int
-    class_size: int
     generators: tuple[int, ...]
 
 
@@ -301,18 +304,15 @@ class SubgroupClass:
 class CosetAction:
     """Left-multiplication action of a group on the left cosets of a subgroup.
 
-    permutations[g][i] is the position of g * (coset i); coset positions are
-    canonical (cosets sorted by their minimal element), so the matrices built
-    on top of this are reproducible bit for bit.
+    permutations[g][i] is the position of g * (coset i), for each g in
+    `group.generators() or [0]`; the generators determine the action, and
+    nothing reads the permutation of any other element.  Coset positions
+    are canonical (cosets sorted by their minimal element), so the
+    matrices built on top of this are reproducible bit for bit.
     """
 
-    subgroup: SubgroupClass
-    cosets: tuple[tuple[int, ...], ...]
-    permutations: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.cosets)
+    degree: int
+    permutations: dict[int, tuple[int, ...]]
 
 
 def _element_power(group: FiniteGroup, x: int, e: int) -> int:
@@ -437,6 +437,17 @@ def subgroup_of(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
     return elems
 
 
+def subgroup_class(group: FiniteGroup, members: Iterable[int]) -> SubgroupClass:
+    """The subgroup with these members, as a `SubgroupClass`.
+
+    The one place where a member list becomes a subgroup: the members are
+    validated by `subgroup_of`, sorted and de-duplicated, and kept as the
+    representative, with generators from `FiniteGroup.subgroup_generators`.
+    """
+    rep = subgroup_of(group, members)
+    return SubgroupClass(rep, group.order // len(rep), tuple(group.subgroup_generators(rep)))
+
+
 def conjugate_subgroup(group: FiniteGroup, elements: Sequence[int], g: int) -> tuple[int, ...]:
     gi = group.inverse[g]
     return tuple(sorted(group.cayley[group.cayley[g][x]][gi] for x in elements))
@@ -504,7 +515,6 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
             SubgroupClass(
                 representative=rep,
                 index=group.order // len(rep),
-                class_size=len(orbit),
                 generators=known[rep],
             )
         )
@@ -512,53 +522,33 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     return classes
 
 
-def coset_action(group: FiniteGroup, h: SubgroupClass | Sequence[int]) -> CosetAction:
+def coset_action(group: FiniteGroup, h: SubgroupClass) -> CosetAction:
     """Left-multiplication action on left cosets of h, in canonical coset order.
 
-    Computed once per (group, h); the result is immutable and shared.
+    Computed once per (group, members of h); the result is shared and must
+    not be changed.
     """
-    key = h if isinstance(h, SubgroupClass) else tuple(h)
-    action = group._coset_actions.get(key)
+    action = group._coset_actions.get(h.representative)
     if action is None:
-        action = _build_coset_action(group, key)
-        group._coset_actions[key] = action
+        action = _build_coset_action(group, h.representative)
+        group._coset_actions[h.representative] = action
     return action
 
 
-def _build_coset_action(group: FiniteGroup, h: SubgroupClass | tuple[int, ...]) -> CosetAction:
-    if isinstance(h, SubgroupClass):
-        members = subgroup_of(group, h.representative)
-    else:
-        members = subgroup_of(group, h)
-        h = SubgroupClass(members, group.order // len(members), 1,
-                          tuple(group.subgroup_generators(members)))
+def _build_coset_action(group: FiniteGroup, members: tuple[int, ...]) -> CosetAction:
+    # Scanning the elements in ascending order meets each coset first at
+    # its minimal element, so the positions come out in canonical order.
     coset_of = [-1] * group.order
-    cosets: list[tuple[int, ...]] = []
+    firsts: list[int] = []
     for x in group.elements():
-        if coset_of[x] >= 0:
-            continue
-        coset = tuple(sorted(group.cayley[x][m] for m in members))
-        for y in coset:
-            coset_of[y] = len(cosets)
-        cosets.append(coset)
-    # Cosets are discovered in order of their minimal element already
-    # (elements scanned ascending), so the ordering is canonical.
-    perms = tuple(tuple(coset_of[group.cayley[g][c[0]]] for c in cosets)
-                  for g in group.elements())
-    # Homomorphism law on every (generator, element) pair.  By induction on
-    # word length that gives perms[w b] = perms[w] o perms[b] for all w, b,
-    # i.e. every pair, at any order.
-    for a in group.generators():
-        pa = perms[a]
-        for b in group.elements():
-            pb = perms[b]
-            pab = perms[group.cayley[a][b]]
-            assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
-    return CosetAction(
-        subgroup=h,
-        cosets=tuple(cosets),
-        permutations=perms,
-    )
+        if coset_of[x] < 0:
+            row = group.cayley[x]
+            for y in members:
+                coset_of[row[y]] = len(firsts)
+            firsts.append(x)
+    perms = {g: tuple(coset_of[group.cayley[g][x]] for x in firsts)
+             for g in group.generators() or [0]}
+    return CosetAction(degree=len(firsts), permutations=perms)
 
 
 def dihedral8() -> FiniteGroup:

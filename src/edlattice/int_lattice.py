@@ -17,10 +17,11 @@ identity block.  The solver's questions are local at p, so
 index prime to p off one fraction-free elimination whose pivots are all
 prime to p, hence units of Z_(p); that elimination extends a stored
 state row by row, so the fixed-point systems of one solve, which share
-generator prefixes, eliminate each prefix once.  A `GaloisModule` is
-stored by the matrices of a generating set, checked against the group's
-pc presentation; the matrix of any other element is built from its
-normal form when first asked for.  Input modules are held to
+generator prefixes, eliminate each prefix once.  A fixed-point system
+stacks one block per generator of H's `SubgroupClass`.  A `GaloisModule`
+is stored by the matrices of a generating set, checked against the
+group's pc presentation; the matrix of any other element is built from
+its normal form when first asked for.  Input modules are held to
 MAX_MODULE_DIM coordinates by `check_module_dim`.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power, subgroup_of
+from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power
 
 IntMatrix = list[list[int]]
 # The stored form of an action matrix: for each row, its nonzero entries as
@@ -277,7 +278,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
     return d, u, w
 
 
-def kernel_basis(m: IntMatrix, cols: int | None = None) -> list[list[int]]:
+def kernel_basis(m: IntMatrix) -> list[list[int]]:
     """Canonical (HNF) basis of the integer kernel {x : m @ x = 0}.
 
     The rows of [m^T | I] span the lattice {(m @ x, x)}, whose vectors with
@@ -286,9 +287,9 @@ def kernel_basis(m: IntMatrix, cols: int | None = None) -> list[list[int]]:
     only by each other, so their right blocks are the HNF of the kernel
     (Cohen, GTM 138, section 2.4.3).  It serves `fixed_submodule`, the
     oracle's reference, independent of the solver's p-local elimination.
+    m must have at least one row, which fixes the number of unknowns.
     """
-    if cols is None:
-        cols = len(m[0]) if m else 0
+    cols = len(m[0])
     k = len(m)
     h = hermite_normal_form([[row[i] for row in m] + e
                              for i, e in enumerate(identity_matrix(cols))])
@@ -545,17 +546,6 @@ class GaloisModule:
                 f"free_rank={self.free_rank}, torsion={self.torsion})")
 
 
-def _subgroup_generators(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[int, ...]:
-    """The generators of H whose blocks make up its fixed-point system.
-
-    A class brings its own generators; a tuple of members is validated and
-    given some.
-    """
-    if isinstance(h, SubgroupClass):
-        return h.generators
-    return tuple(m.group.subgroup_generators(subgroup_of(m.group, h)))
-
-
 def _fixed_block(m: GaloisModule, g: int, k: int, width: int) -> IntMatrix:
     """The rows A_g - I of generator number k, `width` columns wide.
 
@@ -577,7 +567,7 @@ def _fixed_block(m: GaloisModule, g: int, k: int, width: int) -> IntMatrix:
     return rows
 
 
-def _fixed_system(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[IntMatrix, int]:
+def _fixed_system(m: GaloisModule, h: SubgroupClass) -> tuple[IntMatrix, int]:
     """The integer system whose kernel projects onto M^H: (rows, width).
 
     It suffices to fix a generating set of H, so the system stacks one
@@ -588,15 +578,14 @@ def _fixed_system(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> tuple[
     vector and is solved by slack values alone.  The trivial subgroup gives
     no rows.
     """
-    gens = _subgroup_generators(m, h)
-    width = m.dim + len(gens) * len(m.torsion)
+    width = m.dim + len(h.generators) * len(m.torsion)
     rows: list[list[int]] = []
-    for k, g in enumerate(gens):
+    for k, g in enumerate(h.generators):
         rows += _fixed_block(m, g, k, width)
     return rows, width
 
 
-def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list[list[int]]:
+def fixed_submodule(m: GaloisModule, h: SubgroupClass) -> list[list[int]]:
     """M^H = {x in M : g.x = x for all g in H}, as a canonical HNF basis.
 
     The basis spans the lattice of integer representatives of M^H: the
@@ -605,12 +594,12 @@ def fixed_submodule(m: GaloisModule, h: SubgroupClass | tuple[int, ...]) -> list
     class, the representative's fixed module is returned, and a conjugate
     gHg^-1 has the fixed module g.M^H.
     """
-    rows, width = _fixed_system(m, h)
+    rows, _ = _fixed_system(m, h)
     if not rows:
         return identity_matrix(m.dim)
     # The x columns come first, so the rows of the kernel's HNF with an x
     # pivot have x parts that are the HNF of its projection.
-    return [v[:m.dim] for v in kernel_basis(rows, width) if any(v[:m.dim])]
+    return [v[:m.dim] for v in kernel_basis(rows) if any(v[:m.dim])]
 
 
 def _local_kernel(rows: IntMatrix, width: int, p: int) -> list[list[int]]:
@@ -710,7 +699,7 @@ def _local_kernel_vectors(echelon: IntMatrix, pivots: list[int], width: int,
     return kernel
 
 
-def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...],
+def local_fixed_basis(m: GaloisModule, h: SubgroupClass,
                       prefixes: dict | None = None) -> list[list[int]]:
     """Integral H-fixed vectors whose images span image(M^H -> M/pM).
 
@@ -736,7 +725,7 @@ def local_fixed_basis(m: GaloisModule, h: SubgroupClass | tuple[int, ...],
     """
     if prefixes is None:
         prefixes = {}
-    gens = _subgroup_generators(m, h)
+    gens = h.generators
     t, dim = len(m.torsion), m.dim
     j = len(gens)
     while j and gens[:j] not in prefixes:

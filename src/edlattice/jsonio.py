@@ -15,11 +15,12 @@ from .ed_solver import EdResult
 from .group_core import (
     MAX_GROUP_ORDER,
     FiniteGroup,
+    SubgroupClass,
     check_group_order,
     direct_product,
     from_table,
     make_cyclic,
-    subgroup_of,
+    subgroup_class,
 )
 from .int_lattice import GaloisModule, check_module_dim
 
@@ -159,7 +160,7 @@ def module_to_json(module: GaloisModule) -> dict:
     }
 
 
-def parse_presentation(data: Any) -> tuple[FiniteGroup, list[tuple[int, ...]], list[int]]:
+def parse_presentation(data: Any) -> tuple[FiniteGroup, list[SubgroupClass], list[int]]:
     """Read a (permutation set, fixed vector) quotient presentation.
 
     Schema: {"group": <group>, "summands": [[subgroup members], ...],
@@ -168,7 +169,7 @@ def parse_presentation(data: Any) -> tuple[FiniteGroup, list[tuple[int, ...]], l
     """
     data = _as_object(data, "presentation")
     group = parse_group(_required(data, "group", "presentation"))
-    summands = [subgroup_of(group, [_as_int(x) for x in _as_list(members, "summand")])
+    summands = [subgroup_class(group, [_as_int(x) for x in _as_list(members, "summand")])
                 for members in _as_list(_required(data, "summands", "presentation"), "summands")]
     vector = [_as_int(x) for x in _as_list(_required(data, "vector", "presentation"), "vector")]
     return group, summands, vector
@@ -179,13 +180,12 @@ def result_to_json(result: EdResult, diagnostics: dict | None = None) -> dict:
     # Summands per subgroup index, cheapest first: for the greedy solver,
     # the dimensions of W each index adds to the cheaper ones.
     filtration: dict[int, int] = {}
-    if result.certificate is not None:
-        for cls, gen in result.certificate.summands:
-            summands.append({
-                "subgroup": list(cls.representative),
-                "generator": [str(x) for x in gen],
-            })
-            filtration[cls.index] = filtration.get(cls.index, 0) + 1
+    for cls, gen in result.certificate.summands:
+        summands.append({
+            "subgroup": list(cls.representative),
+            "generator": [str(x) for x in gen],
+        })
+        filtration[cls.index] = filtration.get(cls.index, 0) + 1
     payload = {
         "min_rank": result.min_rank,
         "ed": result.ed,

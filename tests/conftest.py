@@ -170,6 +170,26 @@ def twisted_torsion_module():
     return _twisted_torsion_module
 
 
+def _reference_coset_action(group, members):
+    """Cosets and permutations from scratch, with the law checked on all pairs."""
+    cosets = sorted({tuple(sorted(group.mul(x, h) for h in members))
+                     for x in group.elements()})
+    position = {c: i for i, c in enumerate(cosets)}
+    perms = [tuple(position[tuple(sorted(group.mul(g, y) for y in c))] for c in cosets)
+             for g in group.elements()]
+    for a in group.elements():
+        for b in group.elements():
+            pab, pa, pb = perms[group.mul(a, b)], perms[a], perms[b]
+            assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
+    return tuple(cosets), tuple(perms)
+
+
+@pytest.fixture(scope="session")
+def reference_coset_action():
+    """(cosets, permutation of every element): the reference for `coset_action`."""
+    return _reference_coset_action
+
+
 def _cover_module(m: GaloisModule, cert) -> GaloisModule:
     """The permutation lattice of a certificate, as a module over m's group."""
     if not cert.summands:

@@ -27,7 +27,7 @@ from edlattice.ed_solver import (
     verify_certificate,
 )
 from edlattice.fp_module import coinvariants, fixed_image_subspace, reduce_mod_p
-from edlattice.group_core import direct_product, make_cyclic, subgroup_classes
+from edlattice.group_core import direct_product, make_cyclic, subgroup_class, subgroup_classes
 from edlattice.int_lattice import (
     direct_sum,
     is_p_power,
@@ -296,9 +296,9 @@ def test_criterion_8_fixed_image_and_coinvariants():
     expected_w = {"M7": 1, "M8": 1, "M9r": 2, "M10r": 2, "M11r": 2, "M12r": 2}
     fixed_checked = w_checked = 0
     for p in (3, 5):
-        whole_group = tuple(range(p * p))
         for entry in instantiated_catalog(p):
             if entry.family in param:
+                whole_group = subgroup_class(entry.module.group, range(p * p))
                 assert fixed_image_subspace(entry.module, whole_group).dim == 0, \
                     entry.key
                 fixed_checked += 1

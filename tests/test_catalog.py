@@ -15,7 +15,13 @@ from edlattice.catalog import (
     permutation_module,
 )
 from edlattice.ed_solver import min_permutation_rank
-from edlattice.group_core import MAX_GROUP_ORDER, is_p_power, make_cyclic, subgroup_classes
+from edlattice.group_core import (
+    MAX_GROUP_ORDER,
+    is_p_power,
+    make_cyclic,
+    subgroup_class,
+    subgroup_classes,
+)
 
 
 def test_expected_table_shape():
@@ -65,7 +71,7 @@ def test_list_L_modules_are_lattices():
 
 def test_permutation_module_matrices_are_permutations():
     g = make_cyclic(9)
-    m = permutation_module(g, (0, 3, 6), 3)
+    m = permutation_module(g, subgroup_class(g, (0, 3, 6)), 3)
     assert m.free_rank == 3
     for x in g.elements():
         mat = m.action(x)

@@ -29,12 +29,12 @@ from edlattice.fp_module import (
     reduce_mod_p,
 )
 from edlattice.group_core import (
-    coset_action,
     dihedral8,
     direct_product,
     heisenberg27,
     make_cyclic,
     quaternion8,
+    subgroup_class,
     subgroup_classes,
 )
 from edlattice.int_lattice import (
@@ -70,7 +70,7 @@ def test_trivial_lattice_is_free_of_cost():
 
 def test_regular_lattice_costs_its_rank():
     g = make_cyclic(4)
-    res = min_permutation_rank(permutation_module(g, (0,), 2), 2)
+    res = min_permutation_rank(permutation_module(g, subgroup_class(g, (0,)), 2), 2)
     assert (res.min_rank, res.ed) == (4, 0)
 
 
@@ -181,7 +181,7 @@ def test_classifier_rejects_p2_and_unfixed_vectors():
 
 def test_genus_frozen_examples():
     g = make_cyclic(2)
-    reg = permutation_module(g, (0,), 2)
+    reg = permutation_module(g, subgroup_class(g, (0,)), 2)
     split = direct_sum(trivial_lattice(g, 2, 1), _sign(g))
     assert genus_equal(reg, split, 2) == "no"
     assert genus_equal(reg, reg, 2) == "yes"
@@ -195,7 +195,7 @@ def test_genus_frozen_examples():
 
 def test_genus_unknown_is_explicit():
     g = make_cyclic(2)
-    reg = permutation_module(g, (0,), 2)
+    reg = permutation_module(g, subgroup_class(g, (0,)), 2)
     split = direct_sum(trivial_lattice(g, 2, 1), _sign(g))
     # budget 1 forbids the exhaustive pass; sampling cannot prove "no"
     assert genus_equal(reg, split, 2, budget=1) == "unknown"
@@ -207,7 +207,8 @@ C16_REGULAR_RANDOM_BASIS = Path(__file__).parent / "data" / "c16_regular_random_
 def test_genus_of_a_dense_basis_lattice_is_fast():
     # An integer HNF of this Hom system (`kernel_basis`) takes 98-107 s;
     # the p-local kernel that `hom_module` uses takes about 2 s.
-    reg = permutation_module(make_cyclic(16), (0,), 2)
+    c16 = make_cyclic(16)
+    reg = permutation_module(c16, subgroup_class(c16, (0,)), 2)
     other = conjugate_basis(Random(0), reg)
     # The committed CLI input is this module.
     assert json.loads(C16_REGULAR_RANDOM_BASIS.read_text()) == module_to_json(other)
@@ -330,20 +331,21 @@ def test_greedy_on_local_bases_agrees_with_the_hnf_walk(small_p_groups):
     assert other_generators >= 30
 
 
-def _snf_cover(m, cert, p):
+def _snf_cover(m, cert, p, coset_reps):
     """Integral reference: the relation columns and the image of every coset
     form a matrix whose cokernel is M / image; it is finite of order prime
-    to p iff the SNF has full rank and no invariant factor divisible by p."""
+    to p iff the SNF has full rank and no invariant factor divisible by p.
+    coset_reps maps each class to one element of each of its cosets."""
     columns = [[q * (i == m.free_rank + j) for i in range(m.dim)]
                for j, q in enumerate(m.torsion)]  # q_j e_(n+j)
     for cls, gen in cert.summands:
-        for coset in coset_action(m.group, cls).cosets:
-            columns.append([sum(map(mul, row, gen)) for row in m.action(coset[0])])
+        for x in coset_reps[cls]:
+            columns.append([sum(map(mul, row, gen)) for row in m.action(x)])
     d, _, _ = smith_normal_form([[col[i] for col in columns] for i in range(m.dim)])
     return len(d) == m.dim and all(x % p for x in d)
 
 
-def test_mod_p_verification_matches_snf_reference():
+def test_mod_p_verification_matches_snf_reference(reference_coset_action):
     c2 = make_cyclic(2)
     groups = [(c2, 2), (make_cyclic(4), 2), (direct_product(c2, c2), 2), (dihedral8(), 2),
               (quaternion8(), 2), (make_cyclic(3), 3), (make_cyclic(9), 3),
@@ -352,6 +354,8 @@ def test_mod_p_verification_matches_snf_reference():
     checked = valid = torsion_modules = 0
     for group, p in groups:
         classes = subgroup_classes(group)
+        coset_reps = {cls: [c[0] for c in reference_coset_action(group, cls.representative)[0]]
+                      for cls in classes}
         for _ in range(60):
             m = random_module(rng, group, p, max_dim=4)
             torsion_modules += bool(m.torsion)
@@ -388,7 +392,7 @@ def test_mod_p_verification_matches_snf_reference():
                 certs.append(summands)
             for summands in certs:
                 cert = CoverCertificate(tuple(summands), sum(cls.index for cls, _ in summands))
-                want = _snf_cover(m, cert, p)
+                want = _snf_cover(m, cert, p, coset_reps)
                 assert verify_certificate(m, cert, p) == want, (m, cert)
                 checked += 1
                 valid += want

@@ -13,7 +13,7 @@ from edlattice.fp_module import (
     rref,
     spin,
 )
-from edlattice.group_core import dihedral8, heisenberg27, make_cyclic, quaternion8
+from edlattice.group_core import dihedral8, heisenberg27, make_cyclic, quaternion8, subgroup_class
 from edlattice.int_lattice import GaloisModule
 from edlattice.catalog import build_list_L, permutation_module
 from edlattice.random_modules import random_module
@@ -102,7 +102,7 @@ def test_coinvariants_nonzero_module_never_collapses():
 
 def test_orbit_span_is_group_stable():
     g = make_cyclic(9)
-    m = reduce_mod_p(permutation_module(g, (0, 3, 6), 3))
+    m = reduce_mod_p(permutation_module(g, subgroup_class(g, (0, 3, 6)), 3))
     span = orbit_span(m, [1, 0, 0])
     for x in g.elements():
         images = Subspace(span.ambient_dim, 3, [m.act(x, list(b)) for b in span.basis])
@@ -116,17 +116,18 @@ def test_fixed_image_depends_on_integral_fixed_points():
     # reduction of the action is the identity.
     g = make_cyclic(3)
     m = GaloisModule(g, 3, 0, [9], {1: [[4]]})
-    assert fixed_image_subspace(m, (0, 1, 2)).dim == 0
-    assert fixed_image_subspace(m, (0,)).dim == 1
+    assert fixed_image_subspace(m, subgroup_class(g, (0, 1, 2))).dim == 0
+    assert fixed_image_subspace(m, subgroup_class(g, (0,))).dim == 1
 
 
 def test_fixed_image_m7_only_trivial_class_contributes():
     entry = build_list_L("M7", 3)
-    full = tuple(range(9))
-    middle = tuple(range(0, 9, 3))
+    g = entry.module.group
+    full = subgroup_class(g, range(9))
+    middle = subgroup_class(g, range(0, 9, 3))
     assert fixed_image_subspace(entry.module, full).dim == 0
     assert fixed_image_subspace(entry.module, middle).dim == 0
-    assert fixed_image_subspace(entry.module, (0,)).dim == 1
+    assert fixed_image_subspace(entry.module, subgroup_class(g, (0,))).dim == 1
 
 
 @pytest.mark.parametrize("make_group,p", NONABELIAN)

@@ -12,6 +12,7 @@ from edlattice.group_core import (
     is_p_power,
     make_cyclic,
     quaternion8,
+    subgroup_class,
     subgroup_classes,
     subgroup_of,
 )
@@ -95,8 +96,9 @@ def test_subgroup_classes_klein_four():
     g = direct_product(make_cyclic(2), make_cyclic(2))
     classes = subgroup_classes(g)
     assert sorted(c.index for c in classes) == [1, 2, 2, 2, 4]
-    # abelian group: every class is a single subgroup
-    assert all(c.class_size == 1 for c in classes)
+    # abelian group: every class is a single subgroup, so all 5 are listed
+    assert sorted(c.representative for c in classes) == [
+        (0,), (0, 1), (0, 1, 2, 3), (0, 2), (0, 3)]
 
 
 @given(st.integers(min_value=0, max_value=4))
@@ -123,17 +125,15 @@ def test_conjugation_fixes_abelian_subgroups():
 
 def test_coset_action_c4_mod_c2():
     g = make_cyclic(4)
-    act = coset_action(g, (0, 2))
+    act = coset_action(g, subgroup_class(g, (0, 2)))
     assert act.degree == 2
-    assert act.cosets == ((0, 2), (1, 3))
-    # the generator swaps the two cosets
-    assert act.permutations[1] == (1, 0)
-    assert act.permutations[2] == (0, 1)
+    # the generator swaps the two cosets, and it is the only element kept
+    assert act.permutations == {1: (1, 0)}
 
 
 def test_coset_action_regular():
     g = make_cyclic(3)
-    act = coset_action(g, (0,))
+    act = coset_action(g, subgroup_class(g, (0,)))
     assert act.degree == 3
     # left translation by 1 sends coset {i} to {i+1}
     assert act.permutations[1] == (1, 2, 0)
@@ -159,27 +159,61 @@ def test_nonabelian_constructors():
         assert len(subgroup_classes(g)) == n_classes
 
 
-def _reference_coset_action(group, members):
-    """Cosets and permutations from scratch, with the law checked on all pairs."""
-    cosets = sorted({tuple(sorted(group.mul(x, h) for h in members))
-                     for x in group.elements()})
-    position = {c: i for i, c in enumerate(cosets)}
-    perms = [tuple(position[tuple(sorted(group.mul(g, y) for y in c))] for c in cosets)
-             for g in group.elements()]
-    for a in group.elements():
-        for b in group.elements():
-            pab, pa, pb = perms[group.mul(a, b)], perms[a], perms[b]
-            assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
-    return tuple(cosets), tuple(perms)
+def _c2_cubed():
+    c2 = make_cyclic(2)
+    return direct_product(direct_product(c2, c2), c2)
 
 
-@pytest.mark.parametrize("make_group", [dihedral8, quaternion8, heisenberg27])
-def test_coset_action_matches_all_pairs_reference(make_group):
+def _c2_times_c4():
+    return direct_product(make_cyclic(2), make_cyclic(4))
+
+
+def _d8_times_c2():
+    return direct_product(dihedral8(), make_cyclic(2))
+
+
+@pytest.mark.parametrize("make_group", [
+    dihedral8, quaternion8, heisenberg27, pytest.param(lambda: make_cyclic(1), id="C1"),
+    pytest.param(_c2_cubed, id="C2^3"), pytest.param(_c2_times_c4, id="C2xC4")])
+def test_coset_action_matches_all_pairs_reference(make_group, reference_coset_action):
+    # Only the generators' permutations are kept; [0] stands in for the
+    # trivial group, which has none.
     g = make_group()
+    kept = g.generators() or [0]
     for cls in subgroup_classes(g):
         act = coset_action(g, cls)
-        assert (act.cosets, act.permutations) == _reference_coset_action(g, cls.representative)
-        assert act.subgroup == cls
+        cosets, perms = reference_coset_action(g, cls.representative)
+        assert act.degree == len(cosets)
+        assert act.permutations == {x: perms[x] for x in kept}
+
+
+def test_subgroup_class_validates_sorts_and_dedupes():
+    g = make_cyclic(4)
+    assert subgroup_class(g, [2, 0, 2, 0]) == subgroup_class(g, (0, 2))
+    assert subgroup_class(g, [2, 0, 2, 0]).representative == (0, 2)
+    assert subgroup_class(g, range(4)) == subgroup_classes(g)[-1]
+    with pytest.raises(ValueError, match="identity"):
+        subgroup_class(g, [1, 2, 3])
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_class(g, [0, 1])
+    with pytest.raises(ValueError, match="not an element"):
+        subgroup_class(g, [0, 4])
+
+
+def test_subgroup_class_keeps_the_given_conjugate(reference_coset_action):
+    # D8's reflections (0, 4) and (0, 6) are conjugate, not normal: the
+    # enumerated class represents both by (0, 4), and a member list keeps
+    # the subgroup it names.
+    g = dihedral8()
+    assert conjugate_subgroup(g, (0, 4), 1) == (0, 6)
+    enumerated = [c for c in subgroup_classes(g) if c.representative == (0, 4)]
+    assert subgroup_class(g, (0, 4)) in enumerated
+    other = subgroup_class(g, (6, 0))
+    assert (other.representative, other.index, other.generators) == ((0, 6), 4, (6,))
+    assert other not in subgroup_classes(g)
+    for cls in (subgroup_class(g, (0, 4)), other):
+        _, perms = reference_coset_action(g, cls.representative)
+        assert coset_action(g, cls).permutations == {x: perms[x] for x in g.generators()}
 
 
 def test_group_data_is_computed_once_per_instance():
@@ -192,22 +226,9 @@ def test_group_data_is_computed_once_per_instance():
     assert subgroup_classes(g) and subgroup_classes(g)[0] is subgroup_classes(g)[0]
     cls = subgroup_classes(g)[1]
     assert coset_action(g, cls) is coset_action(g, cls)
-    assert coset_action(g, [0, 4]) is coset_action(g, (0, 4))
+    assert coset_action(g, subgroup_class(g, [0, 4])) is coset_action(g, subgroup_class(g, (0, 4)))
     # a second instance with the same table computes its own
     assert coset_action(dihedral8(), cls) is not coset_action(g, cls)
-
-
-def _c2_cubed():
-    c2 = make_cyclic(2)
-    return direct_product(direct_product(c2, c2), c2)
-
-
-def _c2_times_c4():
-    return direct_product(make_cyclic(2), make_cyclic(4))
-
-
-def _d8_times_c2():
-    return direct_product(dihedral8(), make_cyclic(2))
 
 
 @pytest.mark.parametrize("make_group", [_c2_cubed, _c2_times_c4, dihedral8, quaternion8,
@@ -289,7 +310,7 @@ def _reference_subgroup_classes(group):
             orbit = {conjugate_subgroup(group, h, g) for g in group.elements()}
             seen |= orbit
             rep = min(orbit)
-            classes.append((rep, group.order // len(rep), len(orbit), len(rep)))
+            classes.append((rep, group.order // len(rep), len(rep)))
     return sorted(classes, key=lambda c: (-c[1], c[0]))
 
 
@@ -297,7 +318,7 @@ def _reference_subgroup_classes(group):
                                         heisenberg27, lambda: make_cyclic(64), _d8_times_c2])
 def test_subgroup_classes_match_reference_enumeration(make_group):
     g = make_group()
-    classes = [(c.representative, c.index, c.class_size, len(c.representative))
+    classes = [(c.representative, c.index, len(c.representative))
                for c in subgroup_classes(g)]
     assert classes == _reference_subgroup_classes(g)
 
@@ -455,7 +476,8 @@ def _product(*factors):
 def test_conjugacy_orbits_by_generators_match_all_elements(make_group):
     # The classes are found by conjugating with the group's generators only
     # (not at all when they commute); conjugating every subgroup by every
-    # element must give the same representatives, order and sizes.
+    # element must give the same representatives in the same order.  An
+    # orbit that too few conjugations split would add a representative.
     g = make_group()
     reference, seen = [], set()
     for h in sorted(_all_subgroups(g)):
@@ -463,8 +485,8 @@ def test_conjugacy_orbits_by_generators_match_all_elements(make_group):
             orbit = {conjugate_subgroup(g, h, x) for x in g.elements()}
             seen |= orbit
             rep = min(orbit)
-            reference.append((rep, g.order // len(rep), len(orbit)))
+            reference.append((rep, g.order // len(rep)))
     reference.sort(key=lambda c: (-c[1], c[0]))
     classes = subgroup_classes(g)
-    assert [(c.representative, c.index, c.class_size) for c in classes] == reference
+    assert [(c.representative, c.index) for c in classes] == reference
     assert all(g.closure(c.generators) == c.representative for c in classes)

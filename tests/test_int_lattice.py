@@ -14,6 +14,7 @@ from edlattice.group_core import (
     heisenberg27,
     make_cyclic,
     quaternion8,
+    subgroup_class,
     subgroup_classes,
 )
 from edlattice.int_lattice import (
@@ -211,15 +212,15 @@ def test_torsion_compatibility_check():
 
 def test_fixed_submodule_mult_by_4_mod_9():
     m = _mult_module(3, 2, 4, 3)
-    assert fixed_submodule(m, (0, 1, 2)) == [[3]]
+    assert fixed_submodule(m, subgroup_class(m.group, (0, 1, 2))) == [[3]]
     # trivial subgroup fixes everything
-    assert fixed_submodule(m, (0,)) == [[1]]
+    assert fixed_submodule(m, subgroup_class(m.group, (0,))) == [[1]]
 
 
 def test_fixed_submodule_regular():
     g = make_cyclic(2)
     reg = GaloisModule(g, 2, 2, [], {1: [[0, 1], [1, 0]]})
-    assert fixed_submodule(reg, (0, 1)) == [[1, 1]]
+    assert fixed_submodule(reg, subgroup_class(g, (0, 1))) == [[1, 1]]
 
 
 def test_direct_sum_reorders_torsion():
@@ -407,7 +408,7 @@ def test_hom_module_spans_the_hnf_kernel_mod_p():
                         rows.append([x for r in row for x in r])
             maps = hom_module(l, m)
             flat = [[x for r in f for x in r] for f in maps]
-            reference = kernel_basis(rows, nl * nm)
+            reference = kernel_basis(rows)
             assert len(flat) == len(reference)
             assert rref(flat, nl * nm, p) == rref(reference, nl * nm, p)
             for f in maps:
@@ -428,7 +429,7 @@ def test_fixed_submodule_is_conjugation_invariant():
     # abelian, so conjugates coincide; the fixed module of each subgroup
     # is well defined on classes
     for c in subgroup_classes(g):
-        assert fixed_submodule(m, c) == fixed_submodule(m, c.representative)
+        assert fixed_submodule(m, c) == fixed_submodule(m, subgroup_class(g, c.representative))
 
 
 def test_fixed_submodule_is_fixed_on_d8(d8):
@@ -442,20 +443,21 @@ def test_fixed_submodule_is_fixed_on_d8(d8):
 
 @pytest.mark.parametrize("make_group,p", [(dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)])
 def test_fixed_submodule_of_a_class_matches_its_members(make_group, p):
-    # A class is read through its recorded generators, a tuple of members
-    # through the greedy; both describe the same lattice M^H.
+    # An enumerated class carries the generators it was first reached
+    # with, `subgroup_class` of its members those of the greedy; both
+    # describe the same lattice M^H.
     g = make_group()
     rng = Random(3)
     for _ in range(8):
         m = random_module(rng, g, p, max_dim=4)
         for c in subgroup_classes(g):
-            assert fixed_submodule(m, c) == fixed_submodule(m, c.representative)
+            assert fixed_submodule(m, c) == fixed_submodule(m, subgroup_class(g, c.representative))
 
 
 def test_fixed_submodule_validates_member_tuples(d8):
     m = random_module(Random(1), d8, 2, max_dim=4)
     with pytest.raises(ValueError, match="not closed"):
-        fixed_submodule(m, (0, 1))
+        fixed_submodule(m, subgroup_class(d8, (0, 1)))
 
 
 def _cayley_walk(group, free_rank, torsion, action):
@@ -564,7 +566,7 @@ def test_module_accepts_exactly_what_the_cayley_walk_accepts(make_group, p):
 
 
 def test_module_over_a_solvable_nonnilpotent_group(s3):
-    m = permutation_module(s3, s3.closure([s3.generators()[-1]]), 3)
+    m = permutation_module(s3, subgroup_class(s3, s3.closure([s3.generators()[-1]])), 3)
     assert m.dim == 3
     gens = s3.generators()
     for x in s3.elements():
@@ -595,7 +597,7 @@ def test_action_matrices_are_built_on_demand(monkeypatch):
     monkeypatch.setattr(GaloisModule, "_product", counting)
     g = make_cyclic(121)
     g.pc_presentation()
-    m = permutation_module(g, (0,), 11)
+    m = permutation_module(g, subgroup_class(g, (0,)), 11)
     # The relations of the two pc generators, not one product per element.
     assert len(calls) <= 20
     del calls[:]
@@ -773,7 +775,8 @@ def _d8_sum_with_torsion():
 def test_fixed_submodule_of_a_lattice_is_the_kernel_hnf(monkeypatch):
     # A lattice, and a module with torsion, whose relation vectors the
     # kernel's projection must already contain.
-    modules = [permutation_module(make_cyclic(9), (0,), 3), _d8_sum_with_torsion()]
+    c9 = make_cyclic(9)
+    modules = [permutation_module(c9, subgroup_class(c9, (0,)), 3), _d8_sum_with_torsion()]
     real = int_lattice.hermite_normal_form
     calls = []
 

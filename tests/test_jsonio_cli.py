@@ -87,7 +87,7 @@ def test_parse_presentation():
         "vector": [1, 1, 1],
     })
     assert group.order == 9
-    assert summands[0] == (0, 3, 6)
+    assert [(c.representative, c.index, c.generators) for c in summands] == [((0, 3, 6), 3, (3,))]
     assert vector == [1, 1, 1]
 
 
@@ -265,15 +265,29 @@ def test_cli_genus_needs_two_modules(capsys):
     assert main(["genus", "--catalog", "M1@p=2"]) == 2
 
 
-def test_cli_classify(tmp_path, capsys):
-    path = tmp_path / "pres.json"
-    path.write_text(json.dumps({
+def test_cli_classify(capsys):
+    # README's presentation file.
+    path = Path(__file__).parent / "data" / "c9_presentation.json"
+    assert json.loads(path.read_text()) == {
         "group": {"type": "cyclic", "order": 9},
         "summands": [[0, 3, 6]],
         "vector": [1, 1, 1],
-    }))
+    }
     assert main(["classify", "--input", str(path), "--prime", "3"]) == 0
     assert capsys.readouterr().out.strip() == "ed=1"
+
+
+@pytest.mark.parametrize("name,prime,code,out", [
+    ("c9_presentation", "9", 2, ""),
+    # (0, 1, 2) is not normal in H27; a one-point orbit with a unit
+    # coefficient brings the value down to 0.
+    ("h27_presentation", "3", 0, "ed=1"),
+    ("h27_presentation_with_fixed_point", "3", 0, "ed=0"),
+])
+def test_cli_classify_committed_presentations(capsys, name, prime, code, out):
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    assert main(["classify", "--input", str(path), "--prime", prime]) == code
+    assert capsys.readouterr().out.strip() == out
 
 
 def test_cli_verify_passes(capsys):
