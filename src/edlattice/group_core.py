@@ -224,8 +224,8 @@ class FiniteGroup:
 
         A word is a list of runs (s, e), standing for the product of the
         powers s^e from left to right.  Breadth-first search over the Cayley
-        graph, stopped once every target is reached; the generators must
-        generate every target.
+        graph, stopped once every target is reached; a target the generators
+        do not generate raises ValueError.
         """
         parent: dict[int, tuple[int, int] | None] = {0: None}
         queue = [0]
@@ -240,7 +240,9 @@ class FiniteGroup:
                     parent[y] = (x, s)
                     queue.append(y)
                     missing.discard(y)
-        assert not missing, "the generators do not reach every target"
+        if missing:
+            raise ValueError(f"the elements {list(generators)} do not generate "
+                             f"element {min(missing)}")
         out = []
         for t in targets:
             letters = []
@@ -337,8 +339,7 @@ def _derived_subgroup(group: FiniteGroup, members: tuple[int, ...]) -> tuple[int
     of H keeps each of its generators inside it.
     """
     c, inv = group.cayley, group.inverse
-    gens = (group.generators() if len(members) == group.order
-            else group.subgroup_generators(members))
+    gens = group.subgroup_generators(members)
     seeds = sorted({c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens} - {0})
     closed = set(group.closure(seeds))
     for y in seeds:  # also visits the seeds appended below
@@ -421,19 +422,21 @@ def from_table(cayley: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
 
 
 def subgroup_of(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
-    """Validate that the elements form a subgroup; return them sorted."""
+    """Validate that the elements form a subgroup; return them sorted.
+
+    The members lie in the subgroup their greedy generators generate
+    (`FiniteGroup.subgroup_generators`), so they form one exactly when
+    that closure is the members.
+    """
     elems = tuple(sorted(set(elements)))
     if not elems or elems[0] != 0:
         raise ValueError("subgroup must contain the identity")
     if elems[-1] >= group.order:
         raise ValueError(f"subgroup member {elems[-1]} is not an element 0..{group.order - 1}")
-    members = set(elems)
-    for x in elems:
-        if group.inverse[x] not in members:
-            raise ValueError(f"subgroup not closed under inverse at {x}")
-        for y in elems:
-            if group.cayley[x][y] not in members:
-                raise ValueError(f"subgroup not closed at {x}*{y}")
+    closed = group.closure(group.subgroup_generators(elems))
+    if closed != elems:
+        raise ValueError(f"subgroup not closed: its {len(elems)} members "
+                         f"generate {len(closed)} elements")
     return elems
 
 

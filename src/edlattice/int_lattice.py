@@ -299,18 +299,21 @@ def kernel_basis(m: IntMatrix) -> list[list[int]]:
 class GaloisModule:
     """Z^n (+) Z/q_1 (+) ... (+) Z/q_t with a linear action of a finite group.
 
-    The q_j are ascending powers of the working prime and coordinates are
-    ordered free block first, torsion block second.  Vectors are columns and
-    g sends x to action(g) @ x with torsion rows read modulo q_j.  Every
-    action matrix has block shape [[A, 0], [C, D]]: A unimodular on the free
-    part, D invertible mod p on the torsion part, and no torsion-to-free
-    component (there is no nonzero map from a finite group into Z).
+    The q_j are powers of the working prime, sorted ascending by the
+    constructor (stably, moving the torsion rows and columns along), and
+    coordinates are ordered free block first, torsion block second.
+    Vectors are columns and g sends x to action(g) @ x with torsion rows
+    read modulo q_j.  Every action matrix has block shape [[A, 0], [C, D]]:
+    A unimodular on the free part, D invertible mod p on the torsion part,
+    and no torsion-to-free component (there is no nonzero map from a finite
+    group into Z).
 
     A module is stored by the matrices of a generating set.  The
     homomorphism check runs on the group's pc presentation
     (`FiniteGroup.pc_presentation`; the group must be solvable, as every
     p-group is).  Each pc generator g_i is reached as a word in the
-    supplied generators by a search over the Cayley table, and its matrix
+    supplied generators by a search over the Cayley table (`words`, which
+    raises ValueError when they do not generate G), and its matrix
     X_i is that word's product, with runs of one generator taken by
     square-and-multiply.  The X_i must satisfy the k(k+1)/2 relations
     g_i^r_i = w_ii and g_j g_i = g_i w_ij, where the matrix of a word is
@@ -352,8 +355,6 @@ class GaloisModule:
         for q in torsion:
             if q < 2 or not is_p_power(q, prime):
                 raise ValueError(f"torsion modulus {q} is not a power of {prime}")
-        if any(torsion[i] > torsion[i + 1] for i in range(len(torsion) - 1)):
-            raise ValueError("torsion moduli must be ascending")
         self.group = group
         self.prime = prime
         self.free_rank = free_rank
@@ -364,9 +365,15 @@ class GaloisModule:
         gens = sorted(generator_action)
         if not all(0 <= g < group.order for g in gens):
             raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
-        if group.closure(gens) != tuple(range(group.order)):
-            raise ValueError("action keys do not generate the group")
         supplied = {g: self._validate(generator_action[g]) for g in gens}
+        # New coordinate k is old coordinate source[k].
+        source = list(range(free_rank)) + sorted(range(free_rank, self.dim),
+                                                 key=lambda i: torsion[i - free_rank])
+        if source != list(range(self.dim)):
+            position = {old: k for k, old in enumerate(source)}
+            supplied = {g: [sorted((position[j], x) for j, x in mat[i]) for i in source]
+                        for g, mat in supplied.items()}
+            self.torsion = sorted(torsion)
         pc = group.pc_presentation()
         # powers[i] caches the powers of X_i during the check, shared with
         # the supplied generator when g_i is one.  _actions only ever holds
@@ -744,9 +751,9 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
     """Block sum of one or more modules over the same group and prime.
 
     A coordinate of the sum is a pair (module k, coordinate i of it): all
-    free ones in argument order, then all torsion ones stably sorted into
-    ascending moduli.  So the sum equals the pairwise fold
-    direct_sum(direct_sum(a, b), c), built in one construction.
+    free ones in argument order, then all torsion ones, which the
+    constructor sorts stably into ascending moduli.  So the sum equals the
+    pairwise fold direct_sum(direct_sum(a, b), c), built in one go.
     """
     if not modules:
         raise ValueError("direct sum needs at least one module")
@@ -760,7 +767,6 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
     for k, m in enumerate(modules):
         free += [(k, i) for i in range(m.free_rank)]
         tors += [(q, k, m.free_rank + i) for i, q in enumerate(m.torsion)]
-    tors.sort(key=lambda c: c[0])  # stable: equal moduli keep argument order
     coords = free + [(k, i) for _, k, i in tors]
     position = {c: a for a, c in enumerate(coords)}
     dim = len(coords)
@@ -840,13 +846,7 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
                 for c, y in enumerate(uinv_keep[j]):
                     acc[c] += x * y
             a_uinv.append(acc)
-        small = mat_mul(u_keep, a_uinv)
-        # A torsion generator's image has no free component in the quotient;
-        # this is automatic because the relation lattice is action-stable.
-        for a in range(len(keep_free)):
-            for b in range(len(keep_free), len(keep)):
-                assert small[a][b] == 0
-        gens[g] = small
+        gens[g] = mat_mul(u_keep, a_uinv)
     return GaloisModule(perm.group, perm.prime, len(keep_free), torsion, gens)
 
 

@@ -2,8 +2,9 @@
 
 Matrix and vector entries are emitted as decimal strings (and accepted as
 either strings or numbers) so callers in 64-bit languages never overflow.
-Torsion factors may arrive in any order; modules are canonicalized to
-ascending order, permuting the torsion coordinates to match.
+The readers only read: each object is checked by the constructor that
+owns it, so torsion factors may arrive in any order (`GaloisModule` sorts
+them) and subgroup members are checked by `subgroup_class`.
 """
 
 from __future__ import annotations
@@ -133,19 +134,6 @@ def parse_module(data: Any, prime: int) -> GaloisModule:
     check_module_dim(free_rank + len(torsion))
     action = {_as_int(g): _as_matrix(mat)
               for g, mat in _as_object(_required(data, "action", "module"), "action").items()}
-    # Canonical coordinate order is ascending torsion; permute if needed.
-    order = sorted(range(len(torsion)), key=lambda i: torsion[i])
-    if order != list(range(len(torsion))):
-        dim = free_rank + len(torsion)
-        # Checked before permuting, so no allocation is sized by free_rank.
-        for mat in action.values():
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise ValueError(f"action matrix must be {dim}x{dim}")
-        # New coordinate k is old coordinate source[k].
-        source = list(range(free_rank)) + [free_rank + i for i in order]
-        action = {g: [[mat[i][j] for j in source] for i in source]
-                  for g, mat in action.items()}
-        torsion = sorted(torsion)
     return GaloisModule(group, prime, free_rank, torsion, action)
 
 

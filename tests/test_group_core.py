@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,6 +200,58 @@ def test_subgroup_class_validates_sorts_and_dedupes():
         subgroup_class(g, [0, 1])
     with pytest.raises(ValueError, match="not an element"):
         subgroup_class(g, [0, 4])
+
+
+def _subgroup_by_all_pairs(g, elements):
+    """The former check, kept as a reference: the sorted members when every
+    product and inverse of members is a member, else None."""
+    elems = tuple(sorted(set(elements)))
+    if not elems or elems[0] != 0 or elems[-1] >= g.order:
+        return None
+    members = set(elems)
+    if all(g.inv(x) in members and all(g.mul(x, y) in members for y in elems)
+           for x in elems):
+        return elems
+    return None
+
+
+@pytest.mark.parametrize("make_group", [_c2_times_c4, dihedral8, quaternion8, heisenberg27])
+def test_subgroup_of_matches_the_all_pairs_check(make_group):
+    # Member lists drawn three ways: a subgroup (the closure of random
+    # elements), that subgroup with one element added or removed, and a
+    # random subset, each listed out of order, with repeats, and sometimes
+    # without the identity or with an element past the group.
+    g = make_group()
+    rng = Random(7)
+    outcomes = set()
+    for _ in range(150):
+        kind = rng.randrange(3)
+        if kind < 2:
+            members = list(g.closure(rng.sample(range(g.order), rng.randint(1, 2))))
+            if kind == 1:
+                x = rng.randrange(1, g.order + 1)
+                members = [y for y in members if y != x] if x in members else members + [x]
+        else:
+            members = rng.sample(range(g.order), rng.randint(1, g.order))
+        if rng.random() < 0.1:
+            members = [y for y in members if y != 0]
+        members += rng.sample(members, len(members) // 3)
+        rng.shuffle(members)
+        expected = _subgroup_by_all_pairs(g, members)
+        outcomes.add(expected is None)
+        if expected is None:
+            with pytest.raises(ValueError):
+                subgroup_of(g, members)
+        else:
+            assert subgroup_of(g, members) == expected
+    assert outcomes == {True, False}
+
+
+def test_subgroup_of_accepts_the_whole_of_c1849_and_rejects_it_without_1():
+    g = make_cyclic(1849)
+    assert subgroup_of(g, range(g.order)) == tuple(range(g.order))
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_of(g, [x for x in g.elements() if x != 1])
 
 
 def test_subgroup_class_keeps_the_given_conjugate(reference_coset_action):

@@ -156,11 +156,20 @@ def test_module_validation():
         GaloisModule(g, 2, 1, [], {1: [[2]]})
     with pytest.raises(ValueError):
         GaloisModule(g, 2, 0, [6], {1: [[1]]})  # torsion not a p-power
-    with pytest.raises(ValueError):
-        GaloisModule(g, 2, 0, [4, 2], {1: [[1, 0], [0, 1]]})  # not ascending
+    # Torsion moduli out of order are sorted, moving rows and columns along.
+    unsorted = GaloisModule(g, 2, 0, [4, 2], {1: [[-1, 0], [1, 1]]})
+    ascending = GaloisModule(g, 2, 0, [2, 4], {1: [[1, 1], [0, -1]]})
+    assert unsorted.torsion == ascending.torsion == [2, 4]
+    assert unsorted.sparse_action(1) == ascending.sparse_action(1)
     with pytest.raises(ValueError, match="not a group homomorphism"):
         # x -> 2x on Z/4 is not invertible mod 2
         GaloisModule(g, 2, 0, [4], {1: [[2]]})
+
+
+def test_module_rejects_action_keys_that_do_not_generate_the_group():
+    # 2 generates only the subgroup of order 2 of C4.
+    with pytest.raises(ValueError, match="do not generate"):
+        GaloisModule(make_cyclic(4), 2, 1, [], {2: [[1]]})
 
 
 def test_module_rejects_cyclic_non_homomorphism():

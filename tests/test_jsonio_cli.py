@@ -330,6 +330,17 @@ def test_cli_rejects_non_homomorphism(tmp_path, capsys):
     assert "not a group homomorphism" in capsys.readouterr().err
 
 
+def test_cli_rejects_action_keys_that_do_not_generate_the_group(tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "order": 4}, "free_rank": 1, "action": {"2": [[1]]},
+    }))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not generate" in err
+    assert "Traceback" not in err
+
+
 def test_cli_ed_huge_prime_is_fast(tmp_path, capsys):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps({
