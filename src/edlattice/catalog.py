@@ -91,7 +91,7 @@ def permutation_module(group: FiniteGroup, subgroup: SubgroupClass, prime: int) 
     act = coset_action(group, subgroup)
     deg = act.degree
     gens = {}
-    for g in group.generators() or [0]:
+    for g in group.generators():
         perm = act.permutations[g]
         mat = [[0] * deg for _ in range(deg)]
         for c in range(deg):
@@ -102,7 +102,7 @@ def permutation_module(group: FiniteGroup, subgroup: SubgroupClass, prime: int) 
 
 def trivial_lattice(group: FiniteGroup, prime: int, rank: int = 1) -> GaloisModule:
     gens = {g: [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-            for g in group.generators() or [0]}
+            for g in group.generators()}
     return GaloisModule(group, prime, rank, [], gens)
 
 
@@ -285,8 +285,7 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
         raise ValueError(f"unit {automorphism} mod {p}^{n} does not have {p}-power order "
                          f"at most {MAX_GROUP_ORDER}")
     group = make_cyclic(d)
-    gens = {1: [[a]]} if d > 1 else {0: [[1]]}
-    module = GaloisModule(group, p, 0, [modulus], gens)
+    module = GaloisModule(group, p, 0, [modulus], {g: [[a]] for g in group.generators()})
     return CatalogEntry("cyclic", p, None, module, 0, d)
 
 

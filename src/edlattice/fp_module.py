@@ -165,7 +165,7 @@ def coinvariants(m: FpGaloisModule):
     deltas = []
     # Generators suffice: if every generator acts trivially on the quotient
     # by these columns, the whole group does.
-    for g in m.group.generators() or [0]:
+    for g in m.group.generators():
         # Column j of A - I, read off the stored rows of A.
         cols = [[0] * dim for _ in range(dim)]
         for i, row in enumerate(m.module.sparse_action(g)):

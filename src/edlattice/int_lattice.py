@@ -4,15 +4,17 @@ Everything runs on plain Python ints (arbitrary precision).  A matrix that
 a public function takes or returns is a list of dense rows; a
 `GaloisModule` stores its action matrices sparse, each row the list of its
 nonzero entries as (column, value) pairs.  Correctness beats speed
-throughout: normal forms are classical elementary-operation reductions.
-A quotient by relations spins them under the generators into one HNF
-lattice, the integral analogue of `fp_module.spin`, and reads the quotient
-basis off the Smith form of that lattice's at most dim basis vectors.
-The Smith normal form serves quotients only: it tracks its row transform
-and that transform's inverse, and no column transform.  The Hermite
-normal form keeps no transform; it holds the spun lattice, and the
-oracle's fixed lattice M^H is one HNF of a matrix augmented by an
-identity block.  The solver's questions are local at p, so
+throughout: the Hermite normal form is Euclid per column, and the Smith
+normal form is a classical elementary-operation reduction.  A quotient by
+relations spins them under the generators into one HNF lattice, the
+integral analogue of `fp_module.spin`, asking the HNF whether each vector
+grows it, and reads the quotient basis off the Smith form of that
+lattice's at most dim basis vectors.  The Smith normal form serves
+quotients only: it tracks its row transform and that transform's inverse,
+updating both with the matrix in one row-operation helper, and no column
+transform.  The Hermite normal form keeps no transform; it holds the spun
+lattice, and the oracle's fixed lattice M^H is one HNF of a matrix
+augmented by an identity block.  The solver's questions are local at p, so
 `local_fixed_basis` (M^H) and `hom_module` (Hom) read their kernels up to
 index prime to p off one fraction-free elimination whose pivots are all
 prime to p, hence units of Z_(p); that elimination extends a stored
@@ -126,48 +128,41 @@ def sparse_mat_vec(a: SparseMatrix, v: list[int]) -> list[int]:
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form h of m.
+    """Row-style Hermite normal form h of m, by Euclid per column.
 
-    Pivots are positive and entries above each pivot are reduced into
-    [0, pivot), so h is canonical for the row span of m.  It has two
-    callers: `kernel_basis`, which augments m with an identity block
-    instead of keeping a transform, and the spin in
-    `quotient_by_orbit_relations`, which keeps the spun relation lattice in
-    this form.
+    For each column, the current row and each lower row in turn trade
+    floor-division remainders (the current row minus q times the lower
+    row, then a swap) until the lower entry is 0.  A nonzero entry left in
+    the current row is the column's pivot: the row is made positive there,
+    the entries above it are reduced into [0, pivot), and the next row
+    becomes current.  So h is the unique HNF of the row span of m, its zero
+    rows last.  It has two callers: `kernel_basis`, which augments m with
+    an identity block instead of keeping a transform, and the spin in
+    `quotient_by_orbit_relations`, which asks it whether a vector grows the
+    spun relation lattice.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
     h = [row[:] for row in m]
+    rows = len(h)
     row = 0
-    for col in range(cols):
+    for col in range(len(h[0]) if rows else 0):
         if row == rows:
             break
-        while True:
-            nz = [i for i in range(row, rows) if h[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            if i0 != row:
-                h[row], h[i0] = h[i0], h[row]
-            done = True
-            for i in range(row + 1, rows):
-                if h[i][col]:
-                    q = h[i][col] // h[row][col]
-                    for j in range(cols):
-                        h[i][j] -= q * h[row][j]
-                    if h[i][col]:
-                        done = False
-            if done:
-                break
-        if h[row][col]:
-            if h[row][col] < 0:
-                h[row] = [-x for x in h[row]]
-            piv = h[row][col]
+        top = h[row]
+        for i in range(row + 1, rows):
+            low = h[i]
+            while low[col]:
+                q = top[col] // low[col]
+                top, low = low, [x - q * y for x, y in zip(top, low)]
+            h[i] = low
+        if top[col]:
+            if top[col] < 0:
+                top = [-x for x in top]
+            h[row] = top
+            piv = top[col]
             for i in range(row):
                 q = h[i][col] // piv
                 if q:
-                    for j in range(cols):
-                        h[i][j] -= q * h[row][j]
+                    h[i] = [x - q * y for x, y in zip(h[i], top)]
             row += 1
     return h
 
@@ -188,8 +183,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
     u_inv starts as I and takes the inverse of each elementary row
     operation on u as a column operation (Cohen, GTM 138, section 2.4):
     if u becomes E u, then u^-1 becomes u^-1 E^-1.  A row swap is a
-    column swap, u[i] -= q u[t] is column t += q column i, u[t] += u[i]
-    is column i -= column t, and a negated row is a negated column.
+    column swap, row i += q row k is column k -= q column i, and a negated
+    row is a negated column.  A row addition or swap updates the matrix,
+    u and u^-1 together in one helper; column operations touch the matrix
+    alone.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -202,6 +199,20 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
         u[i], u[k] = u[k], u[i]
         for row in w:
             row[i], row[k] = row[k], row[i]
+
+    def add_row(i, k, q):
+        # Row i += q row k.
+        ai, ak, ui, uk = a[i], a[k], u[i], u[k]
+        for j in range(cols):
+            ai[j] += q * ak[j]
+        for j in range(rows):
+            ui[j] += q * uk[j]
+        for row in w:
+            row[k] -= q * row[i]
+
+    def swap_cols(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(rows, cols):
@@ -218,20 +229,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
         if i0 != t:
             swap_rows(t, i0)
         if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
+            swap_cols(t, j0)
         while True:
             # Clear column t with row operations.
             for i in range(t + 1, rows):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
                     if q:
-                        for j in range(cols):
-                            a[i][j] -= q * a[t][j]
-                        for j in range(rows):
-                            u[i][j] -= q * u[t][j]
-                        for row in w:
-                            row[t] += q * row[i]
+                        add_row(i, t, -q)
                     if a[i][t]:  # remainder is smaller; promote it
                         swap_rows(t, i)
                         break
@@ -244,29 +249,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
                             for row in a:
                                 row[j] -= q * row[t]
                         if a[t][j]:
-                            for row in a:
-                                row[t], row[j] = row[j], row[t]
+                            swap_cols(t, j)
                             break
                 else:
                     break
                 continue
         # Divisibility: a[t][t] must divide the trailing block.
         pivot = a[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows) for x in a[i][t + 1:] if x % pivot),
+                        None)
         if offender is not None:
-            for j in range(cols):
-                a[t][j] += a[offender][j]
-            for j in range(rows):
-                u[t][j] += u[offender][j]
-            for row in w:
-                row[offender] -= row[t]
+            add_row(t, offender, 1)
             continue
         if pivot < 0:
             a[t] = [-x for x in a[t]]
@@ -359,9 +352,6 @@ class GaloisModule:
         self.prime = prime
         self.free_rank = free_rank
         self.torsion = torsion
-        # At least one matrix, so every dimension is checked against one.
-        if not generator_action:
-            raise ValueError("action must give at least one matrix")
         gens = sorted(generator_action)
         if not all(0 <= g < group.order for g in gens):
             raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
@@ -771,7 +761,7 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
     position = {c: a for a, c in enumerate(coords)}
     dim = len(coords)
     gens = {}
-    for g in first.group.generators() or [0]:
+    for g in first.group.generators():
         mat = [[0] * dim for _ in range(dim)]
         for k, m in enumerate(modules):
             for i, row in enumerate(m.sparse_action(g)):
@@ -786,11 +776,12 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     """Quotient of a free module by the action-closed span of relation vectors.
 
     That span L is found by an integral spin, the analogue of
-    `fp_module.spin` over Z: each pending vector is reduced against the
-    HNF rows of L so far, and when a nonzero residue is left, L grows by
-    it (one HNF) and the vector's images under the generators' matrices
-    become pending.  Every vector that grew L had its generator images
-    put into L, so the final L is stable under the generators, hence
+    `fp_module.spin` over Z: L is kept as its HNF rows, and a pending
+    vector v grows L exactly when the HNF of those rows and v, zero rows
+    dropped, differs from them, since the HNF is unique for its lattice.
+    Then that HNF is the new L and v's images under the generators'
+    matrices become pending.  Every vector that grew L had its generator
+    images put into L, so the final L is stable under the generators, hence
     under G, since each g^-1 is a positive power of g.  It lies in the
     action-closed span and contains the relations, so it is that span.
     The spin ends because each growth raises the rank of L or lowers a
@@ -808,20 +799,16 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     if perm.torsion:
         raise ValueError("quotient base must be a free module")
     dim = perm.free_rank
-    steps = {g: perm.sparse_action(g) for g in perm.group.generators() or [0]}
+    steps = {g: perm.sparse_action(g) for g in perm.group.generators()}
     if any(len(v) != dim for v in relations):
         raise ValueError("relation vector has wrong length")
     basis: IntMatrix = []  # the HNF rows of L so far
     pending = list(relations)
     while pending:
-        r = v = pending.pop()
-        for row in basis:
-            c = next(i for i, x in enumerate(row) if x)
-            q = r[c] // row[c]
-            if q:
-                r = [x - q * y for x, y in zip(r, row)]
-        if any(r):
-            basis = [row for row in hermite_normal_form(basis + [r]) if any(row)]
+        v = pending.pop()
+        grown = [row for row in hermite_normal_form(basis + [v]) if any(row)]
+        if grown != basis:
+            basis = grown
             pending.extend(sparse_mat_vec(mat, v) for mat in steps.values())
     d, u, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
@@ -868,7 +855,7 @@ def hom_module(l: GaloisModule, m: GaloisModule) -> list[IntMatrix]:
         return []
     unknowns = nm * nl  # F[i][j] at index i * nl + j
     rows = []
-    for g in l.group.generators() or [0]:
+    for g in l.group.generators():
         al, am = l.action(g), m.action(g)
         for i in range(nm):
             for j in range(nl):

@@ -138,13 +138,12 @@ def parse_module(data: Any, prime: int) -> GaloisModule:
 
 
 def module_to_json(module: GaloisModule) -> dict:
-    gens = module.group.generators() or [0]
     return {
         "group": group_to_json(module.group),
         "free_rank": module.free_rank,
         "torsion": list(module.torsion),
         "action": {str(g): [[str(x) for x in row] for row in module.action(g)]
-                   for g in gens},
+                   for g in module.group.generators()},
     }
 
 

@@ -57,9 +57,8 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     if n < 2:
         return module
     u, w = random_unimodular(rng, n)
-    gens = module.group.generators() or [0]
     action = {}
-    for g in gens:
+    for g in module.group.generators():
         mat = module.action(g)
         a = [row[:n] for row in mat[:n]]
         c = [row[:n] for row in mat[n:]]
@@ -116,7 +115,7 @@ def _torsion_twist(rng: Random, group: FiniteGroup, p: int) -> GaloisModule | No
     modulus = p ** k
     units = [u for u in range(1, modulus) if u % p and pow(u, n, modulus) == 1]
     u = rng.choice(units)
-    action = {gens[0]: [[u]]} if gens else {0: [[1]]}
+    action = {g: [[u]] for g in gens}
     return GaloisModule(group, p, 0, [modulus], action)
 
 

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from edlattice import group_core
 from edlattice.group_core import (
     FiniteGroup,
     coset_action,
@@ -170,6 +171,15 @@ def _c2_times_c4():
     return direct_product(make_cyclic(2), make_cyclic(4))
 
 
+def test_subgroup_enumeration_stops_at_the_cap(monkeypatch):
+    # C2^3 has 16 subgroups: a cap of 16 builds them all, one less refuses.
+    monkeypatch.setattr(group_core, "MAX_SUBGROUPS", 16)
+    assert len(subgroup_classes(_c2_cubed())) == 16
+    monkeypatch.setattr(group_core, "MAX_SUBGROUPS", 15)
+    with pytest.raises(ValueError, match="more than 15 subgroups"):
+        subgroup_classes(_c2_cubed())
+
+
 def _d8_times_c2():
     return direct_product(dihedral8(), make_cyclic(2))
 
@@ -178,10 +188,10 @@ def _d8_times_c2():
     dihedral8, quaternion8, heisenberg27, pytest.param(lambda: make_cyclic(1), id="C1"),
     pytest.param(_c2_cubed, id="C2^3"), pytest.param(_c2_times_c4, id="C2xC4")])
 def test_coset_action_matches_all_pairs_reference(make_group, reference_coset_action):
-    # Only the generators' permutations are kept; [0] stands in for the
-    # trivial group, which has none.
+    # Only the generators' permutations are kept; the trivial group has
+    # none, so its actions keep no permutation.
     g = make_group()
-    kept = g.generators() or [0]
+    kept = g.generators()
     for cls in subgroup_classes(g):
         act = coset_action(g, cls)
         cosets, perms = reference_coset_action(g, cls.representative)

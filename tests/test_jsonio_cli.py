@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from edlattice import catalog, cli, ed_solver, jsonio
-from edlattice.catalog import build_list_L, parse_catalog_key
+from edlattice.catalog import build_list_L, parse_catalog_key, trivial_lattice
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
+from edlattice.group_core import MAX_SUBGROUPS, make_cyclic
 from edlattice.int_lattice import MAX_MODULE_DIM
 from edlattice.jsonio import (
     group_to_json,
@@ -338,6 +339,42 @@ def test_cli_rejects_action_keys_that_do_not_generate_the_group(tmp_path, capsys
     assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "do not generate" in err
+    assert "Traceback" not in err
+
+
+def test_cli_trivial_group_takes_an_empty_action(tmp_path, capsys):
+    # The trivial group has no generators, so its action has no matrix.
+    assert module_to_json(trivial_lattice(make_cyclic(1), 2, 2))["action"] == {}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "order": 1}, "free_rank": 2, "action": {},
+    }))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "min_rank=2 ed=0"
+
+
+def test_cli_rejects_an_empty_action_of_a_nontrivial_group(tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "order": 4}, "free_rank": 1, "action": {},
+    }))
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not generate" in err
+    assert "Traceback" not in err
+
+
+def test_cli_refuses_a_group_past_the_subgroup_cap(tmp_path, capsys):
+    # C2^8 passes the group-order cap but has 417,199 subgroups; the
+    # enumeration stops at MAX_SUBGROUPS instead of running for minutes.
+    group = parse_group({"type": "product", "factors": [{"type": "cyclic", "order": 2}] * 8})
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(trivial_lattice(group, 2))))
+    start = time.perf_counter()
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"more than {MAX_SUBGROUPS} subgroups" in err
     assert "Traceback" not in err
 
 
