@@ -52,8 +52,8 @@ from .int_lattice import (
 from .fp_module import (
     Subspace,
     _echelon_insert,
+    _orbit_walk,
     coinvariants,
-    orbit_span,
     project,
     reduce_mod_p,
     rref,
@@ -208,6 +208,15 @@ def _projective_points(image_basis, p):
             yield point
 
 
+def _line_key(v, p):
+    """The multiple of a nonzero vector over F_p that leads with 1, as a tuple."""
+    lead = next(x for x in v if x)
+    if lead == 1:
+        return tuple(v)
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in v)
+
+
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     """Exhaustive oracle: no coinvariants, no Nakayama, no greedy.
 
@@ -227,10 +236,15 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     (list floor, span) already reached at least as cheaply are pruned.
 
     Only repeated F_p work is shared, in dicts that live for this call
-    alone.  c.v has the orbit span of v for c prime to p, so each
-    projective point of M/pM is spun once, as its representative with
-    leading coefficient 1, however many classes offer it; and each join
-    of the running span with a candidate span is computed once per search.
+    alone.  c.v and g.v have the orbit span of v for c prime to p and g
+    in G, so a point's span is recorded under the representative with
+    leading coefficient 1 of its line, and the orbit walk that spins a
+    point (`orbit_span`) records it for every orbit point the walk met
+    too.  A point met by an earlier walk is not spun again, however many
+    classes offer it, so a G-orbit of lines is normally spun once (a walk
+    does not report the images of the orbit points it rejected); and
+    each join of the running span with a candidate span is computed once
+    per search.
 
     ORACLE_ENUMERATION_CAP bounds the work twice: the point count p^dim,
     checked before any enumeration, and the number of search states
@@ -256,10 +270,11 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     for ci in sorted(range(len(classes)), key=lambda i: classes[i].index):
         image_basis, _ = rref([[x % p for x in b] for b in fixed[ci]], dim, p)
         for point in _projective_points(image_basis, p):
-            key = tuple(point)
-            span = point_spans.get(key)
+            span = point_spans.get(tuple(point))
             if span is None:
-                span = point_spans[key] = orbit_span(mbar, point)
+                span, met = _orbit_walk(mbar, point)
+                for q in met:
+                    point_spans.setdefault(_line_key(q, p), span)
             if span not in offered:
                 offered.add(span)
                 candidates.append((classes[ci].index, ci, point, span))

@@ -5,8 +5,12 @@ For a p-group acting on an F_p vector space the group algebra is local, so
 module supplies W and the canonical projection onto it, through which the
 solver projects the integral fixed vectors it walks.  `spin` gives the
 G-stable span of a family of vectors: certificate verification spins all
-generators of a cover and asks for the whole of M/pM, and the brute-force
-oracle spins one point at a time (`orbit_span`).  `fixed_image_subspace`
+generators of a cover and asks for the whole of M/pM.  The brute-force
+oracle spins one point at a time by an orbit walk (`orbit_span`), which
+applies the generators to orbit points rather than to reduced rows, so
+every vector it meets is a point g.v with the orbit span of v, and the
+oracle need not spin those points again.  Both spins skip a generator
+image equal to the vector it came from.  `fixed_image_subspace`
 (the image of M^H in W as one subspace) serves the self-checks.
 """
 
@@ -212,33 +216,60 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
     return Subspace(w_dim, m.prime, vectors)
 
 
-def _spin(m: FpGaloisModule, vectors):
-    """`spin`, returning the semi-echelon rows together with their pivots."""
+def _spin(m: FpGaloisModule, vectors, walk=False):
+    """The spin's semi-echelon rows and pivots, and every vector it pushed.
+
+    Each vector that grows the basis has its generator images pushed:
+    images of the reduced row it became, or with `walk` of the vector
+    itself as it was pushed, unreduced.  An image equal to the vector it
+    came from is in the span already and is not pushed.
+    """
     p = m.p
     rows: list[list[int]] = []
     pivots: list[int] = []
     pending = [[x % p for x in v] for v in vectors]
+    met = list(pending)
     gens = m.group.generators()
     while pending and len(rows) < m.dim:
-        row = _echelon_insert(rows, pivots, pending.pop(), p)
-        if row is not None:
-            pending.extend(m.act(g, row) for g in gens)
-    return rows, pivots
+        vec = pending.pop()
+        row = _echelon_insert(rows, pivots, vec, p)
+        if row is None:
+            continue
+        source = vec if walk else row
+        for g in gens:
+            image = m.act(g, source)
+            if image != source:
+                pending.append(image)
+                met.append(image)
+    return rows, pivots, met
 
 
 def spin(m: FpGaloisModule, vectors) -> list[list[int]]:
     """Semi-echelon basis of the least G-stable subspace containing the vectors.
 
-    Apply each generator to every vector that enlarged the running echelon
-    basis, until no image does or the basis fills the space.  Generator
-    images suffice because every g^-1 is a positive power of g in a finite
-    group.
+    Apply each generator to every reduced row that enlarged the running
+    echelon basis, until no image does or the basis fills the space.
+    Generator images suffice because every g^-1 is a positive power of g
+    in a finite group.  Expanding the reduced rows rather than the vectors
+    they came from costs fewer row operations on a spin of many vectors.
     """
     return _spin(m, vectors)[0]
 
 
+def _orbit_walk(m: FpGaloisModule, v) -> tuple[Subspace, list[list[int]]]:
+    """`orbit_span(m, v)` and the points of v's orbit the walk met, v first.
+
+    The walk expands each vector that grew the basis as it was pushed, so
+    every vector it pushes is a point g.v of the orbit, whose orbit span is
+    that of v.  The span of the vectors that grew the basis is that of the
+    rows, and it holds each one's generator images, so it is G-stable.
+    """
+    rows, pivots, met = _spin(m, [v], walk=True)
+    return Subspace._from_echelon(m.dim, m.p, rows, pivots), met
+
+
 def orbit_span(m: FpGaloisModule, v) -> Subspace:
-    """F_p-span of the orbit {g.v : g in the group}: the spin of v."""
+    """F_p-span of the orbit {g.v : g in the group}, by an orbit walk from v."""
     if len(v) != m.dim:
         raise ValueError("vector length does not match the module dimension")
-    return Subspace._from_echelon(m.dim, m.p, *_spin(m, [v]))
+    return _orbit_walk(m, v)[0]

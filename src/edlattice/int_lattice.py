@@ -780,13 +780,14 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     vector v grows L exactly when the HNF of those rows and v, zero rows
     dropped, differs from them, since the HNF is unique for its lattice.
     Then that HNF is the new L and v's images under the generators'
-    matrices become pending.  Every vector that grew L had its generator
-    images put into L, so the final L is stable under the generators, hence
-    under G, since each g^-1 is a positive power of g.  It lies in the
-    action-closed span and contains the relations, so it is that span.
-    The spin ends because each growth raises the rank of L or lowers a
-    finite index.  L depends only on the span, not on how the relations
-    are listed, and so does the quotient.
+    matrices become pending, except an image equal to v, which is in L
+    already and could not grow it.  Every vector that grew L had its
+    generator images put into L, so the final L is stable under the
+    generators, hence under G, since each g^-1 is a positive power of g.
+    It lies in the action-closed span and contains the relations, so it is
+    that span.  The spin ends because each growth raises the rank of L or
+    lowers a finite index.  L depends only on the span, not on how the
+    relations are listed, and so does the quotient.
 
     The SNF transform u of L's basis (dim x rank(L) <= dim x dim) supplies
     a canonical basis of the quotient: coordinates with invariant factor 1
@@ -809,7 +810,10 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         grown = [row for row in hermite_normal_form(basis + [v]) if any(row)]
         if grown != basis:
             basis = grown
-            pending.extend(sparse_mat_vec(mat, v) for mat in steps.values())
+            for mat in steps.values():
+                image = sparse_mat_vec(mat, v)
+                if image != v:
+                    pending.append(image)
     d, u, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))

@@ -24,7 +24,6 @@ from edlattice.fp_module import (
     Subspace,
     _echelon_insert,
     coinvariants,
-    orbit_span,
     project,
     reduce_mod_p,
 )
@@ -420,24 +419,53 @@ def _c2_cubed():
     return direct_product(direct_product(c2, c2), c2)
 
 
+def _line(v, p):
+    inv = pow(next(x for x in v if x), -1, p)
+    return tuple(x * inv % p for x in v)
+
+
 @pytest.mark.parametrize("make_group, p", [(dihedral8, 2), (_c2_cubed, 2), (heisenberg27, 3)],
                          ids=["D8", "C2^3", "H27"])
 def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p):
+    # The oracle spins with the orbit walk behind orbit_span, and a walk
+    # reports the orbit points it met; none of them may be spun again.
+    walk, projective_points = ed_solver._orbit_walk, ed_solver._projective_points
     spun = []
+    met = set()
+    offered = set()
 
     def counting(mbar, v):
-        spun.append(tuple(v))
-        return orbit_span(mbar, v)
+        line = _line(v, p)
+        assert line not in met, "a point met by an earlier walk was spun again"
+        spun.append(line)
+        span, points = walk(mbar, v)
+        met.update(_line(q, p) for q in points)
+        return span, points
 
-    monkeypatch.setattr(ed_solver, "orbit_span", counting)
+    def recording(image_basis, q):
+        for point in projective_points(image_basis, q):
+            offered.add(tuple(point))
+            yield point
+
+    monkeypatch.setattr(ed_solver, "_orbit_walk", counting)
+    monkeypatch.setattr(ed_solver, "_projective_points", recording)
     group = make_group()
     rng = Random(11)
+    total_spun = total_offered = 0
     for _ in range(8):
         m = random_module(rng, group, p, max_dim=4)
         spun.clear()
+        met.clear()
+        offered.clear()
         brute_force_min_rank(m, p, group.order * max(1, m.dim))
+        assert len(spun) >= (m.dim > 0)
         # c.v spans what v spans, so one spin per line through 0 suffices.
         assert len(spun) == len(set(spun)) <= (p ** m.dim - 1) // (p - 1)
+        assert set(spun) <= offered
+        total_spun += len(spun)
+        total_offered += len(offered)
+    # g.v spans what v spans too, so a walk spares the other points of its orbit.
+    assert total_spun < total_offered
 
 
 def _unpruned_min_rank(m, p, rank_budget):
@@ -519,6 +547,26 @@ def test_solver_matches_oracle_on_larger_sums(make_group, seed):
     assert fast.min_rank == slow.min_rank
     assert verify_certificate(m, fast.certificate, 2)
     assert verify_certificate(m, slow.certificate, 2)
+
+
+@pytest.mark.parametrize("make_group, p", [(_c2_cubed, 2), (dihedral8, 2), (quaternion8, 2),
+                                           (lambda: make_cyclic(9), 3), (heisenberg27, 3)],
+                         ids=["C2^3", "D8", "Q8", "C9", "H27"])
+def test_solver_matches_oracle_past_dimension_four(make_group, p):
+    # Criterion 4 stops at dimension 4; these modules have dimension 5-7.
+    group = make_group()
+    rng = Random(23)
+    dims = []
+    while len(dims) < 12:
+        m = random_module(rng, group, p, max_dim=7)
+        if not 5 <= m.dim <= 7:
+            continue
+        assert p ** m.dim <= ed_solver.ORACLE_ENUMERATION_CAP
+        fast = min_permutation_rank(m, p)
+        slow = brute_force_min_rank(m, p, group.order * m.dim)
+        assert fast.min_rank == slow.min_rank
+        dims.append(m.dim)
+    assert 7 in dims
 
 
 D8_DIM9_ORACLE = Path(__file__).parent / "data" / "d8_dim9_oracle.json"

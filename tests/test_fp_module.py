@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from edlattice.fp_module import (
     Subspace,
+    _echelon_insert,
+    _orbit_walk,
     coinvariants,
     fixed_image_subspace,
     orbit_span,
@@ -13,7 +15,14 @@ from edlattice.fp_module import (
     rref,
     spin,
 )
-from edlattice.group_core import dihedral8, heisenberg27, make_cyclic, quaternion8, subgroup_class
+from edlattice.group_core import (
+    dihedral8,
+    direct_product,
+    heisenberg27,
+    make_cyclic,
+    quaternion8,
+    subgroup_class,
+)
 from edlattice.int_lattice import GaloisModule
 from edlattice.catalog import build_list_L, permutation_module
 from edlattice.random_modules import random_module
@@ -140,6 +149,60 @@ def test_orbit_span_matches_full_orbit_on_nonabelian_groups(make_group, p):
             v = [rng.randrange(p) for _ in range(mbar.dim)]
             full = Subspace(mbar.dim, p, [mbar.act(g, v) for g in group.elements()])
             assert orbit_span(mbar, v) == full
+
+
+def _reference_spin(m, vectors):
+    """The spin that expands every reduced row and pushes every image.
+
+    Kept as a reference: `spin` drops images equal to their source, and
+    `orbit_span` walks orbit points instead of reduced rows.
+    """
+    p = m.p
+    rows, pivots = [], []
+    pending = [[x % p for x in v] for v in vectors]
+    gens = m.group.generators()
+    while pending and len(rows) < m.dim:
+        row = _echelon_insert(rows, pivots, pending.pop(), p)
+        if row is not None:
+            pending.extend(m.act(g, row) for g in gens)
+    return rows, pivots
+
+
+def _spin_reference_groups():
+    c2 = make_cyclic(2)
+    return [("C2^3", direct_product(direct_product(c2, c2), c2), 2),
+            ("C2xC4", direct_product(c2, make_cyclic(4)), 2),
+            ("D8", dihedral8(), 2), ("Q8", quaternion8(), 2),
+            ("C9", make_cyclic(9), 3), ("H27", heisenberg27(), 3)]
+
+
+@pytest.mark.parametrize("name,group,p", _spin_reference_groups(),
+                         ids=[name for name, _, _ in _spin_reference_groups()])
+def test_spin_and_orbit_walk_match_the_reduced_row_spin(name, group, p):
+    rng = Random(3)
+    cases = 0
+    torsion = set()
+    for _ in range(12):
+        mbar = reduce_mod_p(random_module(rng, group, p, max_dim=6))
+        torsion.add(bool(mbar.module.torsion))
+        elements = group.elements()
+        for _ in range(3):
+            vectors = [[rng.randrange(-p, 2 * p) for _ in range(mbar.dim)]
+                       for _ in range(rng.randrange(1, 4))]
+            rows, pivots = _reference_spin(mbar, vectors)
+            # Dropping fixed images leaves every row of the spin as it was.
+            assert spin(mbar, vectors) == rows
+            v = vectors[0]
+            span, met = _orbit_walk(mbar, v)
+            assert span == Subspace._from_echelon(mbar.dim, p, *_reference_spin(mbar, [v]))
+            assert orbit_span(mbar, v) == span
+            orbit = {tuple(mbar.act(g, [x % p for x in v])) for g in elements}
+            assert met[0] == [x % p for x in v]
+            for q in met:
+                assert tuple(q) in orbit
+                assert Subspace(mbar.dim, p, [mbar.act(g, q) for g in elements]) == span
+            cases += 1
+    assert cases == 36 and torsion == {False, True}
 
 
 @pytest.mark.parametrize("make_group,p", NONABELIAN)
