@@ -289,6 +289,13 @@ def build_cyclic(p: int, n: int, automorphism: int) -> CatalogEntry:
     return CatalogEntry("cyclic", p, None, module, 0, d)
 
 
+# The parameters each family's key takes, every one required and once.
+_KEY_PARAMETERS = {**dict.fromkeys(FIXED_FAMILIES, ("p",)),
+                   **dict.fromkeys(PARAM_FAMILIES, ("p", "r")),
+                   "cyclic": ("p", "n", "a"),
+                   **dict.fromkeys(("norm_one", "perm"), ("p", "n", "indices"))}
+
+
 def parse_catalog_key(key: str) -> CatalogEntry:
     """Build the entry named by a key like 'M11r@p=3,r=1' or 'cyclic@p=3,n=2,a=4'.
 
@@ -298,34 +305,34 @@ def parse_catalog_key(key: str) -> CatalogEntry:
       cyclic @p=P,n=N,a=A  Z/P^N twisted by the unit A
       norm_one @p=P,n=N,indices=I1+I2+...   over the cyclic group of order N
       perm @p=P,n=N,indices=I1+I2+...       permutation lattice over C_N
+
+    Each family takes exactly its own parameters, each once: a missing,
+    unknown or repeated one, or an empty piece, raises ValueError.
     """
-    try:
-        family, _, params_text = key.partition("@")
-        params = {}
-        for piece in params_text.split(","):
-            k, _, v = piece.partition("=")
-            params[k.strip()] = v.strip()
-        p = int(params["p"])
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"malformed catalog key {key!r}") from exc
+    family, _, params_text = key.partition("@")
     family = family.strip()
+    if family not in _KEY_PARAMETERS:
+        raise ValueError(f"unknown catalog family {family!r}")
+    # An empty piece has the empty name, which no family takes.
+    pieces = [piece.partition("=") for piece in params_text.split(",")]
+    params = {k.strip(): v.strip() for k, _, v in pieces}
+    if len(params) < len(pieces) or sorted(params) != sorted(_KEY_PARAMETERS[family]):
+        raise ValueError(f"malformed catalog key {key!r}: {family} takes the parameters "
+                         f"{', '.join(_KEY_PARAMETERS[family])}, each once")
+    p = int(params["p"])
     if family in FIXED_FAMILIES:
         return build_list_L(family, p)
     if family in PARAM_FAMILIES:
-        if "r" not in params:
-            raise ValueError(f"{family} needs an r parameter")
         return build_list_L(family, p, int(params["r"]))
     if family == "cyclic":
         return build_cyclic(p, int(params["n"]), int(params["a"]))
-    if family in ("norm_one", "perm"):
-        order = check_group_order(int(params["n"]))
-        indices = [int(x) for x in params["indices"].split("+")]
-        # The sum of the coset lattices has one coordinate per coset.
-        check_module_dim(sum(indices))
-        group = make_cyclic(order)
-        classes = [_class_of_index(group, i) for i in indices]
-        if family == "norm_one":
-            return build_norm_one(classes, group, p)
-        total = direct_sum(*(permutation_module(group, cls, p) for cls in classes))
-        return CatalogEntry("perm", p, None, total, total.free_rank, 0)
-    raise ValueError(f"unknown catalog family {family!r}")
+    order = check_group_order(int(params["n"]))
+    indices = [int(x) for x in params["indices"].split("+")]
+    # The sum of the coset lattices has one coordinate per coset.
+    check_module_dim(sum(indices))
+    group = make_cyclic(order)
+    classes = [_class_of_index(group, i) for i in indices]
+    if family == "norm_one":
+        return build_norm_one(classes, group, p)
+    total = direct_sum(*(permutation_module(group, cls, p) for cls in classes))
+    return CatalogEntry("perm", p, None, total, total.free_rank, 0)

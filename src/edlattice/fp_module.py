@@ -131,10 +131,10 @@ class FpGaloisModule:
     A view that keeps no matrices: `act` reduces the product with the
     module's stored rows mod p, exact since every torsion modulus is a
     power of p.  Nothing is checked here: the GaloisModule constructor
-    checked that the generators' matrices extend to an action with
-    integral inverses (action(g) action(g^-1) = I, or for a pc generator
-    g_i with g_i^r_i = 1 the power relation X_i^r_i = I), so every reduced
-    matrix is invertible.
+    checked that the generators' matrices satisfy the relations of the
+    group's pc presentation, which make every matrix a unit with an
+    integral inverse, the matrix of g^-1, so every reduced matrix is
+    invertible.
     """
 
     __slots__ = ("module", "group", "p", "dim")

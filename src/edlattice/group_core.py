@@ -160,11 +160,9 @@ class FiniteGroup:
         return self._orders
 
     def is_abelian(self) -> bool:
-        return all(
-            self.cayley[a][b] == self.cayley[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
+        """Whether the generators commute, which they do exactly when the group is abelian."""
+        gens = self.generators()
+        return all(self.cayley[a][b] == self.cayley[b][a] for a in gens for b in gens)
 
     def is_p_group(self, p: int) -> bool:
         """True iff the order is a power of p (1 counts: the trivial group)."""
@@ -505,10 +503,9 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
                     queue.append(extended)
     # The conjugates of h are its orbit under conjugation by generators of
     # the group (each g^-1 is a power of g), grown breadth-first: those the
-    # whole group was reached with.  When they commute the group is abelian
-    # and the orbit is {h}.
+    # whole group was reached with.  In an abelian group the orbit is {h}.
     group_gens = known[tuple(group.elements())]
-    abelian = all(cayley[a][b] == cayley[b][a] for a in group_gens for b in group_gens)
+    abelian = group.is_abelian()
     classes: list[SubgroupClass] = []
     seen: set[tuple[int, ...]] = set()
     for h in sorted(known):

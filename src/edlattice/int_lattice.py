@@ -21,9 +21,11 @@ prime to p, hence units of Z_(p); that elimination extends a stored
 state row by row, so the fixed-point systems of one solve, which share
 generator prefixes, eliminate each prefix once.  A fixed-point system
 stacks one block per generator of H's `SubgroupClass`.  A `GaloisModule`
-is stored by the matrices of a generating set, checked against the
-group's pc presentation; the matrix of any other element is built from
-its normal form when first asked for.  Input modules are held to
+is stored by the matrices of a generating set, and the relations of the
+group's pc presentation are the whole check that they extend to an
+action: they already make every matrix invertible.  The matrix of any
+other element is built from its normal form, through one power cache per
+pc generator, when first asked for.  Input modules are held to
 MAX_MODULE_DIM coordinates by `check_module_dim`.
 """
 
@@ -310,23 +312,23 @@ class GaloisModule:
     X_i is that word's product, with runs of one generator taken by
     square-and-multiply.  The X_i must satisfy the k(k+1)/2 relations
     g_i^r_i = w_ii and g_j g_i = g_i w_ij, where the matrix of a word is
-    the product of its normal form in the X_i.  Then the X_i extend to a
-    homomorphism from G (von Dyck's theorem), and every supplied generator
-    must have the matrix that homomorphism gives it, its normal form.  So
-    the supplied matrices are accepted exactly when they extend to an
-    action of G.  For each supplied generator g the product of its matrix
-    with the normal form of g^-1 is also compared with I, with both factors
-    integral; that proves A unimodular and D invertible mod p with no
-    determinant.  When g is a pc generator g_i with g_i^r_i = 1 that
-    product is X_i^r_i, already compared with I, so it is not formed
-    again.  The check costs O(k^2) products plus O(k log p) for the
-    powers, with k = log_p |G| for a p-group, in place of |G| products per
-    generator.
+    the product of its normal form in the X_i, and every supplied
+    generator must have the matrix of its normal form.  That is the whole
+    check.  The last power relation reads X_(k-1)^r = I, and each earlier
+    one sets X_i^r_i equal to a product of later X_j, so by induction from
+    the last every X_i is a unit of End(M): A unimodular and D invertible
+    mod p, with no determinant.  Von Dyck's theorem then gives a
+    homomorphism G -> Aut(M) whose value at g is g's normal form.  So the
+    supplied matrices are accepted exactly when they extend to an action
+    of G, and each is invertible, its inverse the normal form of g^-1.
+    The check costs O(k^2) products plus O(k log p) for the powers, with
+    k = log_p |G| for a p-group, in place of |G| products per generator.
 
     Every matrix is stored once, sparse (`SparseMatrix`): the pc
-    generators, their power caches and the normal forms.  A supplied
-    matrix is kept only through the check, which proves it equal to the
-    normal form kept in its place.  No zero is stored and torsion rows are
+    generators, with one power cache each, and the normal forms.  A
+    supplied matrix is kept only through the check, which proves it equal
+    to the normal form kept in its place; after the check each power
+    cache keeps only its X_i.  No zero is stored and torsion rows are
     reduced modulo q_j, so a stored matrix is canonical and the check
     compares stored matrices as they are.
     `sparse_action(g)` builds g's matrix from its normal form when it is
@@ -336,7 +338,7 @@ class GaloisModule:
     """
 
     __slots__ = ("group", "prime", "free_rank", "torsion",
-                 "_pc", "_actions")
+                 "_powers", "_actions")
 
     def __init__(self, group: FiniteGroup, prime: int, free_rank: int,
                  torsion: list[int], generator_action: dict[int, IntMatrix]):
@@ -365,38 +367,32 @@ class GaloisModule:
                         for g, mat in supplied.items()}
             self.torsion = sorted(torsion)
         pc = group.pc_presentation()
-        # powers[i] caches the powers of X_i during the check, shared with
-        # the supplied generator when g_i is one.  _actions only ever holds
-        # normal-form products, so every comparison in the check is against
-        # the normal form and none against a supplied matrix.
+        # The powers of a supplied matrix are cached while the words are
+        # built, and a pc generator that is a supplied generator shares its
+        # cache.  _actions only ever holds normal-form products, so every
+        # comparison in the check is against the normal form and none
+        # against a supplied matrix.
         gen_powers = {g: {1: mat} for g, mat in supplied.items()}
-        powers = [gen_powers[runs[0][0]] if len(runs) == 1 and runs[0][1] == 1
-                  else {1: self._word(runs, gen_powers)}
-                  for runs in group.words(gens, pc.generators)]
-        self._pc = [cache[1] for cache in powers]
+        self._powers = [gen_powers[runs[0][0]] if len(runs) == 1 and runs[0][1] == 1
+                        else {1: self._word(runs, gen_powers)}
+                        for runs in group.words(gens, pc.generators)]
         self._actions: dict[int, SparseMatrix] = {}
-        if not self._is_action(pc, powers, supplied):
+        if not self._is_action(pc, supplied):
             raise ValueError("action is not a group homomorphism")
+        # Keep only each X_i: powers a later element needs are built again,
+        # which holds less than every power the relations needed.
+        self._powers = [{1: cache[1]} for cache in self._powers]
 
-    def _is_action(self, pc: PcPresentation, powers: list[dict[int, SparseMatrix]],
-                   supplied: dict[int, SparseMatrix]) -> bool:
+    def _is_action(self, pc: PcPresentation, supplied: dict[int, SparseMatrix]) -> bool:
         """Whether the supplied matrices extend to an action (class docstring)."""
-        x = self._pc
-        if any(self._power(powers[i], r) != self._normal_form(pc.powers[i], powers)
-               for i, r in enumerate(pc.relative_orders)):
+        x = [cache[1] for cache in self._powers]
+        if any(self._power(cache, r) != self.sparse_action(w)
+               for cache, r, w in zip(self._powers, pc.relative_orders, pc.powers)):
             return False
-        if any(self._product(x[j], x[i]) != self._product(x[i], self._normal_form(w, powers))
+        if any(self._product(x[j], x[i]) != self._product(x[i], self.sparse_action(w))
                for (i, j), w in pc.conjugates.items()):
             return False
-        identity = self._identity()
-        inverse = self.group.inverse
-        # For g = g_i with g_i^r_i = 1 the inverse check's product is
-        # X_i^r_i, which the power check has already compared with I.
-        periodic = {g for g, w in zip(pc.generators, pc.powers) if w == 0}
-        return all(self._normal_form(g, powers) == mat
-                   and (g in periodic
-                        or self._product(mat, self._normal_form(inverse[g], powers)) == identity)
-                   for g, mat in supplied.items())
+        return all(self.sparse_action(g) == mat for g, mat in supplied.items())
 
     def _validate(self, mat: IntMatrix) -> SparseMatrix:
         """The stored form of a supplied dense matrix, after checking its shape."""
@@ -504,10 +500,14 @@ class GaloisModule:
         return self.free_rank + len(self.torsion)
 
     def sparse_action(self, g: int) -> SparseMatrix:
-        """The stored matrix of g: its normal form in the pc generators, built once."""
+        """The stored matrix of g: the product X_0^e_0 ... X_(k-1)^e_(k-1)
+        for g's exponents in the pc generators, built once from their power
+        caches and kept."""
         mat = self._actions.get(g)
         if mat is None:
-            mat = self._normal_form(g, [{1: x} for x in self._pc])
+            exponents = self.group.pc_presentation().exponents[g]
+            mat = self._word([(i, e) for i, e in enumerate(exponents) if e], self._powers)
+            self._actions[g] = mat
         return mat
 
     def action(self, g: int) -> IntMatrix:
@@ -517,16 +517,6 @@ class GaloisModule:
             for j, x in row:
                 out[j] = x
         return dense
-
-    def _normal_form(self, g: int, powers: list[dict[int, SparseMatrix]]) -> SparseMatrix:
-        """The product X_0^e_0 ... X_(k-1)^e_(k-1) for g's exponents, kept in
-        _actions; powers[i] is the power cache of X_i."""
-        mat = self._actions.get(g)
-        if mat is None:
-            exponents = self.group.pc_presentation().exponents[g]
-            mat = self._word([(i, e) for i, e in enumerate(exponents) if e], powers)
-            self._actions[g] = mat
-        return mat
 
     def canon_vector(self, v: list[int]) -> list[int]:
         n = self.free_rank

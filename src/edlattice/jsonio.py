@@ -2,8 +2,10 @@
 
 Matrix and vector entries are emitted as decimal strings (and accepted as
 either strings or numbers) so callers in 64-bit languages never overflow.
-The readers only read: each object is checked by the constructor that
-owns it, so torsion factors may arrive in any order (`GaloisModule` sorts
+The readers check only what is lost once the text is a dict: an object
+that repeats a key, and action keys such as "1" and "01" that name one
+element.  Every other check is made by the constructor that owns the
+object, so torsion factors may arrive in any order (`GaloisModule` sorts
 them) and subgroup members are checked by `subgroup_class`.
 """
 
@@ -39,9 +41,18 @@ __all__ = [
 
 
 def load_json(path: str) -> Any:
+    """The JSON value in the file; an object that repeats a key is a ValueError."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: JSON object has key {key!r} twice")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -132,8 +143,11 @@ def parse_module(data: Any, prime: int) -> GaloisModule:
     free_rank = _as_int(data.get("free_rank", 0))
     torsion = [_as_int(q) for q in _as_list(data.get("torsion", []), "torsion")]
     check_module_dim(free_rank + len(torsion))
-    action = {_as_int(g): _as_matrix(mat)
-              for g, mat in _as_object(_required(data, "action", "module"), "action").items()}
+    action = {}
+    for key, mat in _as_object(_required(data, "action", "module"), "action").items():
+        if (g := _as_int(key)) in action:
+            raise ValueError(f"action names element {g} twice")
+        action[g] = _as_matrix(mat)
     return GaloisModule(group, prime, free_rank, torsion, action)
 
 

@@ -14,6 +14,7 @@ from edlattice.catalog import (
     parse_catalog_key,
     permutation_module,
 )
+from edlattice.cli import main
 from edlattice.ed_solver import min_permutation_rank
 from edlattice.group_core import (
     MAX_GROUP_ORDER,
@@ -171,6 +172,21 @@ def test_parse_catalog_key_errors():
     for bad in ("M7", "M7@q=3", "M9r@p=3", "nope@p=3", "norm_one@p=3,n=9,indices=5"):
         with pytest.raises(ValueError):
             parse_catalog_key(bad)
+
+
+@pytest.mark.parametrize("key", [
+    "M2@p=2,p=3", "M1@p=2,r=1", "cyclic@p=3,n=2,a=4,r=1", "M1@p=2,,", "M1@p=2,", "M1@,p=2",
+    "M9r@p=3,r=1,r=2", "M9r@p=3,n=1", "cyclic@p=3,n=2", "cyclic@p=3,n=2,a=4,a=4",
+    "norm_one@p=3,n=9", "norm_one@p=3,n=9,indices=3+3,a=1", "perm@p=2,indices=4",
+    "perm@p=2,n=4,n=4,indices=4", "M7@p", "M7@=3",
+])
+def test_catalog_keys_take_exactly_their_family_parameters(capsys, key):
+    # A repeated parameter used to keep its last value and an unknown or
+    # empty one was ignored, so M2@p=2,p=3 solved M2 at p = 3.
+    assert main(["ed", "--catalog", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_relation_vectors_use_exact_binomials():

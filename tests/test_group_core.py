@@ -495,6 +495,9 @@ def test_words_reach_their_targets(make_group):
 
 def test_enumeration_tries_one_element_per_coset(monkeypatch):
     g = make_cyclic(512)
+    # The enumeration asks is_abelian, which reads generators(); that is
+    # computed once per group, by a closure of its own, so count from after it.
+    g.generators()
     real = FiniteGroup.closure
     calls = []
 
@@ -554,3 +557,20 @@ def test_conjugacy_orbits_by_generators_match_all_elements(make_group):
     classes = subgroup_classes(g)
     assert [(c.representative, c.index) for c in classes] == reference
     assert all(g.closure(c.generators) == c.representative for c in classes)
+
+
+def _is_abelian_by_all_pairs(g):
+    """The definition: every pair of elements commutes."""
+    return all(g.mul(a, b) == g.mul(b, a) for a in g.elements() for b in g.elements())
+
+
+def test_is_abelian_matches_the_all_pairs_definition(s3, a4, a5):
+    # is_abelian compares the generators only, which generate the group.
+    groups = _pc_groups() + [
+        make_cyclic(12), make_cyclic(256), _product(*[make_cyclic(2)] * 5),
+        _product(dihedral8(), make_cyclic(2), make_cyclic(2)),
+        _product(quaternion8(), make_cyclic(2)), _product(heisenberg27(), make_cyclic(3)),
+        s3, a4, a5]
+    answers = [g.is_abelian() for g in groups]
+    assert answers == [_is_abelian_by_all_pairs(g) for g in groups]
+    assert True in answers and False in answers

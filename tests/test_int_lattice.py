@@ -538,6 +538,8 @@ def _random_action(rng, group, p):
         return free_rank, torsion, {g: _random_matrix(rng, free_rank, torsion) for g in gens}
     m = random_module(rng, group, p, max_dim=3)
     action = {g: [row[:] for row in m.action(g)] for g in gens}
+    if not gens:  # the trivial group, generated by no element
+        return m.free_rank, list(m.torsion), action
     g = rng.choice(gens)
     roll = rng.random()
     if roll < 0.3:
@@ -549,13 +551,21 @@ def _random_action(rng, group, p):
     return m.free_rank, list(m.torsion), action
 
 
+def _c2_cubed():
+    c2 = make_cyclic(2)
+    return direct_product(direct_product(c2, c2), c2)
+
+
+# C1 has no pc generator; every pc power of C2^3 is trivial; "s3", a
+# fixture, is solvable and not nilpotent.
 @pytest.mark.parametrize("make_group,p", [
     (lambda: make_cyclic(2), 2), (lambda: make_cyclic(3), 3), (lambda: make_cyclic(4), 2),
     (lambda: make_cyclic(9), 3), (lambda: direct_product(make_cyclic(2), make_cyclic(4)), 2),
-    (dihedral8, 2), (quaternion8, 2), (heisenberg27, 3)],
-    ids=["C2", "C3", "C4", "C9", "C2xC4", "D8", "Q8", "H27"])
-def test_module_accepts_exactly_what_the_cayley_walk_accepts(make_group, p):
-    g = make_group()
+    (dihedral8, 2), (quaternion8, 2), (heisenberg27, 3), (lambda: make_cyclic(1), 2),
+    (_c2_cubed, 2), ("s3", 3)],
+    ids=["C2", "C3", "C4", "C9", "C2xC4", "D8", "Q8", "H27", "C1", "C2^3", "S3"])
+def test_module_accepts_exactly_what_the_cayley_walk_accepts(request, make_group, p):
+    g = request.getfixturevalue(make_group) if isinstance(make_group, str) else make_group()
     rng = Random(17)
     outcomes = set()
     for _ in range(300):
@@ -617,7 +627,7 @@ def test_action_matrices_are_built_on_demand(monkeypatch):
     assert all(mat[(c + 25) % 121] == [(c, 1)] for c in range(121))
 
 
-def test_pc_generators_with_trivial_power_skip_the_inverse_product(monkeypatch):
+def test_module_check_forms_only_the_relation_products(monkeypatch):
     real = GaloisModule._product
     calls = []
 
@@ -626,13 +636,13 @@ def test_pc_generators_with_trivial_power_skip_the_inverse_product(monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(GaloisModule, "_product", counting)
-    c2 = make_cyclic(2)
-    g = direct_product(direct_product(c2, c2), c2)
+    g = _c2_cubed()
     pc = g.pc_presentation()
     assert sorted(pc.generators) == g.generators() and pc.powers == (0, 0, 0)
     # Each pc generator negates one coordinate.  Three squares for the
-    # power relations and two products per commutator relation; each
-    # inverse check would form X_i X_i = X_i^2 again, so none is made.
+    # power relations and two products per commutator relation, and no
+    # other: the power relations make every X_i invertible, so no product
+    # with the matrix of an inverse is formed.
     action = {x: [[-1 if i == j == k else int(i == j) for j in range(3)] for i in range(3)]
               for k, x in enumerate(pc.generators)}
     GaloisModule(g, 2, 3, [], action)
@@ -641,6 +651,13 @@ def test_pc_generators_with_trivial_power_skip_the_inverse_product(monkeypatch):
     action[pc.generators[0]] = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
     with pytest.raises(ValueError, match="not a group homomorphism"):
         GaloisModule(g, 2, 3, [], action)
+    # C4 = <g_0, g_1 | g_0^2 = g_1, g_1^2 = 1> acting by a rotation R:
+    # X_1 = R^2 is one product, X_1^2 one more, and the commutator relation
+    # two.  The generator's inverse g_0^3, whose matrix would be X_0 X_1,
+    # is never built.
+    del calls[:]
+    GaloisModule(make_cyclic(4), 2, 2, [], {1: [[0, -1], [1, 0]]})
+    assert len(calls) == 4
 
 
 def _trivial_module(p, free_rank, torsion):

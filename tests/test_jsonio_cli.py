@@ -342,6 +342,26 @@ def test_cli_rejects_action_keys_that_do_not_generate_the_group(tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", [
+    None,  # tests/data/duplicate_action_key.json: "1" then "01"
+    '{"01": [["1"]], "1": [["-1"]]}',
+    '{"1": [["-1"]], "1": [["1"]]}',
+], ids=["1-then-01", "01-then-1", "1-twice"])
+def test_cli_refuses_an_action_that_names_one_element_twice(tmp_path, capsys, action):
+    # "1" and "01" both name the generator of C2.  The last matrix used to
+    # win, so one key order solved the trivial action (min_rank=1 ed=0) and
+    # the other the sign action (min_rank=2 ed=1).
+    path = Path(__file__).parent / "data" / "duplicate_action_key.json"
+    if action is not None:
+        path = tmp_path / "module.json"
+        path.write_text('{"group": {"type": "cyclic", "order": 2}, "free_rank": 1, '
+                        f'"action": {action}}}')
+    assert main(["ed", "--input", str(path), "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "twice" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_trivial_group_takes_an_empty_action(tmp_path, capsys):
     # The trivial group has no generators, so its action has no matrix.
     assert module_to_json(trivial_lattice(make_cyclic(1), 2, 2))["action"] == {}
