@@ -307,7 +307,8 @@ def parse_catalog_key(key: str) -> CatalogEntry:
       perm @p=P,n=N,indices=I1+I2+...       permutation lattice over C_N
 
     Each family takes exactly its own parameters, each once: a missing,
-    unknown or repeated one, or an empty piece, raises ValueError.
+    unknown or repeated one, or an empty piece, raises ValueError, and so
+    does a value that is not an integer, naming the key and the parameter.
     """
     family, _, params_text = key.partition("@")
     family = family.strip()
@@ -319,15 +320,24 @@ def parse_catalog_key(key: str) -> CatalogEntry:
     if len(params) < len(pieces) or sorted(params) != sorted(_KEY_PARAMETERS[family]):
         raise ValueError(f"malformed catalog key {key!r}: {family} takes the parameters "
                          f"{', '.join(_KEY_PARAMETERS[family])}, each once")
-    p = int(params["p"])
+
+    def integer(what, text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"catalog key {key!r}: {what} must be an integer, "
+                             f"got {text!r}") from None
+
+    p = integer("parameter p", params["p"])
     if family in FIXED_FAMILIES:
         return build_list_L(family, p)
     if family in PARAM_FAMILIES:
-        return build_list_L(family, p, int(params["r"]))
+        return build_list_L(family, p, integer("parameter r", params["r"]))
     if family == "cyclic":
-        return build_cyclic(p, int(params["n"]), int(params["a"]))
-    order = check_group_order(int(params["n"]))
-    indices = [int(x) for x in params["indices"].split("+")]
+        return build_cyclic(p, integer("parameter n", params["n"]),
+                            integer("parameter a", params["a"]))
+    order = check_group_order(integer("parameter n", params["n"]))
+    indices = [integer("each index", x) for x in params["indices"].split("+")]
     # The sum of the coset lattices has one coordinate per coset.
     check_module_dim(sum(indices))
     group = make_cyclic(order)

@@ -75,6 +75,8 @@ def _cmd_ed(args) -> int:
         raise ValueError("give exactly one of --input or --catalog")
     module, p = _resolve_module(args.input or args.catalog, args.prime)
     budget = _budget(args, module.group.order * max(1, module.dim))
+    if args.budget is not None and not args.oracle:
+        raise ValueError("--budget applies only with --oracle")
     if args.oracle:
         result = brute_force_min_rank(module, p, budget)
     else:
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     ed.add_argument("--input", help="module JSON file, or a catalog key")
     ed.add_argument("--catalog", help="catalog key, e.g. M7@p=3")
     ed.add_argument("--oracle", action="store_true", help="use the brute-force search")
-    ed.add_argument("--budget", type=int)
+    ed.add_argument("--budget", type=int, help="rank budget of the --oracle search")
     ed.add_argument("--json", action="store_true")
     ed.set_defaults(func=_cmd_ed)
 

@@ -16,7 +16,7 @@ of pairs (v, H) with v in V_H whose vectors span W, at cost sum [G:H]; a
 minimal cover takes a basis of W.  These pairs form a linear matroid on W
 weighted by the index, so Edmonds' greedy algorithm is exact: take the
 classes cheapest first and, for each, walk a p-local basis of M^H
-(`local_fixed_basis`: integral H-fixed vectors from one elimination whose
+(`local_fixed_bases`: integral H-fixed vectors from one elimination whose
 pivots are all prime to p, hence units of Z_(p), so they span a sublattice
 of index prime to p and have the image of M^H in M/pM), keeping every vector
 whose image in W is independent of those already kept.  Those images span
@@ -47,7 +47,7 @@ from .int_lattice import (
     fixed_submodule,
     hom_module,
     is_prime,
-    local_fixed_basis,
+    local_fixed_bases,
 )
 from .fp_module import (
     Subspace,
@@ -116,22 +116,16 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
 
     Edmonds' greedy algorithm on the matroid of pairs (v in V_H, class H)
     weighted by [G:H]: classes are taken by (index, position), a p-local
-    basis of M^H (`local_fixed_basis`, an elimination that pivots only on
+    basis of M^H (`local_fixed_bases`, an elimination that pivots only on
     entries prime to p, so its kernel vectors span M^H over Z_(p)) is
     computed only when the loop reaches H, and each of its vectors b whose
     image in W grows the running span is kept, with b itself as the
     H-fixed generator.  The b span V_H, so the dimensions gained at H are
-    those V_H adds to the cheaper classes.  Each class's generators extend
-    those of the smaller subgroup it was reached from, so the classes
-    share one dict of elimination states by generator prefix: each prefix
-    is eliminated once per solve, and a class appends only its remaining
-    generators' blocks.  The rows are the same, appended in the same order
-    and pivoted under the same rule as in a fresh elimination, so every
-    basis, hence every certificate, is bit for bit the same.  The first
-    classes to reach dim W fix the minimum, sum [G:H] * (dimensions gained
-    at H), and the output is deterministic.  The certificate is replayed
-    before it is returned; a rejection means a defect in this argument and
-    raises AssertionError.
+    those V_H adds to the cheaper classes.  The first classes to reach
+    dim W fix the minimum, sum [G:H] * (dimensions gained at H), and the
+    output is deterministic.  The certificate is replayed before it is
+    returned; a rejection means a defect in this argument and raises
+    AssertionError.
     """
     _check_prime(m, p)
     if m.dim == 0:
@@ -140,16 +134,14 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     span: list[list[int]] = []
     pivots: list[int] = []
     summands = []
-    # Elimination states of the fixed-point systems by generator prefix,
-    # shared by the classes of this solve alone.
-    prefixes: dict = {}
     # sorted() is stable, so equal indices keep their enumeration order.
-    for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
-        if len(span) == w_dim:
-            break
-        for b in local_fixed_basis(m, cls, prefixes):
+    classes = sorted(subgroup_classes(m.group), key=lambda c: c.index)
+    for cls, basis in local_fixed_bases(m, classes):
+        for b in basis:
             if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
                 summands.append((cls, tuple(m.canon_vector(b))))
+        if len(span) == w_dim:
+            break
     assert len(span) == w_dim, "the trivial class alone spans W"
     total = sum(cls.index for cls, _ in summands)
     cert = CoverCertificate(tuple(summands), total)
@@ -223,9 +215,10 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     A summand Z[G/H] sending the coset H to an integral H-fixed vector
     reaches M/pM as the orbit span of that vector's image, a point of
     image(M^H -> M/pM); the map is a cover iff those spans sum to M/pM.
-    The search takes the classes by (index, position) and records each
-    distinct orbit span once, with the first (hence cheapest) class and
-    point that reach it.  That loses no cover: a dearer summand with the
+    The search takes the classes by (index, position), computes each
+    class's HNF basis of M^H (`fixed_submodule`) when it reaches the class,
+    and records each distinct orbit span once, with the first (hence
+    cheapest) class and point that reach it.  That loses no cover: a dearer summand with the
     same span can be swapped for the recorded one without raising the
     cost, and a span used twice adds nothing the first use did not, so
     some minimal cover is a set of distinct recorded spans.  The search
@@ -259,16 +252,16 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     if p ** dim > cap:
         raise BudgetExceededError(f"point enumeration {p}^{dim} exceeds cap {cap}")
     mbar = reduce_mod_p(m)
-    classes = subgroup_classes(m.group)
-    fixed = [fixed_submodule(m, c) for c in classes]
-    # candidates[pos] = (cost, class_index, point, span), one per distinct
-    # orbit span, from the cheapest class offering it; costs never fall.
-    candidates: list[tuple[int, int, list[int], Subspace]] = []
+    # candidates[pos] = (cls, fixed, point, span), one per distinct orbit
+    # span, from the cheapest class offering it, with that class's HNF
+    # basis of M^H; costs never fall.
+    candidates: list[tuple[SubgroupClass, list[list[int]], list[int], Subspace]] = []
     offered: set[Subspace] = set()
     point_spans: dict[tuple[int, ...], Subspace] = {}
     # sorted() is stable, so equal indices keep their enumeration order.
-    for ci in sorted(range(len(classes)), key=lambda i: classes[i].index):
-        image_basis, _ = rref([[x % p for x in b] for b in fixed[ci]], dim, p)
+    for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
+        fixed = fixed_submodule(m, cls)
+        image_basis, _ = rref([[x % p for x in b] for b in fixed], dim, p)
         for point in _projective_points(image_basis, p):
             span = point_spans.get(tuple(point))
             if span is None:
@@ -277,8 +270,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
                     point_spans.setdefault(_line_key(q, p), span)
             if span not in offered:
                 offered.add(span)
-                candidates.append((classes[ci].index, ci, point, span))
-    best: list = [None, None]  # cost, chosen [(class_index, point)]
+                candidates.append((cls, fixed, point, span))
+    best: list = [None, None]  # cost, chosen [(cls, fixed, point)]
     reached: dict = {}
     # joins[span][pspan] is span + pspan.  Each distinct sum is kept once
     # (sums), so the memo costs a dict slot per pair, not a subspace.
@@ -302,9 +295,9 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         reached[state] = cost
         span_joins = joins.setdefault(span, {})
         for pos in range(floor, len(candidates)):
-            step, ci, point, pspan = candidates[pos]
+            cls, fixed, point, pspan = candidates[pos]
             limit = rank_budget if best[0] is None else min(rank_budget, best[0] - 1)
-            if cost + step > limit:
+            if cost + cls.index > limit:
                 break  # every later candidate costs at least as much
             joined = span_joins.get(pspan)
             if joined is None:
@@ -312,20 +305,20 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
                 joined = span_joins[pspan] = sums.setdefault(joined, joined)
             if joined.dim == span.dim:
                 continue
-            chosen.append((ci, point))
-            search(pos + 1, joined, cost + step, chosen)
+            chosen.append((cls, fixed, point))
+            search(pos + 1, joined, cost + cls.index, chosen)
             chosen.pop()
 
     search(0, Subspace(dim, p), 0, [])
     if best[0] is None:
         raise BudgetExceededError(f"no cover within rank budget {rank_budget}")
     summands = []
-    for ci, point in best[1]:
+    for cls, fixed, point in best[1]:
         # An integral H-fixed vector reducing to the chosen point of M/pM.
-        coeffs = _solve_mod_p(fixed[ci], point, p)
+        coeffs = _solve_mod_p(fixed, point, p)
         assert coeffs is not None, "candidate point must lie in the fixed image"
-        gen = [sum(c * b[i] for c, b in zip(coeffs, fixed[ci])) for i in range(dim)]
-        summands.append((classes[ci], tuple(m.canon_vector(gen))))
+        gen = [sum(c * b[i] for c, b in zip(coeffs, fixed)) for i in range(dim)]
+        summands.append((cls, tuple(m.canon_vector(gen))))
     cert = CoverCertificate(tuple(summands), best[0])
     assert verify_certificate(m, cert, p)
     return EdResult(best[0], best[0] - m.free_rank, cert)

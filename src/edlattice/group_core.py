@@ -483,9 +483,11 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     # known maps each subgroup found so far to the generators it was first
     # reached with.  The loop also visits what it appends, in order, so the
     # search is breadth-first.
-    # Since closure(h + {x}) = closure(h + {yx}) for y in h, one x per
-    # right coset hx is tried: its least element, which the ascending scan
-    # meets first, so each subgroup is still first reached with the same x.
+    # closure(h + {x}) = closure(h + {yz}) for y in h and z any generator
+    # x^k (k prime to the order of x) of <x>, so x covers every such yz and
+    # is the only one of them tried.  The ascending scan tries the least
+    # uncovered element; a yz it skips would only repeat x's extension, so
+    # each subgroup is still first reached with the same x.
     known: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
     queue = [(0,)]
     cayley = group.cayley
@@ -493,7 +495,13 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
         covered, gens = set(h), known[h]
         for x in group.elements():
             if x not in covered:
-                covered.update(cayley[y][x] for y in h)
+                powers = [x]  # x^1, ..., x^n = 1
+                while powers[-1]:
+                    powers.append(cayley[powers[-1]][x])
+                # covered is a union of right cosets hz, so a covered z adds nothing.
+                for k, z in enumerate(powers, 1):
+                    if z not in covered and gcd(k, len(powers)) == 1:
+                        covered.update(cayley[y][z] for y in h)
                 extended = group.closure(gens + (x,))
                 if extended not in known:
                     if len(known) == MAX_SUBGROUPS:

@@ -15,11 +15,11 @@ updating both with the matrix in one row-operation helper, and no column
 transform.  The Hermite normal form keeps no transform; it holds the spun
 lattice, and the oracle's fixed lattice M^H is one HNF of a matrix
 augmented by an identity block.  The solver's questions are local at p, so
-`local_fixed_basis` (M^H) and `hom_module` (Hom) read their kernels up to
+`local_fixed_bases` (M^H) and `hom_module` (Hom) read their kernels up to
 index prime to p off one fraction-free elimination whose pivots are all
 prime to p, hence units of Z_(p); that elimination extends a stored
-state row by row, so the fixed-point systems of one solve, which share
-generator prefixes, eliminate each prefix once.  A fixed-point system
+state row by row, so one walk over the fixed-point systems, which share
+generator states, eliminates each prefix once.  A fixed-point system
 stacks one block per generator of H's `SubgroupClass`.  A `GaloisModule`
 is stored by the matrices of a generating set, and the relations of the
 group's pc presentation are the whole check that they extend to an
@@ -32,6 +32,7 @@ MAX_MODULE_DIM coordinates by `check_module_dim`.
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import Iterable, Iterator
 
 from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power
 
@@ -686,45 +687,46 @@ def _local_kernel_vectors(echelon: IntMatrix, pivots: list[int], width: int,
     return kernel
 
 
-def local_fixed_basis(m: GaloisModule, h: SubgroupClass,
-                      prefixes: dict | None = None) -> list[list[int]]:
-    """Integral H-fixed vectors whose images span image(M^H -> M/pM).
+def local_fixed_bases(m: GaloisModule, classes: Iterable[SubgroupClass]
+                      ) -> Iterator[tuple[SubgroupClass, list[list[int]]]]:
+    """Yield (H, integral H-fixed vectors spanning image(M^H -> M/pM)) per class.
 
-    The vectors span a sublattice of M^H of index prime to p, that is,
-    all of M^H (x) Z_(p), which is all a cover with cokernel of order
-    prime to p sees.  They are the kernel vectors of `_fixed_system` from
-    `_local_kernel`, projected to the x columns, with zero projections
-    dropped; no HNF is taken.  Their span has index prime to p in the
-    kernel, whose projection is M^H, so the projected span has index prime
-    to p in M^H and the same image in M/pM.
+    The classes are taken in the order given, and each is computed only
+    when the caller asks for it.  The vectors span a sublattice of M^H of
+    index prime to p, that is, all of M^H (x) Z_(p), which is all a cover
+    with cokernel of order prime to p sees.  They are the kernel vectors of
+    `_fixed_system` from `_local_kernel`, projected to the x columns, with
+    zero projections dropped; no HNF is taken.  Their span has index prime
+    to p in the kernel, whose projection is M^H, so the projected span has
+    index prime to p in M^H and the same image in M/pM.
 
-    prefixes maps generator tuples to elimination states of M, and lets
-    calls on one module share work: the system of (g_1, ..., g_k) is the
-    system of any prefix (g_1, ..., g_j) with the blocks of g_(j+1), ...,
-    g_k appended, the earlier rows given the later generators' slack
-    columns as zeros.  Those zeros come after every earlier column, so
-    they never become pivots, and the rows are appended in the order and
-    pivoted under the rule of one elimination of the whole system.  So the
-    state of the longest stored prefix is copied and extended by the
-    remaining blocks, one stored state per block, and the answer is bit
-    for bit that of a fresh elimination.  A dict must hold states of one
-    module only; without one, a fresh dict is used.
+    The walk keeps the elimination states of M by generator prefix.  The
+    system of (g_1, ..., g_k) is the system of any prefix (g_1, ..., g_j)
+    with the blocks of g_(j+1), ..., g_k appended, the earlier rows given
+    the later generators' slack columns as zeros.  Those zeros come after
+    every earlier column, so they never become pivots, and the rows are
+    appended in the order and pivoted under the rule of one elimination of
+    the whole system.  So the state of the longest stored prefix is copied
+    and extended by the remaining blocks, one stored state per block, and
+    each basis is bit for bit that of a fresh elimination.  A class's
+    generators extend those of the smaller subgroup it was reached from,
+    so over the subgroup classes each prefix is eliminated once per walk.
     """
-    if prefixes is None:
-        prefixes = {}
-    gens = h.generators
+    states: dict[tuple[int, ...], tuple[IntMatrix, list[int]]] = {}
     t, dim = len(m.torsion), m.dim
-    j = len(gens)
-    while j and gens[:j] not in prefixes:
-        j -= 1
-    echelon, pivots = prefixes.get(gens[:j], ([], []))
-    for k in range(j, len(gens)):
-        echelon = [row + [0] * t for row in echelon] if t else list(echelon)
-        pivots = list(pivots)
-        _local_eliminate(echelon, pivots, _fixed_block(m, gens[k], k, dim + (k + 1) * t),
-                         m.prime)
-        prefixes[gens[:k + 1]] = (echelon, pivots)
-    return _local_kernel_vectors(echelon, pivots, dim + len(gens) * t, dim)
+    for h in classes:
+        gens = h.generators
+        j = len(gens)
+        while j and gens[:j] not in states:
+            j -= 1
+        echelon, pivots = states.get(gens[:j], ([], []))
+        for k in range(j, len(gens)):
+            echelon = [row + [0] * t for row in echelon] if t else list(echelon)
+            pivots = list(pivots)
+            _local_eliminate(echelon, pivots, _fixed_block(m, gens[k], k, dim + (k + 1) * t),
+                             m.prime)
+            states[gens[:k + 1]] = (echelon, pivots)
+        yield h, _local_kernel_vectors(echelon, pivots, dim + len(gens) * t, dim)
 
 
 def direct_sum(*modules: GaloisModule) -> GaloisModule:

@@ -189,6 +189,22 @@ def test_catalog_keys_take_exactly_their_family_parameters(capsys, key):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("key, what, value", [
+    ("M1@p=x", "parameter p", "x"), ("M1@p=", "parameter p", ""),
+    ("M9r@p=3,r=1.5", "parameter r", "1.5"), ("cyclic@p=3,n=two,a=4", "parameter n", "two"),
+    ("cyclic@p=3,n=2,a=4x", "parameter a", "4x"),
+    ("perm@p=2,n=4,indices=2+x", "each index", "x"),
+    ("norm_one@p=3,n=9,indices=3++3", "each index", ""),
+])
+def test_catalog_key_values_must_be_integers(capsys, key, what, value):
+    # The value went straight to int(), so M1@p=x printed "invalid literal
+    # for int() with base 10: 'x'", naming neither the key nor the parameter.
+    assert main(["ed", "--catalog", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: catalog key {key!r}: {what} must be an integer, got {value!r}\n"
+
+
 def test_relation_vectors_use_exact_binomials():
     # (1-h)^2 over F_p has coefficients 1, -2, 1: visible in the M9r
     # relation through the rank drop being independent of r

@@ -41,7 +41,7 @@ from edlattice.int_lattice import (
     direct_sum,
     fixed_submodule,
     hermite_normal_form,
-    local_fixed_basis,
+    local_fixed_bases,
     smith_normal_form,
 )
 from edlattice.jsonio import module_to_json, result_to_json
@@ -263,11 +263,12 @@ def test_solver_matches_oracle_on_d8(d8, seed):
 def test_fixed_lattices_are_computed_only_when_reached(monkeypatch):
     calls = []
 
-    def counting(m, cls, prefixes):
-        calls.append(cls.index)
-        return local_fixed_basis(m, cls, prefixes)
+    def counting(m, classes):
+        for cls, basis in local_fixed_bases(m, classes):
+            calls.append(cls.index)
+            yield cls, basis
 
-    monkeypatch.setattr(ed_solver, "local_fixed_basis", counting)
+    monkeypatch.setattr(ed_solver, "local_fixed_bases", counting)
     # The index-1 class already spans W for M1, so the loop stops there.
     min_permutation_rank(build_list_L("M1", 3).module, 3)
     assert calls == [1]
@@ -286,8 +287,10 @@ def test_certificate_generators_are_fixed_basis_vectors(d8, case):
         m, p = random_module(Random(43), d8, 2, max_dim=4), 2
     res = min_permutation_rank(m, p)
     assert res.certificate.summands
+    classes = [cls for cls, _ in res.certificate.summands]
+    bases = dict(local_fixed_bases(m, classes))
     for cls, gen in res.certificate.summands:
-        assert list(gen) in [m.canon_vector(b) for b in local_fixed_basis(m, cls)]
+        assert list(gen) in [m.canon_vector(b) for b in bases[cls]]
         # gen lies in M^H: appending it to the HNF basis adds only a zero row.
         fixed = fixed_submodule(m, cls)
         assert hermite_normal_form(fixed + [list(gen)]) == fixed + [[0] * m.dim]

@@ -507,9 +507,27 @@ def test_enumeration_tries_one_element_per_coset(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "closure", closure)
     classes = subgroup_classes(g)
-    # One closure per (subgroup h, coset of h other than h): 1,013 calls,
-    # against 4,097 when every element outside h was tried.
-    assert len(calls) == sum(c.index - 1 for c in classes) == 1013
+    # At most one closure per (subgroup h, coset of h other than h), 1,013,
+    # against 4,097 when every element outside h was tried.  An x covers
+    # every coset hz with z a generator of <x>, so in a cyclic group only
+    # one x per larger subgroup is tried: 45 pairs h < K of the 10 classes.
+    assert len(calls) == 45 < sum(c.index - 1 for c in classes) == 1013
+
+
+def test_enumeration_of_c1849_makes_at_most_five_closures(monkeypatch):
+    # Trying x covers h times every generator of <x>: 1,892 closures when
+    # it covered the coset hx alone, counted the same way.
+    g = make_cyclic(1849)
+    real = FiniteGroup.closure
+    calls = []
+
+    def closure(self, seed):
+        calls.append(1)
+        return real(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "closure", closure)
+    assert [c.index for c in subgroup_classes(g)] == [1849, 43, 1]
+    assert len(calls) <= 5
 
 
 def _all_subgroups(group):

@@ -27,7 +27,7 @@ from edlattice.int_lattice import (
     identity_matrix,
     is_prime,
     kernel_basis,
-    local_fixed_basis,
+    local_fixed_bases,
     mat_mul,
     quotient_by_orbit_relations,
     smith_normal_form,
@@ -915,10 +915,12 @@ def _fresh_local_basis(m, cls):
     return [v[:m.dim] for v in int_lattice._local_kernel(rows, width, m.prime) if any(v[:m.dim])]
 
 
-def test_shared_prefix_states_match_a_fresh_elimination():
-    # One dict of prefix states per module serves the classes in the
-    # greedy's order, reversed and shuffled; every answer must be the fresh
-    # elimination's, and no stored state may change once stored.
+def test_shared_prefix_states_match_a_fresh_elimination(monkeypatch):
+    # One walk per module serves the classes in the greedy's order, then
+    # reversed, then shuffled; every basis must be the fresh elimination's.
+    # A stored state that changed would break a later repeat of its class.
+    # Each generator prefix is eliminated once per walk, and `shared` counts
+    # the blocks distinct classes did not eliminate again.
     c2 = make_cyclic(2)
     groups = [(direct_product(direct_product(c2, c2), c2), 2),
               (direct_product(c2, make_cyclic(4)), 2), (dihedral8(), 2),
@@ -927,23 +929,29 @@ def test_shared_prefix_states_match_a_fresh_elimination():
     modules = [random_module(rng, g, p, max_dim=6) for g, p in groups for _ in range(12)]
     assert sum(bool(m.torsion) for m in modules) >= 10
     assert sum(not m.torsion for m in modules) >= 10
-    extended = 0
+    blocks = []
+    shared = 0
+    eliminate = int_lattice._local_eliminate
+
+    def counting(echelon, pivots, rows, p):
+        blocks.append(len(rows))
+        eliminate(echelon, pivots, rows, p)
+
     for m in modules:
         classes = sorted(subgroup_classes(m.group), key=lambda c: c.index)
         fresh = {cls: _fresh_local_basis(m, cls) for cls in classes}
         shuffled = list(classes)
         rng.shuffle(shuffled)
-        prefixes = {}
-        for cls in classes + classes[::-1] + shuffled:
-            gens = cls.generators
-            stored = max((j for j in range(len(gens) + 1) if gens[:j] in prefixes), default=0)
-            extended += 0 < stored < len(gens)
-            before = {k: ([list(row) for row in echelon], list(pivots))
-                      for k, (echelon, pivots) in prefixes.items()}
-            assert local_fixed_basis(m, cls, prefixes) == fresh[cls], (m, cls)
-            for k, state in before.items():
-                assert prefixes[k] == state, (m, cls, k)
-    assert extended >= 20
+        walk = classes + classes[::-1] + shuffled
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(int_lattice, "_local_eliminate", counting)
+            for cls, basis in local_fixed_bases(m, walk):
+                assert basis == fresh[cls], (m, cls)
+        prefixes = {cls.generators[:k] for cls in walk for k in range(1, len(cls.generators) + 1)}
+        assert len(blocks) == len(prefixes) < sum(len(cls.generators) for cls in walk), m
+        shared += sum(len(cls.generators) for cls in classes) - len(prefixes)
+    assert shared >= 200
 
 
 def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
@@ -959,9 +967,8 @@ def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
     needed = set()
     for k, m in enumerate(modules):
         p = m.prime
-        for cls in subgroup_classes(m.group):
+        for cls, local in local_fixed_bases(m, subgroup_classes(m.group)):
             hnf = fixed_submodule(m, cls)
-            local = local_fixed_basis(m, cls)
             for v in local:
                 assert not any(_reduce(hnf, v)), (m, cls, v)
             image = rref(hnf, m.dim, p)

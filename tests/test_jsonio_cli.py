@@ -162,6 +162,15 @@ def test_cli_refuses_a_negative_budget(capsys, argv):
     assert capsys.readouterr().err.startswith("error: --budget must be nonnegative")
 
 
+def test_cli_ed_refuses_a_budget_without_the_oracle(capsys):
+    # Only the oracle reads the budget; the greedy used to ignore it and
+    # print min_rank=9 ed=3 with exit 0.
+    assert main(["ed", "--catalog", "M7@p=3", "--budget", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget applies only with --oracle\n"
+
+
 def test_cli_ed_file_requires_prime(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(module_to_json(build_list_L("M3", 2).module)))
