@@ -333,6 +333,12 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
     m = 0 or some fixed point of the set carries a coefficient that is
     nonzero mod p.  The p = 2 case is rejected: the argument this encodes
     needs p odd, and no 2-adic form of it is on record here.
+
+    The set is the disjoint union of the coset spaces G/H, one block of
+    [G:H] = `cls.index` points per summand.  A permutation perm moves the
+    block's coefficients c to c' with c'[perm(i)] = c[i], so c is fixed
+    exactly when c[perm(i)] = c[i] for every i; the coset permutations form
+    a homomorphism, so checking each generator's permutation suffices.
     """
     if p == 2:
         raise ValueError("classifier is only valid for odd p")
@@ -340,31 +346,19 @@ def classify_ed_le_one(group: FiniteGroup, summands: list[SubgroupClass],
         raise ValueError(f"{p} is not prime")
     if not group.is_p_group(p):
         raise ValueError("acting group must be a p-group for odd prime p")
-    actions = [coset_action(group, cls) for cls in summands]
-    degrees = [a.degree for a in actions]
-    if len(coeffs) != sum(degrees):
+    if len(coeffs) != sum(cls.index for cls in summands):
         raise ValueError("coefficient vector does not match the set size")
-    # The coset permutations form a homomorphism, so generators suffice.
-    for g in group.generators():
-        permuted = []
-        offset = 0
-        for act, deg in zip(actions, degrees):
-            perm = act.permutations[g]
-            block = [0] * deg
-            for i in range(deg):
-                block[perm[i]] = coeffs[offset + i]
-            permuted.extend(block)
-            offset += deg
-        if permuted != list(coeffs):
-            raise ValueError("vector is not fixed by the group")
-    if not any(coeffs):
-        return 0
+    fixed_point_unit = False
     offset = 0
-    for act, deg in zip(actions, degrees):
-        if deg == 1 and coeffs[offset] % p:
-            return 0
-        offset += deg
-    return 1
+    for cls in summands:
+        permutations = coset_action(group, cls).permutations
+        for g in group.generators():
+            perm = permutations[g]
+            if any(coeffs[offset + perm[i]] != coeffs[offset + i] for i in range(cls.index)):
+                raise ValueError("vector is not fixed by the group")
+        fixed_point_unit = fixed_point_unit or (cls.index == 1 and coeffs[offset] % p != 0)
+        offset += cls.index
+    return 0 if fixed_point_unit or not any(coeffs) else 1
 
 
 # The brute-force oracle's cap on its point count p^dim (dimension 17 at

@@ -217,18 +217,19 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
 
 
 def _spin(m: FpGaloisModule, vectors, walk=False):
-    """The spin's semi-echelon rows and pivots, and every vector it pushed.
+    """The spin's semi-echelon rows and pivots, and with `walk` every vector it pushed.
 
     Each vector that grows the basis has its generator images pushed:
     images of the reduced row it became, or with `walk` of the vector
     itself as it was pushed, unreduced.  An image equal to the vector it
-    came from is in the span already and is not pushed.
+    came from is in the span already and is not pushed.  Only the walk
+    reads the pushed vectors, so without `walk` the list stays empty.
     """
     p = m.p
     rows: list[list[int]] = []
     pivots: list[int] = []
     pending = [[x % p for x in v] for v in vectors]
-    met = list(pending)
+    met = list(pending) if walk else []
     gens = m.group.generators()
     while pending and len(rows) < m.dim:
         vec = pending.pop()
@@ -240,7 +241,8 @@ def _spin(m: FpGaloisModule, vectors, walk=False):
             image = m.act(g, source)
             if image != source:
                 pending.append(image)
-                met.append(image)
+                if walk:
+                    met.append(image)
     return rows, pivots, met
 
 

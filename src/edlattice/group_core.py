@@ -86,19 +86,15 @@ class FiniteGroup:
         for i, row in enumerate(table):
             if len(row) != n:
                 raise ValueError(f"cayley row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"cayley entry {x} out of range")
-        for a in range(n):
-            if table[0][a] != a or table[a][0] != a:
-                raise ValueError("element 0 is not a two-sided identity")
-        inverse = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == 0:
-                    inverse[a] = b
-                    break
-            if inverse[a] == -1 or table[inverse[a]][a] != 0:
+            if min(row) < 0 or max(row) >= n:
+                bad = next(x for x in row if not 0 <= x < n)
+                raise ValueError(f"cayley entry {bad} out of range")
+        elements = list(range(n))
+        if table[0] != elements or [row[0] for row in table] != elements:
+            raise ValueError("element 0 is not a two-sided identity")
+        inverse = [row.index(0) if 0 in row else -1 for row in table]
+        for a, b in enumerate(inverse):
+            if b < 0 or table[b][a] != 0:
                 raise ValueError(f"element {a} has no two-sided inverse")
         self.order = n
         self.cayley = table
@@ -115,11 +111,11 @@ class FiniteGroup:
         # Each generator picked here at least doubles the reached set when
         # the table is a group, so this costs O(n^2 log n).
         gens: list[int] = []
-        reached: tuple[int, ...] = (0,)
+        reached = {0}
         for a in range(n):
             if a not in reached:
                 gens.append(a)
-                reached = self.closure(gens)
+                reached = set(self.closure(gens))
         for s in gens:
             s_row = table[s]
             for x in range(n):
@@ -404,22 +400,35 @@ def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:
 
 
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n, written additively: i*j = (i+j) mod n."""
+    """Cyclic group of order n, written additively: i*j = (i+j) mod n.
+
+    Row i of the table is row 0 rotated left by i.
+    """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"C{n}")
+    row = list(range(n))
+    return FiniteGroup([row[i:] + row[:i] for i in range(n)], name=f"C{n}")
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Direct product with element (x, y) packed as x * |b| + y."""
-    nb = b.order
-    table = [
-        [a.cayley[x1][x2] * nb + b.cayley[y1][y2] for x2 in range(a.order) for y2 in range(nb)]
-        for x1 in range(a.order)
-        for y1 in range(nb)
-    ]
-    return FiniteGroup(table, name=f"{a.name}x{b.name}")
+def direct_product(*factors: FiniteGroup) -> FiniteGroup:
+    """Direct product of one or more groups, as one table checked once.
+
+    Element (x_1, ..., x_k) is packed in mixed radix with x_1 most
+    significant, ((x_1 |G_2| + x_2) |G_3| + ...) + x_k, and the name joins
+    the factors' names with "x".  That is the packing and the name of the
+    left fold of two-factor products, (x, y) -> x |b| + y, so
+    direct_product(a, b, c) == direct_product(direct_product(a, b), c)
+    table for table, without building or checking the inner product.
+    """
+    if not factors:
+        raise ValueError("product needs at least one factor")
+    table = [[0]]
+    for factor in factors:
+        n = factor.order
+        table = [[x + y for x in scaled for y in row]
+                 for scaled in ([v * n for v in left] for left in table)
+                 for row in factor.cayley]
+    return FiniteGroup(table, name="x".join(f.name for f in factors))
 
 
 def from_table(cayley: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:

@@ -123,13 +123,7 @@ def parse_group(data: Any) -> FiniteGroup:
     if kind == "cyclic":
         return make_cyclic(_as_int(data["order"]))
     if kind == "product":
-        factors = [parse_group(f) for f in data["factors"]]
-        if not factors:
-            raise ValueError("product needs at least one factor")
-        group = factors[0]
-        for factor in factors[1:]:
-            group = direct_product(group, factor)
-        return group
+        return direct_product(*(parse_group(f) for f in data["factors"]))
     return from_table(_as_matrix(data["cayley"]))
 
 

@@ -50,26 +50,22 @@ def random_unimodular(rng: Random, n: int) -> tuple[list[list[int]], list[list[i
 def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     """Rewrite the free block in a random unimodular basis.
 
-    The module is unchanged up to isomorphism, so every invariant the
-    solvers compute must be unchanged too.
+    Each action matrix A becomes T A T^-1 with T = diag(u, I_t), u from
+    `random_unimodular` and t the torsion length.  Since the
+    torsion-to-free block A_12 of every action matrix is zero, that
+    product has blocks u A_11 u^-1, 0, A_21 u^-1 and A_22: the free
+    coordinates change basis and the torsion coordinates stay put.  The
+    module is unchanged up to isomorphism, so every invariant the solvers
+    compute must be unchanged too.
     """
     n = module.free_rank
     if n < 2:
         return module
     u, w = random_unimodular(rng, n)
-    action = {}
-    for g in module.group.generators():
-        mat = module.action(g)
-        a = [row[:n] for row in mat[:n]]
-        c = [row[:n] for row in mat[n:]]
-        new = [row[:] for row in mat]
-        a_new = mat_mul(mat_mul(u, a), w)
-        c_new = mat_mul(c, w) if c else []
-        for i in range(n):
-            new[i][:n] = a_new[i]
-        for i in range(len(c_new)):
-            new[n + i][:n] = c_new[i]
-        action[g] = new
+    identity_rows = identity_matrix(n + len(module.torsion))[n:]
+    t = [row + [0] * len(identity_rows) for row in u] + identity_rows
+    t_inv = [row + [0] * len(identity_rows) for row in w] + identity_rows
+    action = {g: mat_mul(mat_mul(t, module.action(g)), t_inv) for g in module.group.generators()}
     return GaloisModule(module.group, module.prime, n, list(module.torsion), action)
 
 

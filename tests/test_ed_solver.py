@@ -28,6 +28,7 @@ from edlattice.fp_module import (
     reduce_mod_p,
 )
 from edlattice.group_core import (
+    coset_action,
     dihedral8,
     direct_product,
     heisenberg27,
@@ -165,6 +166,72 @@ def test_classifier_branches():
     assert classify_ed_le_one(c9, [classes[3], classes[1]], delta3 + [3], 3) == 1
     assert classify_ed_le_one(c9, [classes[3]], [0, 0, 0], 3) == 0
     assert classify_ed_le_one(c9, [classes[9]], [1] * 9, 3) == 1
+
+
+def _reference_classify(group, summands, coeffs, p):
+    """The classifier as written with a permuted copy of the whole vector."""
+    if p == 2:
+        raise ValueError("classifier is only valid for odd p")
+    if not group.is_p_group(p):
+        raise ValueError("acting group must be a p-group for odd prime p")
+    actions = [coset_action(group, cls) for cls in summands]
+    degrees = [a.degree for a in actions]
+    if len(coeffs) != sum(degrees):
+        raise ValueError("coefficient vector does not match the set size")
+    for g in group.generators():
+        permuted = []
+        offset = 0
+        for act, deg in zip(actions, degrees):
+            perm = act.permutations[g]
+            block = [0] * deg
+            for i in range(deg):
+                block[perm[i]] = coeffs[offset + i]
+            permuted.extend(block)
+            offset += deg
+        if permuted != list(coeffs):
+            raise ValueError("vector is not fixed by the group")
+    if not any(coeffs):
+        return 0
+    offset = 0
+    for deg in degrees:
+        if deg == 1 and coeffs[offset] % p:
+            return 0
+        offset += deg
+    return 1
+
+
+@pytest.mark.parametrize("make_group, p", [
+    (lambda: make_cyclic(9), 3), (lambda: direct_product(make_cyclic(3), make_cyclic(3)), 3),
+    (heisenberg27, 3), (lambda: make_cyclic(25), 5),
+], ids=["C9", "C3xC3", "H27", "C25"])
+def test_classifier_matches_the_permuted_vector_reference(make_group, p):
+    group = make_group()
+    classes = subgroup_classes(group)
+    rng = Random(p * 1000 + group.order)
+    outcomes = set()
+    for _ in range(150):
+        summands = [rng.choice(classes) for _ in range(rng.randrange(1, 4))]
+        size = sum(cls.index for cls in summands)
+        kind = rng.randrange(4)
+        if kind < 2:  # fixed: constant on each block, which G permutes transitively
+            vector = [c for cls in summands
+                      for c in [rng.choice((0, 0, 1, p, rng.randrange(-p, 2 * p)))] * cls.index]
+        elif kind == 2:  # any vector, almost never fixed
+            vector = [rng.randrange(-1, p + 1) for _ in range(size)]
+        else:  # the wrong length
+            vector = [1] * (size + rng.choice((-1, 1)))
+        try:
+            expected = _reference_classify(group, summands, vector, p)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = classify_ed_le_one(group, summands, vector, p)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (summands, vector)
+        outcomes.add(expected)
+    assert outcomes == {0, 1, "vector is not fixed by the group",
+                        "coefficient vector does not match the set size"}
 
 
 def test_classifier_rejects_p2_and_unfixed_vectors():

@@ -592,3 +592,116 @@ def test_is_abelian_matches_the_all_pairs_definition(s3, a4, a5):
     answers = [g.is_abelian() for g in groups]
     assert answers == [_is_abelian_by_all_pairs(g) for g in groups]
     assert True in answers and False in answers
+
+
+def _pairwise_product(a, b):
+    """The two-factor table as written before products took any number of
+    factors: (x, y) packed as x * |b| + y, named "AxB"."""
+    nb = b.order
+    table = [[a.cayley[x1][x2] * nb + b.cayley[y1][y2]
+              for x2 in range(a.order) for y2 in range(nb)]
+             for x1 in range(a.order) for y1 in range(nb)]
+    return FiniteGroup(table, name=f"{a.name}x{b.name}")
+
+
+@pytest.mark.parametrize("make_factors", [
+    lambda: [make_cyclic(2), make_cyclic(3), make_cyclic(4)],
+    lambda: [dihedral8(), make_cyclic(2)],
+    lambda: [quaternion8(), make_cyclic(3)],
+    lambda: [make_cyclic(2)] * 5,
+    lambda: [heisenberg27()],
+], ids=["C2xC3xC4", "D8xC2", "Q8xC3", "C2^5", "H27"])
+def test_direct_product_of_many_factors_is_the_left_fold(make_factors):
+    factors = make_factors()
+    fold = factors[0]
+    for factor in factors[1:]:
+        fold = _pairwise_product(fold, factor)
+    g = direct_product(*factors)
+    assert (g.cayley, g.name, g.order) == (fold.cayley, fold.name, fold.order)
+
+
+def test_direct_product_needs_a_factor():
+    with pytest.raises(ValueError, match="product needs at least one factor"):
+        direct_product()
+
+
+def _reference_table_check(cayley):
+    """The constructor's checks as written entry by entry, with Light's test:
+    the first failing check's message, or None when the table is a group."""
+    n = len(cayley)
+    if n == 0:
+        return "group must contain an identity element"
+    table = [list(row) for row in cayley]
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"cayley row {i} has length {len(row)}, expected {n}"
+        for x in row:
+            if not 0 <= x < n:
+                return f"cayley entry {x} out of range"
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            return "element 0 is not a two-sided identity"
+    inverse = [-1] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == 0:
+                inverse[a] = b
+                break
+        if inverse[a] == -1 or table[inverse[a]][a] != 0:
+            return f"element {a} has no two-sided inverse"
+    for s in range(n):
+        for x in range(n):
+            for y in range(n):
+                if table[table[x][s]][y] != table[x][table[s][y]]:
+                    return "cayley table is not associative"
+    return None
+
+
+def _corrupt(rng, table):
+    n = len(table)
+    out = [list(row) for row in table]
+    kind = rng.randrange(6)
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    if kind == 0:  # one or two entries of a row out of range
+        out[i][j] = rng.choice((-1, n, n + 3))
+        out[i][k] = rng.choice((-2, n + 1, out[i][k]))
+    elif kind == 1:  # the identity moved by relabelling the elements
+        relabel = list(range(n))
+        rng.shuffle(relabel)
+        out = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    elif kind == 2:  # a row without 0
+        out[i] = [x if x else rng.randrange(1, n) for x in out[i]]
+    elif kind == 3:  # a swapped pair within a row
+        out[i][j], out[i][k] = out[i][k], out[i][j]
+    elif kind == 4:  # a swapped pair within a column
+        out[i][j], out[k][j] = out[k][j], out[i][j]
+    else:  # a short row
+        out[i] = out[i][:-1]
+    return out
+
+
+_TABLE_CHECKS = ("length", "out of range", "identity", "inverse", "associative")
+
+
+def test_table_checks_match_the_entry_by_entry_reference(s3):
+    # The constructor checks a row at a time; it must accept the same tables
+    # and fail on the same first check, naming the same entry or element.
+    rng = Random(20261020)
+    tables = [g.cayley for g in (make_cyclic(4), make_cyclic(6), _c2_cubed(), _c2_times_c4(),
+                                 dihedral8(), quaternion8(), make_cyclic(9), s3)]
+    reached = set()
+    for trial in range(400):
+        table = tables[trial % len(tables)]
+        bad = table if trial < len(tables) else _corrupt(rng, table)
+        expected = _reference_table_check(bad)
+        try:
+            FiniteGroup(bad)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (trial, bad)
+        reached.add(next((c for c in _TABLE_CHECKS if expected and c in expected), None))
+    assert reached == set(_TABLE_CHECKS) | {None}

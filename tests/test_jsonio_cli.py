@@ -8,7 +8,7 @@ from edlattice import catalog, cli, ed_solver, jsonio
 from edlattice.catalog import build_list_L, parse_catalog_key, trivial_lattice
 from edlattice.cli import _oracle_groups, main
 from edlattice.ed_solver import min_permutation_rank
-from edlattice.group_core import MAX_SUBGROUPS, make_cyclic
+from edlattice.group_core import MAX_SUBGROUPS, dihedral8, make_cyclic
 from edlattice.int_lattice import MAX_MODULE_DIM
 from edlattice.jsonio import (
     group_to_json,
@@ -79,6 +79,12 @@ def test_group_round_trip():
     ]})
     h = parse_group(group_to_json(g))
     assert h.order == 4 and h.cayley == g.cayley
+
+
+def test_product_of_one_factor_has_that_factor_table():
+    d8 = dihedral8()
+    g = parse_group({"type": "product", "factors": [group_to_json(d8)]})
+    assert (g.order, g.cayley) == (8, d8.cayley)
 
 
 def test_parse_presentation():
