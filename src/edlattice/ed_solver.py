@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
@@ -50,10 +51,11 @@ from .int_lattice import (
     local_fixed_bases,
 )
 from .fp_module import (
+    Echelon,
     Subspace,
-    _echelon_insert,
     _orbit_walk,
     coinvariants,
+    layout,
     project,
     reduce_mod_p,
     rref,
@@ -89,19 +91,19 @@ def _solve_mod_p(columns, target, p):
     """One solution x of sum_j x_j * columns[j] = target over F_p, or None."""
     k = len(columns)
     rows = len(target)
-    aug = [[columns[j][i] % p for j in range(k)] + [target[i] % p] for i in range(rows)]
+    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
     basis, pivots = rref(aug, k + 1, p)
     coeffs = [0] * k
     for row, piv in zip(basis, pivots):
         if piv == k:
             return None
-        coeffs[piv] = row[k]
+        coeffs[piv] = layout(k + 1, p).entry(row, k)
     return coeffs
 
 
 def _det_nonzero_mod_p(mat, p):
     n = len(mat)
-    return Subspace(n, p, mat).dim == n
+    return len(rref(mat, n, p)[0]) == n
 
 
 def _check_prime(m: GaloisModule, p: int) -> None:
@@ -131,18 +133,17 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     if m.dim == 0:
         return EdResult(0, 0, CoverCertificate((), 0))
     w_dim, projection = coinvariants(reduce_mod_p(m))
-    span: list[list[int]] = []
-    pivots: list[int] = []
+    span = Echelon(layout(w_dim, p))
     summands = []
     # sorted() is stable, so equal indices keep their enumeration order.
     classes = sorted(subgroup_classes(m.group), key=lambda c: c.index)
     for cls, basis in local_fixed_bases(m, classes):
         for b in basis:
-            if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
+            if span.insert(project(projection, b, p)) is not None:
                 summands.append((cls, tuple(m.canon_vector(b))))
-        if len(span) == w_dim:
+        if len(span.rows) == w_dim:
             break
-    assert len(span) == w_dim, "the trivial class alone spans W"
+    assert len(span.rows) == w_dim, "the trivial class alone spans W"
     total = sum(cls.index for cls, _ in summands)
     cert = CoverCertificate(tuple(summands), total)
     if not verify_certificate(m, cert, p):
@@ -180,8 +181,8 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
     return len(spin(reduce_mod_p(m), [gen for _, gen in cert.summands])) == m.dim
 
 
-def _projective_points(image_basis, p):
-    """One representative per line of the span of a reduced echelon basis.
+def _projective_points(image_basis, lay):
+    """One representative per line of the span of a packed reduced echelon basis.
 
     Each is b_lead + sum of c_j b_j over the rows after lead: a 1 at the
     lead, zeros before it, any tail after it.  The basis is in reduced
@@ -191,22 +192,15 @@ def _projective_points(image_basis, p):
     """
     k = len(image_basis)
     for lead in range(k - 1, -1, -1):
-        rows = image_basis[lead + 1:]
-        for tail in itertools.product(range(p), repeat=k - 1 - lead):
-            point = list(image_basis[lead])
-            for c, b in zip(tail, rows):
-                if c:
-                    point = [(x + c * y) % p for x, y in zip(point, b)]
-            yield point
+        base, rows = image_basis[lead], image_basis[lead + 1:]
+        for tail in itertools.product(range(lay.p), repeat=k - 1 - lead):
+            yield lay.reduce(base + sum(map(mul, tail, rows)))
 
 
-def _line_key(v, p):
-    """The multiple of a nonzero vector over F_p that leads with 1, as a tuple."""
-    lead = next(x for x in v if x)
-    if lead == 1:
-        return tuple(v)
-    inv = pow(lead, -1, p)
-    return tuple(x * inv % p for x in v)
+def _line_key(v, lay):
+    """The multiple of a nonzero packed vector over F_p that leads with 1."""
+    lead = lay.entry(v, lay.lead(v))
+    return v if lead == 1 else lay.reduce(v * pow(lead, -1, lay.p))
 
 
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
@@ -252,22 +246,23 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     if p ** dim > cap:
         raise BudgetExceededError(f"point enumeration {p}^{dim} exceeds cap {cap}")
     mbar = reduce_mod_p(m)
+    lay = mbar.layout
     # candidates[pos] = (cls, fixed, point, span), one per distinct orbit
     # span, from the cheapest class offering it, with that class's HNF
-    # basis of M^H; costs never fall.
-    candidates: list[tuple[SubgroupClass, list[list[int]], list[int], Subspace]] = []
+    # basis of M^H; costs never fall.  Points are packed.
+    candidates: list[tuple[SubgroupClass, list[list[int]], int, Subspace]] = []
     offered: set[Subspace] = set()
-    point_spans: dict[tuple[int, ...], Subspace] = {}
+    point_spans: dict[int, Subspace] = {}
     # sorted() is stable, so equal indices keep their enumeration order.
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
         fixed = fixed_submodule(m, cls)
-        image_basis, _ = rref([[x % p for x in b] for b in fixed], dim, p)
-        for point in _projective_points(image_basis, p):
-            span = point_spans.get(tuple(point))
+        image_basis, _ = rref(fixed, dim, p)
+        for point in _projective_points(image_basis, lay):
+            span = point_spans.get(point)
             if span is None:
                 span, met = _orbit_walk(mbar, point)
                 for q in met:
-                    point_spans.setdefault(_line_key(q, p), span)
+                    point_spans.setdefault(_line_key(q, lay), span)
             if span not in offered:
                 offered.add(span)
                 candidates.append((cls, fixed, point, span))
@@ -315,12 +310,14 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     summands = []
     for cls, fixed, point in best[1]:
         # An integral H-fixed vector reducing to the chosen point of M/pM.
-        coeffs = _solve_mod_p(fixed, point, p)
-        assert coeffs is not None, "candidate point must lie in the fixed image"
+        coeffs = _solve_mod_p(fixed, lay.unpack(point), p)
+        if coeffs is None:
+            raise AssertionError("candidate point must lie in the fixed image")
         gen = [sum(c * b[i] for c, b in zip(coeffs, fixed)) for i in range(dim)]
         summands.append((cls, tuple(m.canon_vector(gen))))
     cert = CoverCertificate(tuple(summands), best[0])
-    assert verify_certificate(m, cert, p)
+    if not verify_certificate(m, cert, p):
+        raise AssertionError("oracle cover failed certificate verification")
     return EdResult(best[0], best[0] - m.free_rank, cert)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +202,55 @@ def _cover_module(m: GaloisModule, cert) -> GaloisModule:
 def cover_module():
     """The permutation lattice that a certificate claims covers m."""
     return _cover_module
+
+
+def _echelon_insert(basis, pivots, row, p):
+    """Reduce a list row (entries in [0, p)) against a semi-echelon basis.
+
+    Every basis row is zero at the pivots of the rows before it, so one
+    pass in insertion order clears all pivots.  A nonzero residue is scaled
+    to a leading 1 and appended; returns it, or None if the row was in the
+    span.
+    """
+    for brow, bpiv in zip(basis, pivots):
+        c = row[bpiv]
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, brow)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return None
+    inv = pow(row[lead], -1, p)
+    row = [x * inv % p for x in row]
+    basis.append(row)
+    pivots.append(lead)
+    return row
+
+
+def _reduced_echelon(basis, pivots, dim, p):
+    """Sort monic list rows with distinct leads by pivot and back-substitute."""
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
+    basis = [basis[i] for i in order]
+    pivots = [pivots[i] for i in order]
+    for i in range(len(basis) - 1, -1, -1):
+        for k in range(i):
+            c = basis[k][pivots[i]]
+            if c:
+                basis[k] = [(basis[k][j] - c * basis[i][j]) % p for j in range(dim)]
+    return basis, pivots
+
+
+def _list_rref(vectors, dim, p):
+    basis, pivots = [], []
+    for v in vectors:
+        _echelon_insert(basis, pivots, [x % p for x in v], p)
+    return _reduced_echelon(basis, pivots, dim, p)
+
+
+@pytest.fixture(scope="session")
+def list_rows():
+    """Elimination on list rows, one Python step per entry: the reference
+    for the packed rows of `fp_module`."""
+    return SimpleNamespace(insert=_echelon_insert, reduced=_reduced_echelon, rref=_list_rref)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from operator import mul
 from pathlib import Path
@@ -21,9 +24,10 @@ from edlattice.ed_solver import (
     verify_certificate,
 )
 from edlattice.fp_module import (
+    Echelon,
     Subspace,
-    _echelon_insert,
     coinvariants,
+    layout,
     project,
     reduce_mod_p,
 )
@@ -367,12 +371,12 @@ def _hnf_greedy(m, p):
     """The greedy of `min_permutation_rank` walking HNF bases of M^H: the
     reference the p-local bases must agree with."""
     w_dim, projection = coinvariants(reduce_mod_p(m))
-    span, pivots, summands = [], [], []
+    span, summands = Echelon(layout(w_dim, p)), []
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
-        if len(span) == w_dim:
+        if len(span.rows) == w_dim:
             break
         for b in fixed_submodule(m, cls):
-            if _echelon_insert(span, pivots, project(projection, b, p), p) is not None:
+            if span.insert(project(projection, b, p)) is not None:
                 summands.append((cls, tuple(m.canon_vector(b))))
     total = sum(cls.index for cls, _ in summands)
     return EdResult(total, total - m.free_rank, CoverCertificate(tuple(summands), total))
@@ -505,16 +509,16 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
     offered = set()
 
     def counting(mbar, v):
-        line = _line(v, p)
+        line = _line(mbar.layout.unpack(v), p)
         assert line not in met, "a point met by an earlier walk was spun again"
         spun.append(line)
         span, points = walk(mbar, v)
-        met.update(_line(q, p) for q in points)
+        met.update(_line(mbar.layout.unpack(q), p) for q in points)
         return span, points
 
-    def recording(image_basis, q):
-        for point in projective_points(image_basis, q):
-            offered.add(tuple(point))
+    def recording(image_basis, lay):
+        for point in projective_points(image_basis, lay):
+            offered.add(tuple(lay.unpack(point)))
             yield point
 
     monkeypatch.setattr(ed_solver, "_orbit_walk", counting)
@@ -538,6 +542,22 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
     assert total_spun < total_offered
 
 
+def test_oracle_replays_its_certificate_under_python_O():
+    # The replay is an explicit check, not an assert that -O strips: with
+    # verify_certificate made to reject, the oracle must still raise.
+    code = ("from edlattice import ed_solver\n"
+            "from edlattice.catalog import build_list_L\n"
+            "ed_solver.verify_certificate = lambda m, cert, p: False\n"
+            "m = build_list_L('M3', 3).module\n"
+            "ed_solver.brute_force_min_rank(m, 3, m.group.order * m.dim)\n")
+    src = str(Path(ed_solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: oracle cover failed certificate verification" in proc.stderr
+
+
 def _unpruned_min_rank(m, p, rank_budget):
     """Least total index of a cover of M/pM within the budget, or None.
 
@@ -554,7 +574,7 @@ def _unpruned_min_rank(m, p, rank_budget):
         points = {tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(dim))
                   for coeffs in itertools.product(range(p), repeat=len(basis))}
         for point in sorted(points - {(0,) * dim}):
-            orbit = [mbar.act(g, list(point)) for g in m.group.elements()]
+            orbit = [mbar.act(g, mbar.layout.pack(point)) for g in m.group.elements()]
             summands.append((cls.index, orbit))
 
     def multisets(start, cost):

@@ -34,7 +34,7 @@ from edlattice.int_lattice import (
 )
 from edlattice import int_lattice
 from edlattice.catalog import instantiated_catalog, permutation_module, trivial_lattice
-from edlattice.fp_module import Subspace, coinvariants, reduce_mod_p, rref
+from edlattice.fp_module import Subspace, coinvariants, layout, reduce_mod_p, rref
 from edlattice.jsonio import module_to_json
 from edlattice.random_modules import random_module, random_unimodular
 
@@ -765,19 +765,23 @@ def test_stored_matrices_are_canonical_and_match_dense_products(make_group, p):
             assert m.action(x) == mats[x]
             for _ in range(3):
                 v = [rng.randint(-5, 5) for _ in range(dim)]
-                assert mbar.act(x, v) == [sum(a * b for a, b in zip(row, v)) % p for row in mats[x]]
+                got = mbar.layout.unpack(mbar.act(x, mbar.layout.pack(v)))
+                assert got == [sum(a * b for a, b in zip(row, v)) % p for row in mats[x]]
         # The coinvariant projection sends e_i to its residue modulo the
         # columns of A - I, reduced with dense rows.
         deltas = [[(mats[x][i][j] - (i == j)) % p for i in range(dim)]
                   for x in gens for j in range(dim)]
-        radical = Subspace(dim, p, deltas)
+        radical = Subspace(dim, p, [mbar.layout.pack(d) for d in deltas])
         kept = [j for j in range(dim) if j not in radical.pivots]
         # In reduced echelon form e_i's residue is e_i minus the basis row
         # with pivot i, if there is one.
-        pivot_rows = dict(zip(radical.pivots, radical.basis))
+        pivot_rows = dict(zip(radical.pivots, map(mbar.layout.unpack, radical.basis)))
         residues = [[(int(i == j) - pivot_rows.get(i, [0] * dim)[j]) % p for j in range(dim)]
                     for i in range(dim)]
-        assert coinvariants(mbar) == (len(kept), [[r[j] for r in residues] for j in kept])
+        w_dim, projection = coinvariants(mbar)
+        # The projection lists the image of each e_i in W, packed.
+        assert (w_dim, [layout(w_dim, p).unpack(c) for c in projection]) == \
+            (len(kept), [[r[j] for j in kept] for r in residues])
         if not dim:
             continue
         # One entry of one generator changed: no longer an action.
