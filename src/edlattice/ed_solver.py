@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
 from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
@@ -52,11 +51,14 @@ from .int_lattice import (
 )
 from .fp_module import (
     Echelon,
+    FpGaloisModule,
     Subspace,
     _orbit_walk,
     coinvariants,
+    combine,
     layout,
     project,
+    projective_points,
     reduce_mod_p,
     rref,
     spin,
@@ -101,11 +103,6 @@ def _solve_mod_p(columns, target, p):
     return coeffs
 
 
-def _det_nonzero_mod_p(mat, p):
-    n = len(mat)
-    return len(rref(mat, n, p)[0]) == n
-
-
 def _check_prime(m: GaloisModule, p: int) -> None:
     if p != m.prime:
         raise ValueError(f"module carries prime {m.prime}, solver asked for {p}")
@@ -132,7 +129,8 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     _check_prime(m, p)
     if m.dim == 0:
         return EdResult(0, 0, CoverCertificate((), 0))
-    w_dim, projection = coinvariants(reduce_mod_p(m))
+    mbar = reduce_mod_p(m)
+    w_dim, projection = coinvariants(mbar)
     span = Echelon(layout(w_dim, p))
     summands = []
     # sorted() is stable, so equal indices keep their enumeration order.
@@ -146,7 +144,7 @@ def min_permutation_rank(m: GaloisModule, p: int) -> EdResult:
     assert len(span.rows) == w_dim, "the trivial class alone spans W"
     total = sum(cls.index for cls, _ in summands)
     cert = CoverCertificate(tuple(summands), total)
-    if not verify_certificate(m, cert, p):
+    if not _replays(m, mbar, cert):
         raise AssertionError("greedy cover failed certificate verification")
     return EdResult(total, total - m.free_rank, cert)
 
@@ -164,6 +162,11 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
     """
     if p != m.prime:
         raise ValueError(f"module carries prime {m.prime}, got {p}")
+    return _replays(m, reduce_mod_p(m), cert)
+
+
+def _replays(m: GaloisModule, mbar: FpGaloisModule, cert: CoverCertificate) -> bool:
+    """`verify_certificate` with M/pM already built, as mbar."""
     for cls, gen in cert.summands:
         if len(gen) != m.dim:
             raise ValueError("generator length does not match the module")
@@ -178,29 +181,7 @@ def verify_certificate(m: GaloisModule, cert: CoverCertificate, p: int) -> bool:
         gens = m.group.subgroup_generators(cls.representative)
         if any(m.act(g, gen) != canon for g in gens):
             return False
-    return len(spin(reduce_mod_p(m), [gen for _, gen in cert.summands])) == m.dim
-
-
-def _projective_points(image_basis, lay):
-    """One representative per line of the span of a packed reduced echelon basis.
-
-    Each is b_lead + sum of c_j b_j over the rows after lead: a 1 at the
-    lead, zeros before it, any tail after it.  The basis is in reduced
-    echelon form, so the point leads with 1 too and is the line's
-    representative with leading coefficient 1.  Points come in the
-    lexicographic order of their coefficient tuples, so later leads first.
-    """
-    k = len(image_basis)
-    for lead in range(k - 1, -1, -1):
-        base, rows = image_basis[lead], image_basis[lead + 1:]
-        for tail in itertools.product(range(lay.p), repeat=k - 1 - lead):
-            yield lay.reduce(base + sum(map(mul, tail, rows)))
-
-
-def _line_key(v, lay):
-    """The multiple of a nonzero packed vector over F_p that leads with 1."""
-    lead = lay.entry(v, lay.lead(v))
-    return v if lead == 1 else lay.reduce(v * pow(lead, -1, lay.p))
+    return len(spin(mbar, [gen for _, gen in cert.summands])) == m.dim
 
 
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
@@ -226,10 +207,11 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     alone.  c.v and g.v have the orbit span of v for c prime to p and g
     in G, so a point's span is recorded under the representative with
     leading coefficient 1 of its line, and the orbit walk that spins a
-    point (`orbit_span`) records it for every orbit point the walk met
+    point (`_orbit_walk`) records it for every orbit point the walk met
     too.  A point met by an earlier walk is not spun again, however many
     classes offer it, so a G-orbit of lines is normally spun once (a walk
-    does not report the images of the orbit points it rejected); and
+    does not report the images of the orbit points it rejected, nor any
+    image once its basis fills the space); and
     each join of the running span with a candidate span is computed once
     per search.
 
@@ -257,12 +239,12 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
         fixed = fixed_submodule(m, cls)
         image_basis, _ = rref(fixed, dim, p)
-        for point in _projective_points(image_basis, lay):
+        for point in projective_points(image_basis, lay):
             span = point_spans.get(point)
             if span is None:
                 span, met = _orbit_walk(mbar, point)
                 for q in met:
-                    point_spans.setdefault(_line_key(q, lay), span)
+                    point_spans.setdefault(lay.monic(q), span)
             if span not in offered:
                 offered.add(span)
                 candidates.append((cls, fixed, point, span))
@@ -316,7 +298,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         gen = [sum(c * b[i] for c, b in zip(coeffs, fixed)) for i in range(dim)]
         summands.append((cls, tuple(m.canon_vector(gen))))
     cert = CoverCertificate(tuple(summands), best[0])
-    if not verify_certificate(m, cert, p):
+    if not _replays(m, mbar, cert):
         raise AssertionError("oracle cover failed certificate verification")
     return EdResult(best[0], best[0] - m.free_rank, cert)
 
@@ -407,25 +389,23 @@ def genus_equal(l: GaloisModule, m: GaloisModule, p: int,
     k = len(basis)
     if k == 0:
         return "no"
-    reduced = [[[x % p for x in row] for row in f] for f in basis]
+    # Each map flattened to one packed vector; k <= n^2 maps combine exactly,
+    # and the zero combination is singular.
+    lay = layout(n * n, p)
+    maps = [lay.pack([x for row in f for x in row]) for f in basis]
 
-    def combine(coeffs):
-        out = [[0] * n for _ in range(n)]
-        for c, f in zip(coeffs, reduced):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] = (out[i][j] + c * f[i][j]) % p
-        return out
+    def nonsingular(coeffs):
+        entries = lay.unpack(combine(lay, maps, coeffs))
+        return len(rref([entries[i:i + n] for i in range(0, n * n, n)], n, p)[0]) == n
 
     if p ** k <= budget:
         for coeffs in itertools.product(range(p), repeat=k):
-            if any(coeffs) and _det_nonzero_mod_p(combine(coeffs), p):
+            if nonsingular(coeffs):
                 return "yes"
         return "no"
     rng = Random(seed)
     for _ in range(GENUS_TRIALS):
         coeffs = [rng.randrange(p) for _ in range(k)]
-        if any(coeffs) and _det_nonzero_mod_p(combine(coeffs), p):
+        if nonsingular(coeffs):
             return "yes"
     return "unknown"

@@ -3,15 +3,14 @@
 For a p-group acting on an F_p vector space the group algebra is local, so
 "generates the module" can be read off in the coinvariant quotient W; this
 module supplies W and the canonical projection onto it, through which the
-solver projects the integral fixed vectors it walks.  `spin` gives the
-G-stable span of a family of vectors: certificate verification spins all
-generators of a cover and asks for the whole of M/pM.  The brute-force
-oracle spins one point at a time by an orbit walk (`orbit_span`), which
-applies the generators to orbit points rather than to reduced rows, so
-every vector it meets is a point g.v with the orbit span of v, and the
-oracle need not spin those points again.  Both spins skip a generator
-image equal to the vector it came from.  `fixed_image_subspace`
-(the image of M^H in W as one subspace) serves the self-checks.
+solver projects the integral fixed vectors it walks.  One walk spans under
+G: it applies the generators to each vector that grows its echelon basis,
+skips an image equal to its source, and stops once the basis fills the
+space.  Certificate verification walks all generators of a cover (`spin`)
+and asks for the whole of M/pM; the brute-force oracle walks one point at
+a time (`_orbit_walk`), so every vector it meets is a point g.v with the
+orbit span of v, and need not spin those points again.
+`fixed_image_subspace` (the image of M^H in W) serves the self-checks.
 
 Packed vectors.  A vector of F_p^n is one Python int: field i, the bits
 [wi, wi + w), holds entry i, a value in [0, p).  `layout(n, p)` holds the
@@ -59,7 +58,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from operator import mul
 
 from .group_core import SubgroupClass
@@ -138,6 +137,11 @@ class Layout:
     def entry(self, v: int, j: int) -> int:
         return (v >> (j * self.width)) & self.fmask
 
+    def monic(self, v: int) -> int:
+        """The multiple of a nonzero packed vector that leads with 1."""
+        c = self.entry(v, self.lead(v))
+        return v if c == 1 else self.reduce(v * pow(c, -1, self.p))
+
 
 @lru_cache(maxsize=None)
 def layout(dim: int, p: int) -> Layout:
@@ -162,10 +166,8 @@ class Echelon:
         v = _clear(v, self.rows, self.mask, lay)
         if not v:
             return None
+        v = lay.monic(v)
         lead = lay.lead(v)
-        c = lay.entry(v, lead)
-        if c != 1:
-            v = lay.reduce(v * pow(c, -1, lay.p))
         self.rows[lead] = v
         self.mask |= lay.fmask << lead * lay.width
         return v
@@ -312,12 +314,33 @@ class FpGaloisModule:
     def act(self, g, v: int) -> int:
         lay = self.layout
         values = lay.unpack(v)
-        return _combine(lay, self._columns.get(g) or self.columns(g), values)
+        return combine(lay, self._columns.get(g) or self.columns(g), values)
 
 
-def _combine(lay, columns, values):
-    """sum of values[j] * columns[j] over the nonzero values, reduced once."""
-    return lay.reduce(sum(map(mul, compress(values, values), compress(columns, values))))
+def combine(lay, vectors, coeffs) -> int:
+    """sum of coeffs[j] * vectors[j] over the nonzero coeffs, reduced once.
+
+    Exact for at most lay.dim reduced packed vectors with coefficients
+    below p: the sum then keeps every field below the bound B of `layout`.
+    """
+    return lay.reduce(sum(map(mul, compress(coeffs, coeffs), compress(vectors, coeffs))))
+
+
+def projective_points(basis, lay):
+    """One representative per line of the span of a packed reduced echelon basis.
+
+    Each is b_lead + sum of c_j b_j over the rows after lead: a 1 at the
+    lead, zeros before it, any tail after it.  The basis is in reduced
+    echelon form, so the point leads with 1 too and is the line's
+    representative with leading coefficient 1.  Points come in the
+    lexicographic order of their coefficient tuples, so later leads first.
+    A point sums at most lay.dim reduced rows with coefficients below p.
+    """
+    k = len(basis)
+    for lead in range(k - 1, -1, -1):
+        base, rows = basis[lead], basis[lead + 1:]
+        for tail in product(range(lay.p), repeat=k - 1 - lead):
+            yield lay.reduce(base + sum(map(mul, tail, rows)))
 
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:
@@ -362,9 +385,15 @@ def coinvariants(m: FpGaloisModule):
 
 
 def project(projection, v, p) -> int:
-    """The image in W, packed, of an integral vector of M."""
+    """The image in W, packed, of an integral vector of M.
+
+    The image sums up to dim M vectors of W, more than the dim W terms
+    that W's own layout bounds, so the sum is reduced with M's layout.
+    Both layouts have 64-bit fields for every group of admitted order, so
+    they agree on the packing of W.
+    """
     lay = layout(len(projection), p)
-    return _combine(lay, projection, lay.residues(v))
+    return combine(lay, projection, lay.residues(v))
 
 
 def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
@@ -381,46 +410,35 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
                                      for b in fixed_submodule(m, h)])
 
 
-def _spin(m: FpGaloisModule, vectors, walk=False):
-    """The spin's echelon basis of packed vectors, and with `walk` every vector it pushed.
+def _spin(m: FpGaloisModule, vectors):
+    """The walk's echelon basis of the G-span of packed vectors, and every vector it pushed.
 
-    Each vector that grows the basis has its generator images pushed:
-    images of the reduced row it became, or with `walk` of the vector
-    itself as it was pushed, unreduced.  An image equal to the vector it
-    came from is in the span already and is not pushed, and without `walk`
-    neither is any image of the row that fills the space, where the spin
-    ends.  Only the walk reads the pushed vectors (orbit points, every one
-    of which the oracle records), so without `walk` the list stays empty.
+    Each vector that grows the basis has its generator images that differ
+    from it pushed, unless the basis fills the space, so the basis spans
+    the generator images of the vectors that grew it: a G-stable span,
+    since every g^-1 is a positive power of g in a finite group.
     """
     echelon = Echelon(m.layout)
     rows = echelon.rows
     pending = list(vectors)
-    met = list(pending) if walk else []
+    met = list(pending)
     gens = m.group.generators()
     while pending and len(rows) < m.dim:
         vec = pending.pop()
-        row = echelon.insert(vec)
-        if row is None or (not walk and len(rows) == m.dim):
+        if echelon.insert(vec) is None or len(rows) == m.dim:
             continue
-        source = vec if walk else row
         for g in gens:
-            image = m.act(g, source)
-            if image != source:
+            image = m.act(g, vec)
+            if image != vec:
                 pending.append(image)
-                if walk:
-                    met.append(image)
+                met.append(image)
     return echelon, met
 
 
 def spin(m: FpGaloisModule, vectors) -> list[int]:
     """Echelon basis, packed, of the least G-stable subspace containing integral vectors.
 
-    Apply each generator to every reduced row that enlarged the running
-    echelon basis, until no image does or the basis fills the space.
-    Generator images suffice because every g^-1 is a positive power of g
-    in a finite group.  Expanding the reduced rows rather than the vectors
-    they came from costs fewer row operations on a spin of many vectors.
-    The rows come in the order they were found.
+    The rows of the walk of `_spin`, in the order they were found.
     """
     return list(_spin(m, [m.layout.pack(v) for v in vectors])[0].rows.values())
 
@@ -428,12 +446,10 @@ def spin(m: FpGaloisModule, vectors) -> list[int]:
 def _orbit_walk(m: FpGaloisModule, v: int) -> tuple[Subspace, list[int]]:
     """`orbit_span` of a packed v and the points of v's orbit the walk met, v first.
 
-    The walk expands each vector that grew the basis as it was pushed, so
-    every vector it pushes is a point g.v of the orbit, whose orbit span is
-    that of v.  The span of the vectors that grew the basis is that of the
-    rows, and it holds each one's generator images, so it is G-stable.
+    The walk pushes only generator images of the vectors it pushed, so
+    every one is a point g.v of the orbit, whose orbit span is that of v.
     """
-    echelon, met = _spin(m, [v], walk=True)
+    echelon, met = _spin(m, [v])
     return Subspace._from_echelon(echelon), met
 
 

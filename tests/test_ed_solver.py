@@ -11,8 +11,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edlattice import cli, ed_solver
-from edlattice.catalog import build_cyclic, build_list_L, permutation_module, trivial_lattice
+from edlattice import cli, ed_solver, fp_module
+from edlattice.catalog import (
+    build_cyclic,
+    build_list_L,
+    parse_catalog_key,
+    permutation_module,
+    trivial_lattice,
+)
 from edlattice.ed_solver import (
     BudgetExceededError,
     CoverCertificate,
@@ -46,6 +52,7 @@ from edlattice.int_lattice import (
     direct_sum,
     fixed_submodule,
     hermite_normal_form,
+    hom_module,
     local_fixed_bases,
     smith_normal_form,
 )
@@ -261,6 +268,18 @@ def test_genus_frozen_examples():
     # and 2^rank is prime to 3
     m5 = build_list_L("M5", 3).module
     assert genus_equal(m5, m5, 3) == "yes"
+    # Hom out of the trivial Z^n has up to n^2 maps, more terms than rows
+    # of length n can sum without a reduction after each; a "no" needs the
+    # exhaustive pass over every combination.
+    for left, right, maps, want in (
+            ("perm@p=2,n=4,indices=1+1+1", "perm@p=2,n=4,indices=1+1+1", 9, "yes"),
+            ("perm@p=2,n=4,indices=1+1+1", "perm@p=2,n=4,indices=1+2", 6, "no"),
+            ("perm@p=3,n=3,indices=1+1+1", "perm@p=3,n=3,indices=1+1+1", 9, "yes"),
+            ("perm@p=3,n=3,indices=1+1+1", "perm@p=3,n=3,indices=3", 3, "no"),
+            ("perm@p=3,n=3,indices=1+1+1+1", "perm@p=3,n=3,indices=1+3", 8, "no")):
+        l, m = parse_catalog_key(left).module, parse_catalog_key(right).module
+        assert len(hom_module(l, m)) == maps
+        assert genus_equal(l, m, l.prime) == want, (left, right)
 
 
 def test_genus_unknown_is_explicit():
@@ -269,6 +288,26 @@ def test_genus_unknown_is_explicit():
     split = direct_sum(trivial_lattice(g, 2, 1), _sign(g))
     # budget 1 forbids the exhaustive pass; sampling cannot prove "no"
     assert genus_equal(reg, split, 2, budget=1) == "unknown"
+
+
+def test_a_solve_reduces_its_module_mod_p_once(monkeypatch):
+    built = []
+    init = fp_module.FpGaloisModule.__init__
+
+    def counting(self, module):
+        built.append(module)
+        init(self, module)
+
+    monkeypatch.setattr(fp_module.FpGaloisModule, "__init__", counting)
+    m = build_list_L("M7", 3).module
+    min_permutation_rank(m, 3)
+    assert built == [m]
+    built.clear()
+    brute_force_min_rank(m, 3, m.group.order * m.dim)
+    assert built == [m]
+    built.clear()
+    assert verify_certificate(m, min_permutation_rank(m, 3).certificate, 3)
+    assert built == [m, m]
 
 
 C16_REGULAR_RANDOM_BASIS = Path(__file__).parent / "data" / "c16_regular_random_basis.json"
@@ -478,7 +517,7 @@ def test_rejected_certificate_is_an_internal_failure(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise RuntimeError("the solver must not fall back to the oracle")
 
-    monkeypatch.setattr(ed_solver, "verify_certificate", lambda m, cert, p: False)
+    monkeypatch.setattr(ed_solver, "_replays", lambda m, mbar, cert: False)
     monkeypatch.setattr(ed_solver, "brute_force_min_rank", refuse)
     with pytest.raises(AssertionError, match="failed certificate verification"):
         min_permutation_rank(build_list_L("M7", 3).module, 3)
@@ -503,7 +542,7 @@ def _line(v, p):
 def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p):
     # The oracle spins with the orbit walk behind orbit_span, and a walk
     # reports the orbit points it met; none of them may be spun again.
-    walk, projective_points = ed_solver._orbit_walk, ed_solver._projective_points
+    walk, projective_points = ed_solver._orbit_walk, ed_solver.projective_points
     spun = []
     met = set()
     offered = set()
@@ -522,7 +561,7 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
             yield point
 
     monkeypatch.setattr(ed_solver, "_orbit_walk", counting)
-    monkeypatch.setattr(ed_solver, "_projective_points", recording)
+    monkeypatch.setattr(ed_solver, "projective_points", recording)
     group = make_group()
     rng = Random(11)
     total_spun = total_offered = 0
@@ -544,10 +583,10 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
 
 def test_oracle_replays_its_certificate_under_python_O():
     # The replay is an explicit check, not an assert that -O strips: with
-    # verify_certificate made to reject, the oracle must still raise.
+    # the certificate replay made to reject, the oracle must still raise.
     code = ("from edlattice import ed_solver\n"
             "from edlattice.catalog import build_list_L\n"
-            "ed_solver.verify_certificate = lambda m, cert, p: False\n"
+            "ed_solver._replays = lambda m, mbar, cert: False\n"
             "m = build_list_L('M3', 3).module\n"
             "ed_solver.brute_force_min_rank(m, 3, m.group.order * m.dim)\n")
     src = str(Path(ed_solver.__file__).resolve().parents[1])

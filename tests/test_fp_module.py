@@ -163,9 +163,9 @@ def _list_act(m, g, v):
 def _reference_spin(m, vectors, insert):
     """The spin on list rows that expands every reduced row and pushes every image.
 
-    Kept as a reference: `spin` drops images equal to their source and the
-    images of the row that fills the space, and `orbit_span` walks orbit
-    points instead of reduced rows.
+    Kept as a reference: `spin` and `orbit_span` walk the vectors as they
+    were pushed instead of reduced rows, drop images equal to their source
+    and push nothing once the basis fills the space.
     """
     p = m.p
     rows, pivots = [], []
@@ -201,8 +201,9 @@ def test_spin_and_orbit_walk_match_the_reduced_row_spin(name, group, p, list_row
                        for _ in range(rng.randrange(1, 4))]
             lay = mbar.layout
             rows, pivots = _reference_spin(mbar, vectors, list_rows.insert)
-            # Dropping fixed images leaves every row of the spin as it was.
-            assert [lay.unpack(row) for row in spin(mbar, vectors)] == rows
+            # The walk finds other rows than the reduced-row spin, of the same span.
+            assert list_rows.rref([lay.unpack(row) for row in spin(mbar, vectors)],
+                                  mbar.dim, p) == list_rows.reduced(rows, pivots, mbar.dim, p)
             v = vectors[0]
             span, met = _orbit_walk(mbar, lay.pack(v))
             reference = list_rows.reduced(*_reference_spin(mbar, [v], list_rows.insert),
