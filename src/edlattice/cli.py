@@ -372,10 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (BudgetExceededError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:

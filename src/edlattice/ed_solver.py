@@ -244,7 +244,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
             if span is None:
                 span, met = _orbit_walk(mbar, point)
                 for q in met:
-                    point_spans.setdefault(lay.monic(q), span)
+                    point_spans.setdefault(lay.monic(q)[1], span)
             if span not in offered:
                 offered.add(span)
                 candidates.append((cls, fixed, point, span))

@@ -137,10 +137,11 @@ class Layout:
     def entry(self, v: int, j: int) -> int:
         return (v >> (j * self.width)) & self.fmask
 
-    def monic(self, v: int) -> int:
-        """The multiple of a nonzero packed vector that leads with 1."""
-        c = self.entry(v, self.lead(v))
-        return v if c == 1 else self.reduce(v * pow(c, -1, self.p))
+    def monic(self, v: int) -> tuple[int, int]:
+        """(lead, the multiple of a nonzero packed vector that is 1 there)."""
+        lead = self.lead(v)
+        c = self.entry(v, lead)
+        return lead, v if c == 1 else self.reduce(v * pow(c, -1, self.p))
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +167,7 @@ class Echelon:
         v = _clear(v, self.rows, self.mask, lay)
         if not v:
             return None
-        v = lay.monic(v)
-        lead = lay.lead(v)
+        lead, v = lay.monic(v)
         self.rows[lead] = v
         self.mask |= lay.fmask << lead * lay.width
         return v

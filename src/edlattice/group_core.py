@@ -336,20 +336,23 @@ def _derived_subgroup(group: FiniteGroup, members: tuple[int, ...]) -> tuple[int
     """[H, H] for the subgroup H with these members, sorted.
 
     It is the normal closure in H of the commutators of H's generators:
-    the commutators' closure, grown until conjugation by every generator
-    of H keeps each of its generators inside it.
+    the closure of their conjugates under H, which are listed by
+    conjugating every element met by each generator of H until no new one
+    appears (each g^-1 is a positive power of g, so the generators reach
+    every conjugate).
     """
     c, inv = group.cayley, group.inverse
     gens = group.subgroup_generators(members)
-    seeds = sorted({c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens} - {0})
-    closed = set(group.closure(seeds))
-    for y in seeds:  # also visits the seeds appended below
+    conjugates = {c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens}
+    pending = list(conjugates)
+    while pending:
+        y = pending.pop()
         for g in gens:
             z = c[c[inv[g]][y]][g]
-            if z not in closed:
-                seeds.append(z)
-                closed = set(group.closure(seeds))
-    return tuple(sorted(closed))
+            if z not in conjugates:
+                conjugates.add(z)
+                pending.append(z)
+    return group.closure(conjugates)
 
 
 def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:

@@ -6,13 +6,12 @@ a public function takes or returns is a list of dense rows; a
 nonzero entries as (column, value) pairs.  Correctness beats speed
 throughout: the Hermite normal form is Euclid per column, and the Smith
 normal form is a classical elementary-operation reduction.  A quotient by
-relations spins them under the generators into one HNF lattice, the
-integral analogue of `fp_module.spin`, asking the HNF whether each vector
-grows it, and reads the quotient basis off the Smith form of that
-lattice's at most dim basis vectors.  The Smith normal form serves
+relations lists their orbit under the group, takes one HNF of it for
+the relation lattice, and reads the quotient basis off the Smith form
+of that lattice's at most dim basis vectors.  The Smith normal form serves
 quotients only: it tracks its row transform and that transform's inverse,
 updating both with the matrix in one row-operation helper, and no column
-transform.  The Hermite normal form keeps no transform; it holds the spun
+transform.  The Hermite form keeps no transform; it holds the relation
 lattice, and the oracle's fixed lattice M^H is one HNF of a matrix
 augmented by an identity block.  The solver's questions are local at p, so
 `local_fixed_bases` (M^H) and `hom_module` (Hom) read their kernels up to
@@ -140,9 +139,9 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     the entries above it are reduced into [0, pivot), and the next row
     becomes current.  So h is the unique HNF of the row span of m, its zero
     rows last.  It has two callers: `kernel_basis`, which augments m with
-    an identity block instead of keeping a transform, and the spin in
-    `quotient_by_orbit_relations`, which asks it whether a vector grows the
-    spun relation lattice.
+    an identity block instead of keeping a transform, and
+    `quotient_by_orbit_relations`, whose relation lattice is one HNF of
+    the relations' orbit.
     """
     h = [row[:] for row in m]
     rows = len(h)
@@ -767,18 +766,12 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
 def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) -> GaloisModule:
     """Quotient of a free module by the action-closed span of relation vectors.
 
-    That span L is found by an integral spin, the analogue of
-    `fp_module.spin` over Z: L is kept as its HNF rows, and a pending
-    vector v grows L exactly when the HNF of those rows and v, zero rows
-    dropped, differs from them, since the HNF is unique for its lattice.
-    Then that HNF is the new L and v's images under the generators'
-    matrices become pending, except an image equal to v, which is in L
-    already and could not grow it.  Every vector that grew L had its
-    generator images put into L, so the final L is stable under the
-    generators, hence under G, since each g^-1 is a positive power of g.
-    It lies in the action-closed span and contains the relations, so it is
-    that span.  The spin ends because each growth raises the rank of L or
-    lowers a finite index.  L depends only on the span, not on how the
+    That span L is the span of the relations' orbit under G, listed by
+    applying the generators' matrices to every vector met until no new
+    image appears; each g^-1 is a positive power of g, so what the
+    generators reach is the whole orbit, at most |G| images per relation.
+    L is then one HNF of the orbit, zero rows dropped.  The HNF is unique
+    for its lattice, so L depends only on the span, not on how the
     relations are listed, and so does the quotient.
 
     The SNF transform u of L's basis (dim x rank(L) <= dim x dim) supplies
@@ -795,17 +788,16 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     steps = {g: perm.sparse_action(g) for g in perm.group.generators()}
     if any(len(v) != dim for v in relations):
         raise ValueError("relation vector has wrong length")
-    basis: IntMatrix = []  # the HNF rows of L so far
-    pending = list(relations)
+    orbit = {tuple(v): None for v in relations}  # insertion-ordered set
+    pending = list(orbit)
     while pending:
         v = pending.pop()
-        grown = [row for row in hermite_normal_form(basis + [v]) if any(row)]
-        if grown != basis:
-            basis = grown
-            for mat in steps.values():
-                image = sparse_mat_vec(mat, v)
-                if image != v:
-                    pending.append(image)
+        for mat in steps.values():
+            image = tuple(sparse_mat_vec(mat, v))
+            if image not in orbit:
+                orbit[image] = None
+                pending.append(image)
+    basis = [row for row in hermite_normal_form([list(v) for v in orbit]) if any(row)]
     d, u, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))

@@ -27,18 +27,6 @@ from .group_core import (
 )
 from .int_lattice import GaloisModule, check_module_dim
 
-__all__ = [
-    "parse_group",
-    "group_to_json",
-    "parse_module",
-    "module_to_json",
-    "parse_presentation",
-    "result_to_json",
-    "parse_expected_table",
-    "load_json",
-    "dump_json",
-]
-
 
 def load_json(path: str) -> Any:
     """The JSON value in the file; an object that repeats a key is a ValueError."""

@@ -20,8 +20,6 @@ from .int_lattice import (
     quotient_by_orbit_relations,
 )
 
-__all__ = ["random_unimodular", "random_module", "conjugate_basis"]
-
 
 def random_unimodular(rng: Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
     """A small-entry unimodular matrix u and its inverse, built together.

@@ -57,6 +57,12 @@ def a4() -> FiniteGroup:
 
 
 @pytest.fixture(scope="session")
+def s4() -> FiniteGroup:
+    """S4: solvable, with a derived series of length 3."""
+    return _permutation_group(4, False, "S4")
+
+
+@pytest.fixture(scope="session")
 def a5() -> FiniteGroup:
     """A5: simple and not solvable."""
     return _permutation_group(5, True, "A5")

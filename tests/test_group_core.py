@@ -470,6 +470,28 @@ def test_pc_presentation_of_solvable_nonnilpotent_groups(s3, a4):
         assert sorted(pc.relative_orders) == sorted({6: [2, 3], 12: [2, 2, 3]}[g.order])
 
 
+def _commutators(g, xs):
+    c, inv = g.cayley, g.inverse
+    return [c[c[inv[x]][inv[y]]][c[x][y]] for x in xs for y in xs]
+
+
+def test_derived_subgroup_is_the_closure_of_all_commutators(s3, a4, s4, d8):
+    # Down the derived series, [H, H] must be the subgroup generated by
+    # every commutator [x, y] with x, y in H.  In A4 and S4 the commutators
+    # of the generators alone generate a smaller subgroup, so there the
+    # conjugates are needed.
+    short = {}
+    for g in (s3, a4, s4, d8, quaternion8(), heisenberg27()):
+        members = tuple(g.elements())
+        while len(members) > 1:
+            derived = group_core._derived_subgroup(g, members)
+            assert derived == g.closure(_commutators(g, members)), (g, members)
+            gens = g.subgroup_generators(members)
+            short.setdefault(g.name, (len(g.closure(_commutators(g, gens))), len(derived)))
+            members = derived
+    assert short["A4"] == (2, 4) and short["S4"] == (3, 12)
+
+
 def test_pc_presentation_needs_a_solvable_group(a5):
     with pytest.raises(ValueError, match="not solvable"):
         a5.pc_presentation()

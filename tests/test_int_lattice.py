@@ -33,7 +33,12 @@ from edlattice.int_lattice import (
     smith_normal_form,
 )
 from edlattice import int_lattice
-from edlattice.catalog import instantiated_catalog, permutation_module, trivial_lattice
+from edlattice.catalog import (
+    instantiated_catalog,
+    parse_catalog_key,
+    permutation_module,
+    trivial_lattice,
+)
 from edlattice.fp_module import Subspace, coinvariants, layout, reduce_mod_p, rref
 from edlattice.jsonio import module_to_json
 from edlattice.random_modules import random_module, random_unimodular
@@ -345,6 +350,28 @@ def test_spun_relation_lattice_is_the_hnf_of_the_orbit_columns(monkeypatch):
         assert spun == [row for row in hermite_normal_form(orbit) if any(row)], (base, relations)
         checked += bool(spun)
     assert checked >= 30
+
+
+def test_quotient_takes_one_hnf_of_the_relation_orbit(monkeypatch):
+    # The relation lattice is one HNF of the relations' orbit, however many
+    # vectors the orbit has: p for the catalog's relations, up to |G| each
+    # for the random ones.
+    real = int_lattice.hermite_normal_form
+    calls = []
+
+    def counting(mat):
+        calls.append(1)
+        return real(mat)
+
+    monkeypatch.setattr(int_lattice, "hermite_normal_form", counting)
+    for key in ("M7@p=3", "M8@p=5", "M12r@p=5,r=1"):
+        del calls[:]
+        parse_catalog_key(key)
+        assert len(calls) == 1, key
+    for base, relations, _ in _orbit_relation_cases(7, 2):
+        del calls[:]
+        _quotient_json(base, relations)
+        assert len(calls) == 1, (base, relations)
 
 
 def test_quotient_depends_only_on_the_relation_lattice():
