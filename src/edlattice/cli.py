@@ -3,7 +3,9 @@
 JSON descriptions (or catalog keys) in, text or JSON out.  Exit codes:
 0 success, 2 invalid input, 3 verification mismatch or a failed internal
 check.  All output is deterministic for fixed flags; randomized checks
-take an explicit --seed.
+take an explicit --seed.  `table` and `verify` read one solved catalog:
+each entry solved once and compared with its expected row by one
+predicate.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _resolve_module(text: str, prime: int | None):
         return parse_module(load_json(text), prime), prime
     entry = catalog.parse_catalog_key(text)
     if prime is not None and prime != entry.p:
-        raise ValueError(f"--prime {prime} conflicts with catalog key {text!r}")
+        raise ValueError(f"prime {prime} conflicts with catalog key {text!r}")
     return entry.module, entry.p
 
 
@@ -68,6 +70,11 @@ def _budget(args, default: int) -> int:
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be nonnegative, got {args.budget}")
     return default if args.budget is None else args.budget
+
+
+def _emit(args, payload, text: str) -> None:
+    """Print the JSON payload under --json, else the text."""
+    print(dump_json(payload) if args.json else text)
 
 
 def _cmd_ed(args) -> int:
@@ -81,44 +88,40 @@ def _cmd_ed(args) -> int:
         result = brute_force_min_rank(module, p, budget)
     else:
         result = min_permutation_rank(module, p)
-    if args.json:
-        print(dump_json(result_to_json(result, {"prime": p})))
-    else:
-        print(f"min_rank={result.min_rank} ed={result.ed}")
+    _emit(args, result_to_json(result, {"prime": p}), f"min_rank={result.min_rank} ed={result.ed}")
     return EXIT_OK
 
 
+def _solved_catalog(p: int, max_r: int | None):
+    """Every catalog entry at p (r capped at max_r) with its solver result."""
+    return [(e, min_permutation_rank(e.module, p))
+            for e in catalog.instantiated_catalog(p, max_r)]
+
+
+def _agrees(entry, result, row) -> bool:
+    """Whether a solved entry is torsion-free with its expected row's rank and ed."""
+    return (row is not None and not entry.module.torsion
+            and entry.module.free_rank == row[2] and result.ed == row[3])
+
+
 def _table_rows(p: int, max_r: int | None):
+    solved = _solved_catalog(p, max_r)
     rows = []
-    for family, r_values, rank, ed in catalog.expected_table(p):
-        if family in PARAM_FAMILIES:
-            sweep = [r for r in r_values if max_r is None or r <= max_r]
-        else:
-            sweep = [None]
-        computed = []
-        for r in sweep:
-            entry = catalog.build_list_L(family, p, r)
-            res = min_permutation_rank(entry.module, p)
-            computed.append({
-                "r": r,
-                "rank": entry.module.free_rank,
-                "ed": res.ed,
-                "torsion": list(entry.module.torsion),
-            })
+    for row in catalog.expected_table(p):
+        family, r_values, rank, ed = row
+        mine = [(e, res) for e, res in solved if e.family == family]
         if family in PARAM_FAMILIES and not r_values:
             status = "N/A (range empty)"
-        elif computed and all(c["rank"] == rank and c["ed"] == ed and not c["torsion"]
-                              for c in computed):
-            status = "ok"
-        elif not computed:
+        elif not mine:
             status = "skipped"
         else:
-            status = "FAIL"
+            status = "ok" if all(_agrees(e, res, row) for e, res in mine) else "FAIL"
         rows.append({
             "family": family,
             "r_values": list(r_values),
             "expected": {"rank": rank, "ed": ed},
-            "computed": computed,
+            "computed": [{"r": e.r, "rank": e.module.free_rank, "ed": res.ed,
+                          "torsion": list(e.module.torsion)} for e, res in mine],
             "status": status,
         })
     return rows
@@ -133,23 +136,15 @@ def _format_r(row) -> str:
 
 def _cmd_table(args) -> int:
     rows = _table_rows(args.prime, args.max_r)
-    failed = any(row["status"] == "FAIL" for row in rows)
-    if args.json:
-        print(dump_json({"prime": args.prime, "rows": rows}))
-        return EXIT_MISMATCH if failed else EXIT_OK
     header = f"{'family':<6} {'r':<6} {'rank':>4} {'got':>4} {'ed':>3} {'got':>4}  status"
-    print(header)
-    print("-" * len(header))
+    lines = [header, "-" * len(header)]
     for row in rows:
         exp = row["expected"]
-        if row["computed"]:
-            got_rank = str(row["computed"][0]["rank"])
-            got_ed = str(row["computed"][0]["ed"])
-        else:
-            got_rank = got_ed = "-"
-        print(f"{row['family']:<6} {_format_r(row):<6} {exp['rank']:>4} {got_rank:>4} "
-              f"{exp['ed']:>3} {got_ed:>4}  {row['status']}")
-    return EXIT_MISMATCH if failed else EXIT_OK
+        got = row["computed"][0] if row["computed"] else {"rank": "-", "ed": "-"}
+        lines.append(f"{row['family']:<6} {_format_r(row):<6} {exp['rank']:>4} {got['rank']:>4} "
+                     f"{exp['ed']:>3} {got['ed']:>4}  {row['status']}")
+    _emit(args, {"prime": args.prime, "rows": rows}, "\n".join(lines))
+    return EXIT_MISMATCH if any(row["status"] == "FAIL" for row in rows) else EXIT_OK
 
 
 def _cmd_genus(args) -> int:
@@ -158,14 +153,9 @@ def _cmd_genus(args) -> int:
     if len(inputs) != 2:
         raise ValueError("genus needs exactly two modules (--input/--catalog twice)")
     first, p = _resolve_module(inputs[0], args.prime)
-    second, q = _resolve_module(inputs[1], p)
-    if p != q:
-        raise ValueError("the two modules use different primes")
+    second, _ = _resolve_module(inputs[1], p)
     answer = genus_equal(first, second, p, budget=_budget(args, 10 ** 6), seed=args.seed)
-    if args.json:
-        print(dump_json({"genus_equal": answer, "prime": p}))
-    else:
-        print(f"genus_equal={answer}")
+    _emit(args, {"genus_equal": answer, "prime": p}, f"genus_equal={answer}")
     return EXIT_OK
 
 
@@ -174,26 +164,20 @@ def _cmd_classify(args) -> int:
         raise ValueError("--input with a presentation file is required")
     group, summands, vector = parse_presentation(load_json(args.input))
     value = classify_ed_le_one(group, summands, vector, args.prime)
-    if args.json:
-        print(dump_json({"ed": value, "prime": args.prime}))
-    else:
-        print(f"ed={value}")
+    _emit(args, {"ed": value, "prime": args.prime}, f"ed={value}")
     return EXIT_OK
 
 
 def _cmd_catalog(args) -> int:
     entries = catalog.instantiated_catalog(args.prime, args.max_r)
-    if args.json:
-        print(dump_json([{
-            "key": e.key,
-            "family": e.family,
-            "r": e.r,
-            "expected_rank": e.expected_rank,
-            "expected_ed": e.expected_ed,
-        } for e in entries]))
-        return EXIT_OK
-    for e in entries:
-        print(f"{e.key} expected_rank={e.expected_rank} expected_ed={e.expected_ed}")
+    _emit(args, [{
+        "key": e.key,
+        "family": e.family,
+        "r": e.r,
+        "expected_rank": e.expected_rank,
+        "expected_ed": e.expected_ed,
+    } for e in entries], "\n".join(
+        f"{e.key} expected_rank={e.expected_rank} expected_ed={e.expected_ed}" for e in entries))
     return EXIT_OK
 
 
@@ -214,81 +198,58 @@ def _oracle_groups(p: int):
 VERIFY_GENUS_RANK_CAP = 12
 # Random modules that the oracle section of `verify` checks.
 VERIFY_ORACLE_COUNT = 25
+# The dimension of the coinvariant space W of M/pM for each family that
+# the rank-C section of `verify` checks.
+VERIFY_RANK_C = {"M7": 1, "M8": 1, "M9r": 2, "M10r": 2, "M11r": 2, "M12r": 2}
+
+
+def _section(name: str, noun: str, outcomes: list[bool]):
+    """One `verify` section: (name, noun, outcomes that hold, outcomes)."""
+    return name, noun, sum(outcomes), len(outcomes)
+
+
+def _genus_holds(rng: Random, entry, result, p: int, budget: int, seed: int) -> bool:
+    """Whether the entry in a random basis keeps its ed and its genus."""
+    other = conjugate_basis(rng, entry.module)
+    return (min_permutation_rank(other, p).ed == result.ed
+            and genus_equal(entry.module, other, p, budget=budget, seed=seed) == "yes")
+
+
+def _oracle_agrees(module, p: int) -> bool:
+    """Whether the greedy's min rank is the oracle's and its certificate replays."""
+    fast = min_permutation_rank(module, p)
+    slow = brute_force_min_rank(module, p, module.group.order * max(1, module.dim))
+    return fast.min_rank == slow.min_rank and verify_certificate(module, fast.certificate, p)
 
 
 def verify_sections(p: int, expected_rows, seed: int, max_r: int | None, genus_budget: int):
-    """The verification suite; returns [(name, noun, ok, total)]."""
-    entries = catalog.instantiated_catalog(p, max_r)
-    sections = []
+    """The verification suite; returns [(name, noun, ok, total)].
 
+    The genus and oracle sections each draw from their own Random(seed).
+    """
+    solved = _solved_catalog(p, max_r)
     by_family = {row[0]: row for row in expected_rows}
-    results = {}
-    ok = 0
-    for e in entries:
-        res = min_permutation_rank(e.module, p)
-        results[e.key] = res
-        row = by_family.get(e.family)
-        if (row is not None and not e.module.torsion
-                and e.module.free_rank == row[2] and res.ed == row[3]):
-            ok += 1
-    sections.append(("table", "entries", ok, len(entries)))
-
-    pairs = list(itertools.combinations(range(len(entries)), 2))
-    ok = 0
-    for i, j in pairs:
-        total = direct_sum(entries[i].module, entries[j].module)
-        res = min_permutation_rank(total, p)
-        if res.ed == results[entries[i].key].ed + results[entries[j].key].ed:
-            ok += 1
-    sections.append(("additivity", "pairs", ok, len(pairs)))
-
-    rng = Random(seed)
-    ok = total = 0
-    for e in entries:
-        if e.module.torsion or e.module.free_rank > VERIFY_GENUS_RANK_CAP:
-            continue
-        total += 1
-        other = conjugate_basis(rng, e.module)
-        same_ed = min_permutation_rank(other, p).ed == results[e.key].ed
-        if same_ed and genus_equal(e.module, other, p, budget=genus_budget, seed=seed) == "yes":
-            ok += 1
-    sections.append(("genus", "entries", ok, total))
-
-    ok = total = 0
-    for e in entries:
-        if e.family not in ("M9r", "M10r", "M11r", "M12r"):
-            continue
-        total += 1
-        full_group = subgroup_class(e.module.group, range(p * p))
-        if fixed_image_subspace(e.module, full_group).dim == 0:
-            ok += 1
-    sections.append(("fixed-image", "entries", ok, total))
-
-    expected_c = {"M7": 1, "M8": 1, "M9r": 2, "M10r": 2, "M11r": 2, "M12r": 2}
-    ok = total = 0
-    for e in entries:
-        want = expected_c.get(e.family)
-        if want is None:
-            continue
-        total += 1
-        w_dim, _ = coinvariants(reduce_mod_p(e.module))
-        if w_dim == want:
-            ok += 1
-    sections.append(("rank-C", "entries", ok, total))
-
+    genus_rng, oracle_rng = Random(seed), Random(seed)
     groups = _oracle_groups(p)
-    rng = Random(seed)
-    ok = 0
-    for _ in range(VERIFY_ORACLE_COUNT):
-        group = rng.choice(groups)
-        module = random_module(rng, group, p, max_dim=4)
-        fast = min_permutation_rank(module, p)
-        slow = brute_force_min_rank(module, p, group.order * max(1, module.dim))
-        if (fast.min_rank == slow.min_rank
-                and verify_certificate(module, fast.certificate, p)):
-            ok += 1
-    sections.append(("oracle", "modules", ok, VERIFY_ORACLE_COUNT))
-    return sections
+    return [
+        _section("table", "entries", [
+            _agrees(e, res, by_family.get(e.family)) for e, res in solved]),
+        _section("additivity", "pairs", [
+            min_permutation_rank(direct_sum(e.module, f.module), p).ed == a.ed + b.ed
+            for (e, a), (f, b) in itertools.combinations(solved, 2)]),
+        _section("genus", "entries", [
+            _genus_holds(genus_rng, e, res, p, genus_budget, seed) for e, res in solved
+            if not e.module.torsion and e.module.free_rank <= VERIFY_GENUS_RANK_CAP]),
+        _section("fixed-image", "entries", [
+            fixed_image_subspace(e.module, subgroup_class(e.module.group, range(p * p))).dim == 0
+            for e, _ in solved if e.family in PARAM_FAMILIES]),
+        _section("rank-C", "entries", [
+            coinvariants(reduce_mod_p(e.module))[0] == VERIFY_RANK_C[e.family]
+            for e, _ in solved if e.family in VERIFY_RANK_C]),
+        _section("oracle", "modules", [
+            _oracle_agrees(random_module(oracle_rng, oracle_rng.choice(groups), p, max_dim=4), p)
+            for _ in range(VERIFY_ORACLE_COUNT)]),
+    ]
 
 
 def _cmd_verify(args) -> int:
@@ -300,17 +261,12 @@ def _cmd_verify(args) -> int:
                                max_r=args.max_r,
                                genus_budget=_budget(args, 4096))
     passed = all(ok == total for _, _, ok, total in sections)
-    if args.json:
-        print(dump_json({
-            "prime": args.prime,
-            "sections": [{"name": n, "ok": ok, "total": total}
-                         for n, _, ok, total in sections],
-            "pass": passed,
-        }))
-    else:
-        for name, noun, ok, total in sections:
-            print(f"{name}: {ok}/{total} {noun} {'OK' if ok == total else 'FAIL'}")
-        print("PASS" if passed else "FAIL")
+    _emit(args, {
+        "prime": args.prime,
+        "sections": [{"name": n, "ok": ok, "total": total} for n, _, ok, total in sections],
+        "pass": passed,
+    }, "\n".join([f"{name}: {ok}/{total} {noun} {'OK' if ok == total else 'FAIL'}"
+                  for name, noun, ok, total in sections] + ["PASS" if passed else "FAIL"]))
     return EXIT_OK if passed else EXIT_MISMATCH
 
 

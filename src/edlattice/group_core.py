@@ -108,15 +108,9 @@ class FiniteGroup:
         self._coset_actions: dict[tuple[int, ...], CosetAction] = {}
         # Light's test: the elements s with (x s) y = x (s y) for all x, y
         # are closed under products, so checking a generating set suffices.
-        # Each generator picked here at least doubles the reached set when
-        # the table is a group, so this costs O(n^2 log n).
-        gens: list[int] = []
-        reached = {0}
-        for a in range(n):
-            if a not in reached:
-                gens.append(a)
-                reached = set(self.closure(gens))
-        for s in gens:
+        # Each generator at least doubles the reached set when the table is
+        # a group, so this costs O(n^2 log n).
+        for s in self.generators():
             s_row = table[s]
             for x in range(n):
                 x_row = table[x]
@@ -148,6 +142,9 @@ class FiniteGroup:
                 if not orders[a]:
                     powers = [a]
                     while powers[-1] != 0:
+                        # In a group the walk returns to 0 within n steps.
+                        if len(powers) == self.order:
+                            raise ValueError("cayley table is not associative")
                         powers.append(self.cayley[powers[-1]][a])
                     k = len(powers)
                     for j, x in enumerate(powers, 1):
@@ -522,9 +519,9 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
                     known[extended] = gens + (x,)
                     queue.append(extended)
     # The conjugates of h are its orbit under conjugation by generators of
-    # the group (each g^-1 is a power of g), grown breadth-first: those the
-    # whole group was reached with.  In an abelian group the orbit is {h}.
-    group_gens = known[tuple(group.elements())]
+    # the group (each g^-1 is a power of g), grown breadth-first.  In an
+    # abelian group the orbit is {h}.
+    group_gens = group.generators()
     abelian = group.is_abelian()
     classes: list[SubgroupClass] = []
     seen: set[tuple[int, ...]] = set()

@@ -76,6 +76,18 @@ def test_nonassociative_table_rejected_at_order_70():
         from_table(table)
 
 
+def test_nonassociative_table_whose_powers_never_reach_the_identity_is_rejected():
+    # Identity and two-sided inverses hold, but 1, 1*1 = 2, 2*1 = 3, 3*1 = 2,
+    # ... never walks back to 0: the element orders must stop the walk.
+    table = [[0, 1, 2, 3, 4],
+             [1, 2, 1, 1, 0],
+             [2, 3, 1, 0, 1],
+             [3, 2, 0, 1, 1],
+             [4, 0, 1, 1, 1]]
+    with pytest.raises(ValueError, match="cayley table is not associative"):
+        from_table(table)
+
+
 def test_subgroup_of_validates():
     g = make_cyclic(4)
     assert subgroup_of(g, [0, 2]) == (0, 2)

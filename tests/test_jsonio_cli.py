@@ -197,6 +197,16 @@ def test_cli_prime_conflict(capsys):
     assert "prime" in capsys.readouterr().err
 
 
+def test_cli_prime_conflict_names_the_prime_not_the_flag(capsys):
+    # genus reads the second module at the first one's prime, not at --prime.
+    assert main(["genus", "--catalog", "M2@p=2", "--catalog", "M2@p=3"]) == 2
+    err = capsys.readouterr().err
+    assert "prime 2 conflicts with catalog key 'M2@p=3'" in err
+    assert "--prime" not in err
+    assert main(["ed", "--prime", "3", "--catalog", "M7@p=5"]) == 2
+    assert "prime 3 conflicts with catalog key 'M7@p=5'" in capsys.readouterr().err
+
+
 def test_cli_table_json(capsys):
     assert main(["table", "--prime", "2", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
@@ -209,6 +219,30 @@ def test_cli_table_json(capsys):
     assert m7["status"] == "ok"
     assert m7["expected"] == {"rank": 2, "ed": 2}
     assert m7["computed"][0]["rank"] == 2 and m7["computed"][0]["ed"] == 2
+
+
+def test_cli_table_skips_the_r_families_past_max_r(capsys):
+    assert main(["table", "--prime", "3", "--max-r", "0", "--json"]) == 0
+    by_family = {r["family"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    for fam in catalog.PARAM_FAMILIES:
+        assert by_family[fam]["status"] == "skipped"
+        assert by_family[fam]["computed"] == []
+    assert by_family["M8"]["status"] == "ok"
+    assert main(["table", "--prime", "3", "--max-r", "1", "--json"]) == 0
+    by_family = {r["family"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    for fam in catalog.PARAM_FAMILIES:
+        assert by_family[fam]["status"] == "ok"
+        assert [c["r"] for c in by_family[fam]["computed"]] == [1]
+
+
+def test_cli_table_fails_only_the_family_whose_row_is_altered(capsys, monkeypatch):
+    real = catalog.expected_table
+    monkeypatch.setattr(catalog, "expected_table", lambda p: [
+        (fam, r_values, rank, ed + (fam == "M9r")) for fam, r_values, rank, ed in real(p)])
+    assert main(["table", "--prime", "3", "--json"]) == 3
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {r["family"] for r in rows if r["status"] == "FAIL"} == {"M9r"}
+    assert all(r["status"] == "ok" for r in rows if r["family"] != "M9r")
 
 
 def test_cli_table_text(capsys):
@@ -322,6 +356,32 @@ def test_cli_verify_passes_at_p3(capsys):
     assert main(["verify", "--prime", "3", "--max-r", "1"]) == 0
     out = capsys.readouterr().out
     assert "oracle: 25/25 modules OK" in out
+
+
+@pytest.mark.parametrize("p, totals", [
+    (2, [9, 36, 9, 1, 3, 25]),
+    (3, [13, 78, 13, 5, 7, 25]),
+])
+def test_cli_verify_json_pins_every_section(capsys, p, totals):
+    assert main(["verify", "--prime", str(p), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert [(s["name"], s["ok"], s["total"]) for s in report["sections"]] == [
+        (name, total, total) for name, total in
+        zip(["table", "additivity", "genus", "fixed-image", "rank-C", "oracle"], totals)]
+
+
+def test_cli_verify_table_section_drops_by_the_altered_family(tmp_path, capsys):
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps({"rows": [
+        {"family": fam, "r_values": list(r_values), "rank": rank, "ed": ed + (fam == "M9r")}
+        for fam, r_values, rank, ed in catalog.expected_table(3)]}))
+    assert main(["verify", "--prime", "3", "--expected", str(path), "--json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    sections = {s["name"]: (s["ok"], s["total"]) for s in report["sections"]}
+    assert sections.pop("table") == (13 - len(catalog.admissible_r("M9r", 3)), 13)
+    assert all(ok == total for ok, total in sections.values())
 
 
 def test_cli_verify_detects_bad_expectations(tmp_path, capsys):
