@@ -9,6 +9,7 @@ them and never reads them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -194,15 +195,19 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     return CatalogEntry(family, p, r, module, rank, ed)
 
 
-def instantiated_catalog(p: int, max_r: int | None = None) -> list[CatalogEntry]:
-    """Every family at every admissible r (optionally capped), in table order."""
-    entries = [build_list_L(f, p) for f in FIXED_FAMILIES]
+def instantiated_catalog(p: int, max_r: int | None = None) -> Iterator[CatalogEntry]:
+    """Every family at every admissible r (optionally capped), in table order.
+
+    Each entry is built when it is asked for, so a caller that drops an
+    entry before taking the next holds one module at a time.
+    """
+    for family in FIXED_FAMILIES:
+        yield build_list_L(family, p)
     for family in PARAM_FAMILIES:
         for r in admissible_r(family, p):
             if max_r is not None and r > max_r:
                 break
-            entries.append(build_list_L(family, p, r))
-    return entries
+            yield build_list_L(family, p, r)
 
 
 def build_norm_one(indices: list[SubgroupClass], g: FiniteGroup, p: int) -> CatalogEntry:

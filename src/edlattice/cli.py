@@ -3,9 +3,11 @@
 JSON descriptions (or catalog keys) in, text or JSON out.  Exit codes:
 0 success, 2 invalid input, 3 verification mismatch or a failed internal
 check.  All output is deterministic for fixed flags; randomized checks
-take an explicit --seed.  `table` and `verify` read one solved catalog:
-each entry solved once and compared with its expected row by one
-predicate.
+take an explicit --seed.  `table` and `verify` solve each catalog entry
+once and compare it with its expected row by one predicate.  `table`
+streams the entries, keeping only the numbers it prints, so it holds about
+one module at a time; `verify` keeps the whole solved list, since its
+sections read every entry and the additivity section reads them in pairs.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ def _cmd_ed(args) -> int:
 
 
 def _solved_catalog(p: int, max_r: int | None):
-    """Every catalog entry at p (r capped at max_r) with its solver result."""
-    return [(e, min_permutation_rank(e.module, p))
-            for e in catalog.instantiated_catalog(p, max_r)]
+    """Every catalog entry at p (r capped at max_r) with its solver result, one at a time."""
+    return ((e, min_permutation_rank(e.module, p))
+            for e in catalog.instantiated_catalog(p, max_r))
 
 
 def _agrees(entry, result, row) -> bool:
@@ -105,23 +107,33 @@ def _agrees(entry, result, row) -> bool:
 
 
 def _table_rows(p: int, max_r: int | None):
-    solved = _solved_catalog(p, max_r)
+    """One row per expected family.
+
+    The solved entries stream past; each leaves only the numbers the table
+    prints and, if it disagrees with its row, its family's failure.
+    """
+    expected = catalog.expected_table(p)
+    by_family = {row[0]: row for row in expected}
+    computed, failed = {}, set()
+    for e, res in _solved_catalog(p, max_r):
+        computed.setdefault(e.family, []).append({
+            "r": e.r, "rank": e.module.free_rank, "ed": res.ed, "torsion": list(e.module.torsion)})
+        if not _agrees(e, res, by_family.get(e.family)):
+            failed.add(e.family)
     rows = []
-    for row in catalog.expected_table(p):
-        family, r_values, rank, ed = row
-        mine = [(e, res) for e, res in solved if e.family == family]
+    for family, r_values, rank, ed in expected:
+        mine = computed.get(family, [])
         if family in PARAM_FAMILIES and not r_values:
             status = "N/A (range empty)"
         elif not mine:
             status = "skipped"
         else:
-            status = "ok" if all(_agrees(e, res, row) for e, res in mine) else "FAIL"
+            status = "FAIL" if family in failed else "ok"
         rows.append({
             "family": family,
             "r_values": list(r_values),
             "expected": {"rank": rank, "ed": ed},
-            "computed": [{"r": e.r, "rank": e.module.free_rank, "ed": res.ed,
-                          "torsion": list(e.module.torsion)} for e, res in mine],
+            "computed": mine,
             "status": status,
         })
     return rows
@@ -169,7 +181,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entries = catalog.instantiated_catalog(args.prime, args.max_r)
+    # Listed, not streamed: the entries are read twice below.
+    entries = list(catalog.instantiated_catalog(args.prime, args.max_r))
     _emit(args, [{
         "key": e.key,
         "family": e.family,
@@ -227,7 +240,8 @@ def verify_sections(p: int, expected_rows, seed: int, max_r: int | None, genus_b
 
     The genus and oracle sections each draw from their own Random(seed).
     """
-    solved = _solved_catalog(p, max_r)
+    # Listed: the sections below read every entry, some of them in pairs.
+    solved = list(_solved_catalog(p, max_r))
     by_family = {row[0]: row for row in expected_rows}
     genus_rng, oracle_rng = Random(seed), Random(seed)
     groups = _oracle_groups(p)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from random import Random
 
 from .group_core import FiniteGroup, SubgroupClass, coset_action, subgroup_classes
@@ -87,20 +88,6 @@ class EdResult:
     min_rank: int
     ed: int
     certificate: CoverCertificate
-
-
-def _solve_mod_p(columns, target, p):
-    """One solution x of sum_j x_j * columns[j] = target over F_p, or None."""
-    k = len(columns)
-    rows = len(target)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
-    basis, pivots = rref(aug, k + 1, p)
-    coeffs = [0] * k
-    for row, piv in zip(basis, pivots):
-        if piv == k:
-            return None
-        coeffs[piv] = layout(k + 1, p).entry(row, k)
-    return coeffs
 
 
 def _check_prime(m: GaloisModule, p: int) -> None:
@@ -192,26 +179,33 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     image(M^H -> M/pM); the map is a cover iff those spans sum to M/pM.
     The search takes the classes by (index, position), computes each
     class's HNF basis of M^H (`fixed_submodule`) when it reaches the class,
-    and records each distinct orbit span once, with the first (hence
-    cheapest) class and point that reach it.  That loses no cover: a dearer summand with the
-    same span can be swapped for the recorded one without raising the
-    cost, and a span used twice adds nothing the first use did not, so
-    some minimal cover is a set of distinct recorded spans.  The search
-    runs depth first over subsets of that cost-sorted list; a candidate
-    that does not grow the running span is skipped (subspace sums are
-    order independent, so it can be dropped from any cover), and the
-    scan along the list stops once its cost passes the limit.  States
-    (list floor, span) already reached at least as cheaply are pruned.
+    and keeps the basis rows whose images mod p are independent of the
+    images of the rows before them: those images are a basis of
+    image(M^H -> M/pM).  `projective_points` gives one point per line of
+    their span as a combination of them, and the same combination of the
+    integral rows is an H-fixed vector reducing to the point, so each
+    point carries its generator and the cover needs no lift from M/pM.
+    Each distinct orbit span is recorded once, with the first (hence
+    cheapest) class and generator that reach it.  That loses no cover: a
+    dearer summand with the same span can be swapped for the recorded one
+    without raising the cost, and a span used twice adds nothing the
+    first use did not, so some minimal cover is a set of distinct
+    recorded spans.  The search runs depth first over subsets of that
+    cost-sorted list; a candidate that does not grow the running span is
+    skipped (subspace sums are order independent, so it can be dropped
+    from any cover), and the scan along the list stops once its cost
+    passes the limit.  States (list floor, span) already reached at least
+    as cheaply are pruned.
 
     Only repeated F_p work is shared, in dicts that live for this call
     alone.  c.v and g.v have the orbit span of v for c prime to p and g
     in G, so a point's span is recorded under the representative with
-    leading coefficient 1 of its line, and the orbit walk that spins a
-    point (`_orbit_walk`) records it for every orbit point the walk met
-    too.  A point met by an earlier walk is not spun again, however many
-    classes offer it, so a G-orbit of lines is normally spun once (a walk
-    does not report the images of the orbit points it rejected, nor any
-    image once its basis fills the space); and
+    leading coefficient 1 of its line (`Layout.monic`), and the orbit
+    walk that spins a point (`_orbit_walk`) records it for every orbit
+    point the walk met too.  A point met by an earlier walk is not spun
+    again, however many classes offer it, so a G-orbit of lines is
+    normally spun once (a walk does not report the images of the orbit
+    points it rejected, nor any image once its basis fills the space); and
     each join of the running span with a candidate span is computed once
     per search.
 
@@ -229,26 +223,34 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         raise BudgetExceededError(f"point enumeration {p}^{dim} exceeds cap {cap}")
     mbar = reduce_mod_p(m)
     lay = mbar.layout
-    # candidates[pos] = (cls, fixed, point, span), one per distinct orbit
-    # span, from the cheapest class offering it, with that class's HNF
-    # basis of M^H; costs never fall.  Points are packed.
-    candidates: list[tuple[SubgroupClass, list[list[int]], int, Subspace]] = []
+    # candidates[pos] = (cls, gen, span), one per distinct orbit span, from
+    # the cheapest class offering it, with the integral H-fixed vector gen
+    # whose point was enumerated; costs never fall.
+    candidates: list[tuple[SubgroupClass, list[int], Subspace]] = []
     offered: set[Subspace] = set()
     point_spans: dict[int, Subspace] = {}
     # sorted() is stable, so equal indices keep their enumeration order.
     for cls in sorted(subgroup_classes(m.group), key=lambda c: c.index):
-        fixed = fixed_submodule(m, cls)
-        image_basis, _ = rref(fixed, dim, p)
-        for point in projective_points(image_basis, lay):
-            span = point_spans.get(point)
+        # The HNF rows whose images grow the echelon: a basis of
+        # image(M^H -> M/pM), with the integral rows they came from.
+        image = Echelon(lay)
+        rows, images = [], []
+        for b in fixed_submodule(m, cls):
+            packed = lay.pack(b)
+            if image.insert(packed) is not None:
+                rows.append(b)
+                images.append(packed)
+        for lead, tail, point in projective_points(images, lay):
+            span = point_spans.get(lay.monic(point)[1])
             if span is None:
                 span, met = _orbit_walk(mbar, point)
                 for q in met:
                     point_spans.setdefault(lay.monic(q)[1], span)
             if span not in offered:
                 offered.add(span)
-                candidates.append((cls, fixed, point, span))
-    best: list = [None, None]  # cost, chosen [(cls, fixed, point)]
+                gen = [sum(map(mul, (1, *tail), col)) for col in zip(*rows[lead:])]
+                candidates.append((cls, gen, span))
+    best: list = [None, None]  # cost, chosen [(cls, gen)]
     reached: dict = {}
     # joins[span][pspan] is span + pspan.  Each distinct sum is kept once
     # (sums), so the memo costs a dict slot per pair, not a subspace.
@@ -272,7 +274,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         reached[state] = cost
         span_joins = joins.setdefault(span, {})
         for pos in range(floor, len(candidates)):
-            cls, fixed, point, pspan = candidates[pos]
+            cls, gen, pspan = candidates[pos]
             limit = rank_budget if best[0] is None else min(rank_budget, best[0] - 1)
             if cost + cls.index > limit:
                 break  # every later candidate costs at least as much
@@ -282,21 +284,14 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
                 joined = span_joins[pspan] = sums.setdefault(joined, joined)
             if joined.dim == span.dim:
                 continue
-            chosen.append((cls, fixed, point))
+            chosen.append((cls, gen))
             search(pos + 1, joined, cost + cls.index, chosen)
             chosen.pop()
 
     search(0, Subspace(dim, p), 0, [])
     if best[0] is None:
         raise BudgetExceededError(f"no cover within rank budget {rank_budget}")
-    summands = []
-    for cls, fixed, point in best[1]:
-        # An integral H-fixed vector reducing to the chosen point of M/pM.
-        coeffs = _solve_mod_p(fixed, lay.unpack(point), p)
-        if coeffs is None:
-            raise AssertionError("candidate point must lie in the fixed image")
-        gen = [sum(c * b[i] for c, b in zip(coeffs, fixed)) for i in range(dim)]
-        summands.append((cls, tuple(m.canon_vector(gen))))
+    summands = [(cls, tuple(m.canon_vector(gen))) for cls, gen in best[1]]
     cert = CoverCertificate(tuple(summands), best[0])
     if not _replays(m, mbar, cert):
         raise AssertionError("oracle cover failed certificate verification")

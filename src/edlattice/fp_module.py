@@ -326,21 +326,24 @@ def combine(lay, vectors, coeffs) -> int:
     return lay.reduce(sum(map(mul, compress(coeffs, coeffs), compress(vectors, coeffs))))
 
 
-def projective_points(basis, lay):
-    """One representative per line of the span of a packed reduced echelon basis.
+def projective_points(vectors, lay):
+    """One point per line of the span of independent packed vectors.
 
-    Each is b_lead + sum of c_j b_j over the rows after lead: a 1 at the
-    lead, zeros before it, any tail after it.  The basis is in reduced
-    echelon form, so the point leads with 1 too and is the line's
-    representative with leading coefficient 1.  Points come in the
-    lexicographic order of their coefficient tuples, so later leads first.
-    A point sums at most lay.dim reduced rows with coefficients below p.
+    Yields (lead, tail, point) with point = vectors[lead] + sum of
+    tail[j] * vectors[lead + 1 + j]: the coefficient tuple is 1 at lead,
+    0 before it and any tail after it, so it represents its line of
+    coefficient tuples exactly once, and the vectors are independent, so
+    the points represent the lines of their span exactly once.  A point
+    need not lead with 1 (`Layout.monic` gives that representative).
+    Points come in the lexicographic order of their coefficient tuples,
+    so later leads first.  A point sums at most lay.dim vectors with
+    coefficients below p.
     """
-    k = len(basis)
+    k = len(vectors)
     for lead in range(k - 1, -1, -1):
-        base, rows = basis[lead], basis[lead + 1:]
+        base, rows = vectors[lead], vectors[lead + 1:]
         for tail in product(range(lay.p), repeat=k - 1 - lead):
-            yield lay.reduce(base + sum(map(mul, tail, rows)))
+            yield lead, tail, lay.reduce(base + sum(map(mul, tail, rows)))
 
 
 def reduce_mod_p(m: GaloisModule) -> FpGaloisModule:

@@ -338,7 +338,7 @@ class GaloisModule:
     """
 
     __slots__ = ("group", "prime", "free_rank", "torsion",
-                 "_powers", "_actions")
+                 "_powers", "_actions", "__weakref__")
 
     def __init__(self, group: FiniteGroup, prime: int, free_rank: int,
                  torsion: list[int], generator_action: dict[int, IntMatrix]):

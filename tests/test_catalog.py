@@ -47,10 +47,10 @@ def test_admissible_ranges():
 
 
 def test_instantiated_counts():
-    assert len(instantiated_catalog(2)) == 9
-    assert len(instantiated_catalog(3)) == 13
-    assert len(instantiated_catalog(5)) == 21
-    assert len(instantiated_catalog(5, max_r=1)) == 12
+    assert len(list(instantiated_catalog(2))) == 9
+    assert len(list(instantiated_catalog(3))) == 13
+    assert len(list(instantiated_catalog(5))) == 21
+    assert len(list(instantiated_catalog(5, max_r=1))) == 12
 
 
 def test_build_list_L_validation():
@@ -217,7 +217,7 @@ def test_relation_vectors_use_exact_binomials():
 
 
 def test_entries_at_one_prime_share_the_group_and_bases():
-    entries = instantiated_catalog(3)
+    entries = list(instantiated_catalog(3))
     group = entries[0].module.group
     assert all(e.module.group is group for e in entries)
     assert build_list_L("M4", 3).module is build_list_L("M4", 3).module
@@ -239,8 +239,8 @@ def test_base_sums_are_built_once_per_prime_when_first_needed(monkeypatch):
     build_list_L("M1", 5)
     assert calls == []
     # Z[G] (+) Z for M6, and one Z[G] (+) Z[G/H] for all M9r-M12r entries.
-    instantiated_catalog(5)
+    list(instantiated_catalog(5))
     assert calls == [2, 2]
     # M6 is a single entry, so only its own sum is built again.
-    instantiated_catalog(5)
+    list(instantiated_catalog(5))
     assert calls == [2, 2, 2]

@@ -555,10 +555,10 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
         met.update(_line(mbar.layout.unpack(q), p) for q in points)
         return span, points
 
-    def recording(image_basis, lay):
-        for point in projective_points(image_basis, lay):
-            offered.add(tuple(lay.unpack(point)))
-            yield point
+    def recording(vectors, lay):
+        for lead, tail, point in projective_points(vectors, lay):
+            offered.add(_line(lay.unpack(point), p))
+            yield lead, tail, point
 
     monkeypatch.setattr(ed_solver, "_orbit_walk", counting)
     monkeypatch.setattr(ed_solver, "projective_points", recording)
@@ -579,6 +579,24 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
         total_offered += len(offered)
     # g.v spans what v spans too, so a walk spares the other points of its orbit.
     assert total_spun < total_offered
+
+
+@pytest.mark.parametrize("make_group, p", [(dihedral8, 2), (quaternion8, 2), (heisenberg27, 3),
+                                            (lambda: make_cyclic(9), 3)],
+                         ids=["D8", "Q8", "H27", "C9"])
+def test_brute_force_lifts_nothing(monkeypatch, make_group, p):
+    # Each candidate carries the integral H-fixed vector its point was
+    # enumerated from, so the oracle never solves for a lift over F_p.
+    def refuse(*args):
+        raise AssertionError("the oracle called rref")
+
+    monkeypatch.setattr(ed_solver, "rref", refuse)
+    group = make_group()
+    rng = Random(31)
+    for _ in range(6):
+        m = random_module(rng, group, p, max_dim=4)
+        slow = brute_force_min_rank(m, p, group.order * max(1, m.dim))
+        assert slow.min_rank == min_permutation_rank(m, p).min_rank
 
 
 def test_oracle_replays_its_certificate_under_python_O():

@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,36 @@ def test_cli_table_fails_only_the_family_whose_row_is_altered(capsys, monkeypatc
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert {r["family"] for r in rows if r["status"] == "FAIL"} == {"M9r"}
     assert all(r["status"] == "ok" for r in rows if r["family"] != "M9r")
+
+
+def test_cli_table_holds_about_one_entry_module_at_a_time(monkeypatch):
+    # table streams the catalog: when an entry is solved, at most it and
+    # the entry before it (still bound in the caller's loop) are alive,
+    # besides the modules that every entry at the prime shares.
+    p = 7
+    _, zg, zh = catalog._cyclic_bases(p)
+    shared = {id(zg), id(zh), id(catalog._regular_plus_coset(p))}
+    modules = []
+    alive_at_solve = []
+    build, solve = catalog.build_list_L, cli.min_permutation_rank
+
+    def building(*args):
+        entry = build(*args)
+        modules.append(weakref.ref(entry.module))
+        return entry
+
+    def solving(module, prime):
+        gc.collect()
+        alive_at_solve.append(sum(ref() is not None and id(ref()) not in shared
+                                  for ref in modules))
+        return solve(module, prime)
+
+    monkeypatch.setattr(catalog, "build_list_L", building)
+    monkeypatch.setattr(cli, "min_permutation_rank", solving)
+    rows = cli._table_rows(p, None)
+    assert all(row["status"] == "ok" for row in rows)
+    assert len(alive_at_solve) == len(modules) == 29
+    assert max(alive_at_solve) <= 2
 
 
 def test_cli_table_text(capsys):

@@ -42,7 +42,7 @@ def catalog_smith_inputs() -> list[list[list[int]]]:
     int_lattice.smith_normal_form = lambda m: seen.append(m) or snf(m)
     try:
         for p in PRIMES:
-            instantiated_catalog(p)
+            list(instantiated_catalog(p))
     finally:
         int_lattice.smith_normal_form = snf
     return seen
