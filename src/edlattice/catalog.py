@@ -313,7 +313,8 @@ def parse_catalog_key(key: str) -> CatalogEntry:
 
     Each family takes exactly its own parameters, each once: a missing,
     unknown or repeated one, or an empty piece, raises ValueError, and so
-    does a value that is not an integer, naming the key and the parameter.
+    does a value that is not an integer, or an index below 1, naming the
+    key and the parameter.
     """
     family, _, params_text = key.partition("@")
     family = family.strip()
@@ -343,6 +344,8 @@ def parse_catalog_key(key: str) -> CatalogEntry:
                             integer("parameter a", params["a"]))
     order = check_group_order(integer("parameter n", params["n"]))
     indices = [integer("each index", x) for x in params["indices"].split("+")]
+    if min(indices) < 1:
+        raise ValueError(f"catalog key {key!r}: each index must be at least 1, got {min(indices)}")
     # The sum of the coset lattices has one coordinate per coset.
     check_module_dim(sum(indices))
     group = make_cyclic(order)

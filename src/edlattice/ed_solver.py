@@ -54,10 +54,10 @@ from .fp_module import (
     Echelon,
     FpGaloisModule,
     Subspace,
-    _orbit_walk,
     coinvariants,
     combine,
     layout,
+    orbit_span,
     project,
     projective_points,
     reduce_mod_p,
@@ -168,7 +168,7 @@ def _replays(m: GaloisModule, mbar: FpGaloisModule, cert: CoverCertificate) -> b
         gens = m.group.subgroup_generators(cls.representative)
         if any(m.act(g, gen) != canon for g in gens):
             return False
-    return len(spin(mbar, [gen for _, gen in cert.summands])) == m.dim
+    return len(spin(mbar, [mbar.layout.pack(gen) for _, gen in cert.summands])[0].rows) == m.dim
 
 
 def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
@@ -194,20 +194,21 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
     cost-sorted list; a candidate that does not grow the running span is
     skipped (subspace sums are order independent, so it can be dropped
     from any cover), and the scan along the list stops once its cost
-    passes the limit.  States (list floor, span) already reached at least
-    as cheaply are pruned.
+    reaches the one bound, rank_budget + 1 until a cover is found and then
+    the cost of the cheapest cover found, so every cover recorded is
+    cheaper than the one before.  States (list floor, span) already
+    reached at least as cheaply are pruned.
 
     Only repeated F_p work is shared, in dicts that live for this call
     alone.  c.v and g.v have the orbit span of v for c prime to p and g
     in G, so a point's span is recorded under the representative with
-    leading coefficient 1 of its line (`Layout.monic`), and the orbit
-    walk that spins a point (`_orbit_walk`) records it for every orbit
-    point the walk met too.  A point met by an earlier walk is not spun
-    again, however many classes offer it, so a G-orbit of lines is
-    normally spun once (a walk does not report the images of the orbit
-    points it rejected, nor any image once its basis fills the space); and
-    each join of the running span with a candidate span is computed once
-    per search.
+    leading coefficient 1 of its line (`Layout.monic`), and the walk that
+    spins a point (`orbit_span`) records it for every orbit point it met
+    too.  A point met by an earlier walk is not spun again, however many
+    classes offer it, so a G-orbit of lines is normally spun once (a walk
+    does not report the images of the orbit points it rejected, nor any
+    image once its basis fills the space); and each join of the running
+    span with a candidate span is computed once per search.
 
     ORACLE_ENUMERATION_CAP bounds the work twice: the point count p^dim,
     checked before any enumeration, and the number of search states
@@ -243,14 +244,14 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         for lead, tail, point in projective_points(images, lay):
             span = point_spans.get(lay.monic(point)[1])
             if span is None:
-                span, met = _orbit_walk(mbar, point)
+                span, met = orbit_span(mbar, point)
                 for q in met:
                     point_spans.setdefault(lay.monic(q)[1], span)
             if span not in offered:
                 offered.add(span)
                 gen = [sum(map(mul, (1, *tail), col)) for col in zip(*rows[lead:])]
                 candidates.append((cls, gen, span))
-    best: list = [None, None]  # cost, chosen [(cls, gen)]
+    best: list = [rank_budget + 1, None]  # the bound on cost, chosen [(cls, gen)]
     reached: dict = {}
     # joins[span][pspan] is span + pspan.  Each distinct sum is kept once
     # (sums), so the memo costs a dict slot per pair, not a subspace.
@@ -264,8 +265,8 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         if visited > cap:
             raise BudgetExceededError(f"search visited more than {cap} states")
         if span.dim == dim:
-            if best[0] is None or cost < best[0]:
-                best[0], best[1] = cost, list(chosen)
+            # Entered only below the bound, so this cover is the cheapest yet.
+            best[0], best[1] = cost, list(chosen)
             return
         state = (floor, span)
         prior = reached.get(state)
@@ -275,8 +276,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
         span_joins = joins.setdefault(span, {})
         for pos in range(floor, len(candidates)):
             cls, gen, pspan = candidates[pos]
-            limit = rank_budget if best[0] is None else min(rank_budget, best[0] - 1)
-            if cost + cls.index > limit:
+            if cost + cls.index >= best[0]:
                 break  # every later candidate costs at least as much
             joined = span_joins.get(pspan)
             if joined is None:
@@ -289,7 +289,7 @@ def brute_force_min_rank(m: GaloisModule, p: int, rank_budget: int) -> EdResult:
             chosen.pop()
 
     search(0, Subspace(dim, p), 0, [])
-    if best[0] is None:
+    if best[1] is None:
         raise BudgetExceededError(f"no cover within rank budget {rank_budget}")
     summands = [(cls, tuple(m.canon_vector(gen))) for cls, gen in best[1]]
     cert = CoverCertificate(tuple(summands), best[0])

@@ -4,12 +4,13 @@ For a p-group acting on an F_p vector space the group algebra is local, so
 "generates the module" can be read off in the coinvariant quotient W; this
 module supplies W and the canonical projection onto it, through which the
 solver projects the integral fixed vectors it walks.  One walk spans under
-G: it applies the generators to each vector that grows its echelon basis,
-skips an image equal to its source, and stops once the basis fills the
-space.  Certificate verification walks all generators of a cover (`spin`)
-and asks for the whole of M/pM; the brute-force oracle walks one point at
-a time (`_orbit_walk`), so every vector it meets is a point g.v with the
-orbit span of v, and need not spin those points again.
+G, `spin`: it takes packed vectors, applies the generators to each vector
+that grows its echelon basis, skips an image equal to its source, stops
+once the basis fills the space, and returns the basis with every vector it
+met.  Certificate verification spins all generators of a cover and asks
+for the whole of M/pM; the brute-force oracle spins one point at a time
+(`orbit_span`, the one-point view of the walk), so every vector it meets is
+a point g.v with the orbit span of v, and need not spin those points again.
 `fixed_image_subspace` (the image of M^H in W) serves the self-checks.
 
 Packed vectors.  A vector of F_p^n is one Python int: field i, the bits
@@ -413,13 +414,14 @@ def fixed_image_subspace(m: GaloisModule, h: SubgroupClass) -> Subspace:
                                      for b in fixed_submodule(m, h)])
 
 
-def _spin(m: FpGaloisModule, vectors):
-    """The walk's echelon basis of the G-span of packed vectors, and every vector it pushed.
+def spin(m: FpGaloisModule, vectors) -> tuple[Echelon, list[int]]:
+    """The walk's echelon basis of the G-span of reduced packed vectors, and every vector it met.
 
     Each vector that grows the basis has its generator images that differ
     from it pushed, unless the basis fills the space, so the basis spans
     the generator images of the vectors that grew it: a G-stable span,
-    since every g^-1 is a positive power of g in a finite group.
+    since every g^-1 is a positive power of g in a finite group.  The
+    vectors met are the inputs, then the images pushed, in that order.
     """
     echelon = Echelon(m.layout)
     rows = echelon.rows
@@ -438,24 +440,12 @@ def _spin(m: FpGaloisModule, vectors):
     return echelon, met
 
 
-def spin(m: FpGaloisModule, vectors) -> list[int]:
-    """Echelon basis, packed, of the least G-stable subspace containing integral vectors.
+def orbit_span(m: FpGaloisModule, v: int) -> tuple[Subspace, list[int]]:
+    """The F_p-span of the orbit of a reduced packed v, and the orbit points the walk met, v first.
 
-    The rows of the walk of `_spin`, in the order they were found.
+    `spin` of v alone: the walk pushes only generator images of the
+    vectors it pushed, so every one is a point g.v of the orbit {g.v : g
+    in G}, whose orbit span is that of v.
     """
-    return list(_spin(m, [m.layout.pack(v) for v in vectors])[0].rows.values())
-
-
-def _orbit_walk(m: FpGaloisModule, v: int) -> tuple[Subspace, list[int]]:
-    """`orbit_span` of a packed v and the points of v's orbit the walk met, v first.
-
-    The walk pushes only generator images of the vectors it pushed, so
-    every one is a point g.v of the orbit, whose orbit span is that of v.
-    """
-    echelon, met = _spin(m, [v])
+    echelon, met = spin(m, [v])
     return Subspace._from_echelon(echelon), met
-
-
-def orbit_span(m: FpGaloisModule, v) -> Subspace:
-    """F_p-span of the orbit {g.v : g in the group} of an integral v, by an orbit walk."""
-    return _orbit_walk(m, m.layout.pack(v))[0]

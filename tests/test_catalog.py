@@ -205,6 +205,21 @@ def test_catalog_key_values_must_be_integers(capsys, key, what, value):
     assert captured.err == f"error: catalog key {key!r}: {what} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("key, index", [
+    ("perm@p=2,n=4,indices=-4", -4), ("norm_one@p=2,n=4,indices=-1", -1),
+    ("perm@p=2,n=4,indices=0", 0), ("perm@p=2,n=4,indices=4+-2", -2),
+])
+def test_catalog_key_indices_must_be_positive(capsys, key, index):
+    # The indices were summed first, so perm@p=2,n=4,indices=-4 printed
+    # "module dimension -4 is outside 0..256", naming neither the key nor
+    # the index.
+    assert main(["ed", "--catalog", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: catalog key {key!r}: each index must be at least 1, "
+                            f"got {index}\n")
+
+
 def test_relation_vectors_use_exact_binomials():
     # (1-h)^2 over F_p has coefficients 1, -2, 1: visible in the M9r
     # relation through the rank drop being independent of r

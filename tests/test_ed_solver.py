@@ -540,9 +540,9 @@ def _line(v, p):
 @pytest.mark.parametrize("make_group, p", [(dihedral8, 2), (_c2_cubed, 2), (heisenberg27, 3)],
                          ids=["D8", "C2^3", "H27"])
 def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p):
-    # The oracle spins with the orbit walk behind orbit_span, and a walk
-    # reports the orbit points it met; none of them may be spun again.
-    walk, projective_points = ed_solver._orbit_walk, ed_solver.projective_points
+    # The oracle spins each point with orbit_span, which reports the orbit
+    # points its walk met; none of them may be spun again.
+    walk, projective_points = ed_solver.orbit_span, ed_solver.projective_points
     spun = []
     met = set()
     offered = set()
@@ -560,7 +560,7 @@ def test_brute_force_spins_each_projective_point_once(monkeypatch, make_group, p
             offered.add(_line(lay.unpack(point), p))
             yield lead, tail, point
 
-    monkeypatch.setattr(ed_solver, "_orbit_walk", counting)
+    monkeypatch.setattr(ed_solver, "orbit_span", counting)
     monkeypatch.setattr(ed_solver, "projective_points", recording)
     group = make_group()
     rng = Random(11)
@@ -666,8 +666,11 @@ def test_brute_force_matches_an_unpruned_enumeration(make_group, p):
         if m.dim == 0:
             continue
         budget = group.order * m.dim
-        least = brute_force_min_rank(m, p, budget).min_rank
+        result = brute_force_min_rank(m, p, budget)
+        least = result.min_rank
         assert _unpruned_min_rank(m, p, budget) == least
+        # A budget of exactly the minimum finds the same cover as a looser one.
+        assert result_to_json(brute_force_min_rank(m, p, least)) == result_to_json(result)
         # One below the minimum, neither finds a cover.
         assert _unpruned_min_rank(m, p, least - 1) is None
         with pytest.raises(BudgetExceededError, match="no cover within rank budget"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from edlattice.fp_module import (
     Echelon,
     Subspace,
-    _orbit_walk,
     coinvariants,
     fixed_image_subspace,
     layout,
@@ -79,9 +78,9 @@ def test_subspace_sums_and_orbit_spans_are_canonical(p):
     for _ in range(12):
         mbar = reduce_mod_p(random_module(rng, group, p, max_dim=4))
         for _ in range(4):
-            v = [rng.randrange(p) for _ in range(mbar.dim)]
-            span = orbit_span(mbar, v)
-            expected = Subspace(mbar.dim, p, spin(mbar, [v]))
+            v = mbar.layout.pack([rng.randrange(p) for _ in range(mbar.dim)])
+            span, _ = orbit_span(mbar, v)
+            expected = Subspace(mbar.dim, p, spin(mbar, [v])[0].rows.values())
             assert span == expected and hash(span) == hash(expected)
             assert span.pivots == expected.pivots
 
@@ -115,7 +114,7 @@ def test_coinvariants_nonzero_module_never_collapses():
 def test_orbit_span_is_group_stable():
     g = make_cyclic(9)
     m = reduce_mod_p(permutation_module(g, subgroup_class(g, (0, 3, 6)), 3))
-    span = orbit_span(m, [1, 0, 0])
+    span, _ = orbit_span(m, m.layout.pack([1, 0, 0]))
     for x in g.elements():
         images = Subspace(span.ambient_dim, 3, [m.act(x, b) for b in span.basis])
         assert span.add(images) == span
@@ -152,7 +151,7 @@ def test_orbit_span_matches_full_orbit_on_nonabelian_groups(make_group, p):
             v = [rng.randrange(p) for _ in range(mbar.dim)]
             packed = mbar.layout.pack(v)
             full = Subspace(mbar.dim, p, [mbar.act(g, packed) for g in group.elements()])
-            assert orbit_span(mbar, v) == full
+            assert orbit_span(mbar, packed)[0] == full
 
 
 def _list_act(m, g, v):
@@ -202,14 +201,14 @@ def test_spin_and_orbit_walk_match_the_reduced_row_spin(name, group, p, list_row
             lay = mbar.layout
             rows, pivots = _reference_spin(mbar, vectors, list_rows.insert)
             # The walk finds other rows than the reduced-row spin, of the same span.
-            assert list_rows.rref([lay.unpack(row) for row in spin(mbar, vectors)],
+            walk, _ = spin(mbar, [lay.pack(v) for v in vectors])
+            assert list_rows.rref([lay.unpack(row) for row in walk.rows.values()],
                                   mbar.dim, p) == list_rows.reduced(rows, pivots, mbar.dim, p)
             v = vectors[0]
-            span, met = _orbit_walk(mbar, lay.pack(v))
+            span, met = orbit_span(mbar, lay.pack(v))
             reference = list_rows.reduced(*_reference_spin(mbar, [v], list_rows.insert),
                                           mbar.dim, p)
             assert ([lay.unpack(row) for row in span.basis], list(span.pivots)) == reference
-            assert orbit_span(mbar, v) == span
             orbit = {tuple(_list_act(mbar, g, [x % p for x in v])) for g in elements}
             assert lay.unpack(met[0]) == [x % p for x in v]
             for q in met:
@@ -328,8 +327,8 @@ def test_packed_rows_match_list_rows(p, n, list_rows):
         starts.append([rng.randrange(p) for _ in range(n)])
     for v in starts:
         rows, pivots = _reference_spin(mbar, [v], list_rows.insert)
-        assert [unpack(r) for r in spin(mbar, [v])] == rows
-        span, met = _orbit_walk(mbar, lay.pack(v))
+        assert [unpack(r) for r in spin(mbar, [lay.pack(v)])[0].rows.values()] == rows
+        span, met = orbit_span(mbar, lay.pack(v))
         assert ([unpack(r) for r in span.basis], list(span.pivots)) == \
             list_rows.reduced(rows, pivots, n, p)
         assert met[0] == lay.pack(v)
@@ -389,11 +388,11 @@ def test_vectors_are_refused_where_they_are_packed():
     mbar = reduce_mod_p(m)
     assert mbar.dim == 2
     with pytest.raises(ValueError, match="length 4 does not match dimension 2"):
-        spin(mbar, [[1, 0, 5, 7]])
+        mbar.layout.pack([1, 0, 5, 7])
     with pytest.raises(ValueError, match="length 1 does not match dimension 2"):
-        spin(mbar, [[1]])
+        mbar.layout.pack([1])
     with pytest.raises(ValueError, match="length 3 does not match dimension 2"):
-        orbit_span(mbar, [1, 0, 0])
+        mbar.layout.pack([1, 0, 0])
     _, projection = coinvariants(mbar)
     with pytest.raises(ValueError, match="length 5 does not match dimension 2"):
         project(projection, [1, 0, 0, 0, 1], 2)
