@@ -88,23 +88,27 @@ def expected_table(p: int) -> list[tuple[str, tuple[int, ...], int, int]]:
 
 
 def permutation_module(group: FiniteGroup, subgroup: SubgroupClass, prime: int) -> GaloisModule:
-    """The coset lattice Z[G/H] with basis the cosets in canonical order."""
+    """The coset lattice Z[G/H] with basis the cosets in canonical order.
+
+    Generator g sends coset c to coset perm[c], so row perm[c] of its
+    matrix has the one entry 1 at column c.  These are the matrices of G's
+    action on its cosets, so the module is not checked.
+    """
     act = coset_action(group, subgroup)
-    deg = act.degree
     gens = {}
     for g in group.generators():
-        perm = act.permutations[g]
-        mat = [[0] * deg for _ in range(deg)]
-        for c in range(deg):
-            mat[perm[c]][c] = 1
-        gens[g] = mat
-    return GaloisModule(group, prime, deg, [], gens)
+        rows = [[] for _ in range(act.degree)]
+        for c, image in enumerate(act.permutations[g]):
+            rows[image] = [(c, 1)]
+        gens[g] = rows
+    return GaloisModule._of_action(group, prime, act.degree, [], gens)
 
 
 def trivial_lattice(group: FiniteGroup, prime: int, rank: int = 1) -> GaloisModule:
-    gens = {g: [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-            for g in group.generators()}
-    return GaloisModule(group, prime, rank, [], gens)
+    """Z^rank with every element acting as the identity, so it is not checked."""
+    identity = [[(i, 1)] for i in range(rank)]
+    return GaloisModule._of_action(group, prime, rank, [],
+                                   {g: identity for g in group.generators()})
 
 
 def _class_of_index(group: FiniteGroup, index: int) -> SubgroupClass:

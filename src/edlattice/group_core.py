@@ -4,7 +4,8 @@ Elements are the indices 0..order-1 with identity 0.  Groups here are the
 acting Galois quotients: small p-groups, abelian (cyclic or products of
 cyclics) or not (any full Cayley table; D8, Q8 and the Heisenberg group of
 order 27 have constructors below).  The group axioms are checked at
-construction in O(n^2 log n).  Every order read from input is held to
+construction in O(n^2 log n), except on a direct product of groups, which
+is one by construction.  Every order read from input is held to
 MAX_GROUP_ORDER by `check_group_order` before a table is built.
 
 A group is immutable once built, so what depends on it alone is computed
@@ -71,7 +72,10 @@ class FiniteGroup:
     """A finite group given extensionally by its multiplication table.
 
     cayley[a][b] is the index of a*b.  Index 0 is the identity.
-    Identity, inverses and associativity are verified at every order.
+    Identity, inverses and associativity are verified at every order by
+    the constructor, which every table from outside passes through; a
+    product of groups (`direct_product`) is a group by construction and is
+    not verified again.
     """
 
     __slots__ = ("order", "cayley", "inverse", "name",
@@ -96,16 +100,7 @@ class FiniteGroup:
         for a, b in enumerate(inverse):
             if b < 0 or table[b][a] != 0:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        self.order = n
-        self.cayley = table
-        self.inverse = inverse
-        self.name = name or f"G{n}"
-        self._orders: list[int] | None = None
-        self._generators: list[int] | None = None
-        self._subgroup_gens: dict[tuple[int, ...], list[int]] = {}
-        self._pc: PcPresentation | None = None
-        self._classes: list[SubgroupClass] | None = None
-        self._coset_actions: dict[tuple[int, ...], CosetAction] = {}
+        self._set(table, inverse, name)
         # Light's test: the elements s with (x s) y = x (s y) for all x, y
         # are closed under products, so checking a generating set suffices.
         # Each generator at least doubles the reached set when the table is
@@ -116,6 +111,30 @@ class FiniteGroup:
                 x_row = table[x]
                 if table[x_row[s]] != [x_row[sy] for sy in s_row]:
                     raise ValueError("cayley table is not associative")
+
+    @classmethod
+    def _of_group_table(cls, table: list[list[int]], inverse: list[int],
+                        name: str) -> FiniteGroup:
+        """The group of a table already known to be a group's, unchecked.
+
+        Only tables built from validated groups come here, each caller
+        saying why the table is a group's; inverse[a] is a's inverse.
+        """
+        group = cls.__new__(cls)
+        group._set(table, inverse, name)
+        return group
+
+    def _set(self, table: list[list[int]], inverse: list[int], name: str) -> None:
+        self.order = len(table)
+        self.cayley = table
+        self.inverse = inverse
+        self.name = name or f"G{self.order}"
+        self._orders: list[int] | None = None
+        self._generators: list[int] | None = None
+        self._subgroup_gens: dict[tuple[int, ...], list[int]] = {}
+        self._pc: PcPresentation | None = None
+        self._classes: list[SubgroupClass] | None = None
+        self._coset_actions: dict[tuple[int, ...], CosetAction] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -411,24 +430,27 @@ def make_cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
-    """Direct product of one or more groups, as one table checked once.
+    """Direct product of one or more groups, as one table.
 
     Element (x_1, ..., x_k) is packed in mixed radix with x_1 most
     significant, ((x_1 |G_2| + x_2) |G_3| + ...) + x_k, and the name joins
     the factors' names with "x".  That is the packing and the name of the
     left fold of two-factor products, (x, y) -> x |b| + y, so
     direct_product(a, b, c) == direct_product(direct_product(a, b), c)
-    table for table, without building or checking the inner product.
+    table for table, without building the inner product.  A product of
+    groups is a group, with the identity packed at 0 and inverses taken
+    factor by factor, so the table is not checked again.
     """
     if not factors:
         raise ValueError("product needs at least one factor")
-    table = [[0]]
+    table, inverse = [[0]], [0]
     for factor in factors:
         n = factor.order
         table = [[x + y for x in scaled for y in row]
                  for scaled in ([v * n for v in left] for left in table)
                  for row in factor.cayley]
-    return FiniteGroup(table, name="x".join(f.name for f in factors))
+        inverse = [x * n + y for x in inverse for y in factor.inverse]
+    return FiniteGroup._of_group_table(table, inverse, "x".join(f.name for f in factors))
 
 
 def from_table(cayley: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:

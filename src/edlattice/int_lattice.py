@@ -22,7 +22,9 @@ generator states, eliminates each prefix once.  A fixed-point system
 stacks one block per generator of H's `SubgroupClass`.  A `GaloisModule`
 is stored by the matrices of a generating set, and the relations of the
 group's pc presentation are the whole check that they extend to an
-action: they already make every matrix invertible.  The matrix of any
+action: they already make every matrix invertible.  The public
+constructor runs it; sums, quotients and changes of basis of checked
+modules are actions by construction and skip it.  The matrix of any
 other element is built from its normal form, through one power cache per
 pc generator, when first asked for.  Input modules are held to
 MAX_MODULE_DIM coordinates by `check_module_dim`.
@@ -33,7 +35,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .group_core import FiniteGroup, PcPresentation, SubgroupClass, is_p_power
+from .group_core import FiniteGroup, SubgroupClass, is_p_power
 
 IntMatrix = list[list[int]]
 # The stored form of an action matrix: for each row, its nonzero entries as
@@ -291,6 +293,34 @@ def kernel_basis(m: IntMatrix) -> list[list[int]]:
     return [row[k:] for row in h if not any(row[:k])]
 
 
+def _stored_form(mat: IntMatrix, free_rank: int, torsion: list[int]) -> SparseMatrix:
+    """The stored form of a dense action matrix: its nonzero entries, torsion
+    rows reduced modulo their q_j."""
+    return ([[(j, x) for j, x in enumerate(row) if x] for row in mat[:free_rank]]
+            + [[(j, x % q) for j, x in enumerate(row) if x % q]
+               for row, q in zip(mat[free_rank:], torsion)])
+
+
+def _validate(mat: IntMatrix, free_rank: int, torsion: list[int]) -> SparseMatrix:
+    """The stored form of a supplied dense matrix, after checking its shape."""
+    n, t = free_rank, len(torsion)
+    dim = n + t
+    if len(mat) != dim or any(len(row) != dim for row in mat):
+        raise ValueError(f"action matrix must be {dim}x{dim}")
+    for i in range(n):
+        for j in range(n, dim):
+            if mat[i][j] != 0:
+                raise ValueError("torsion-to-free block must be zero")
+    # Well-definedness on the torsion quotient: the image of the order-q_j
+    # generator must be killed by q_j.
+    for i in range(t):
+        for j in range(t):
+            qi, qj = torsion[i], torsion[j]
+            if qi > qj and mat[n + i][n + j] % (qi // qj):
+                raise ValueError("torsion block does not respect the moduli")
+    return _stored_form(mat, free_rank, torsion)
+
+
 class GaloisModule:
     """Z^n (+) Z/q_1 (+) ... (+) Z/q_t with a linear action of a finite group.
 
@@ -314,7 +344,8 @@ class GaloisModule:
     g_i^r_i = w_ii and g_j g_i = g_i w_ij, where the matrix of a word is
     the product of its normal form in the X_i, and every supplied
     generator must have the matrix of its normal form.  That is the whole
-    check.  The last power relation reads X_(k-1)^r = I, and each earlier
+    check, and the public constructor runs it on every module it is given.
+    The last power relation reads X_(k-1)^r = I, and each earlier
     one sets X_i^r_i equal to a product of later X_j, so by induction from
     the last every X_i is a unit of End(M): A unimodular and D invertible
     mod p, with no determinant.  Von Dyck's theorem then gives a
@@ -324,13 +355,21 @@ class GaloisModule:
     The check costs O(k^2) products plus O(k log p) for the powers, with
     k = log_p |G| for a p-group, in place of |G| products per generator.
 
+    A module built from checked modules (`direct_sum`,
+    `quotient_by_orbit_relations`, a change of basis) or read off a coset
+    action needs no check: its matrices extend to an action by
+    construction, so checking them again would only repeat the proof.
+    Those constructions enter through `_of_action`, which builds the same
+    stored form as the public constructor without the check.
+
     Every matrix is stored once, sparse (`SparseMatrix`): the pc
-    generators, with one power cache each, and the normal forms.  A
-    supplied matrix is kept only through the check, which proves it equal
-    to the normal form kept in its place; after the check each power
-    cache keeps only its X_i.  No zero is stored and torsion rows are
-    reduced modulo q_j, so a stored matrix is canonical and the check
-    compares stored matrices as they are.
+    generators, with one power cache each, and the normal forms.  Each
+    power cache keeps only its X_i once the module is built.  A supplied
+    matrix is kept only through the check, which proves it equal to the
+    normal form kept in its place; a module built without the check keeps
+    its generators' matrices as their normal forms.  No zero is stored
+    and torsion rows are reduced modulo q_j, so a stored matrix is
+    canonical and the check compares stored matrices as they are.
     `sparse_action(g)` builds g's matrix from its normal form when it is
     first asked for and keeps it, so a solve builds only the elements it
     reads: generators, subgroup generators and the elements they lead to.
@@ -350,41 +389,74 @@ class GaloisModule:
         for q in torsion:
             if q < 2 or not is_p_power(q, prime):
                 raise ValueError(f"torsion modulus {q} is not a power of {prime}")
+        gens = sorted(generator_action)
+        if not all(0 <= g < group.order for g in gens):
+            raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
+        supplied = {g: _validate(generator_action[g], free_rank, torsion) for g in gens}
+        # New coordinate k is old coordinate source[k].
+        dim = free_rank + len(torsion)
+        source = list(range(free_rank)) + sorted(range(free_rank, dim),
+                                                 key=lambda i: torsion[i - free_rank])
+        if source != list(range(dim)):
+            position = {old: k for k, old in enumerate(source)}
+            supplied = {g: [sorted((position[j], x) for j, x in mat[i]) for i in source]
+                        for g, mat in supplied.items()}
+            torsion = sorted(torsion)
+        self._build(group, prime, free_rank, torsion, supplied)
+        if not self._is_action(supplied):
+            raise ValueError("action is not a group homomorphism")
+        self._keep_generators()
+
+    @classmethod
+    def _of_action(cls, group: FiniteGroup, prime: int, free_rank: int, torsion: list[int],
+                   stored: dict[int, SparseMatrix]) -> GaloisModule:
+        """The module of matrices already known to extend to an action, unchecked.
+
+        stored maps each element of a generating set to its matrix in stored
+        form, torsion ascending and each torsion row reduced modulo its q_j:
+        what the public constructor holds after its checks.  Only modules
+        derived from checked ones come here, each caller saying why its
+        matrices extend to an action.  They are kept as the generators'
+        normal forms, which the check would have proved them equal to.
+        """
+        module = cls.__new__(cls)
+        module._build(group, prime, free_rank, torsion, stored)
+        module._keep_generators()
+        module._actions.update(stored)
+        return module
+
+    def _build(self, group: FiniteGroup, prime: int, free_rank: int, torsion: list[int],
+               stored: dict[int, SparseMatrix]) -> None:
+        """Set the fields and each pc generator's X_i from stored matrices of a generating set.
+
+        The powers of a stored matrix are cached while the words are built,
+        and a pc generator that is a stored generator shares its cache, so
+        the check reuses them.
+        """
         self.group = group
         self.prime = prime
         self.free_rank = free_rank
         self.torsion = torsion
-        gens = sorted(generator_action)
-        if not all(0 <= g < group.order for g in gens):
-            raise ValueError(f"action keys must be group elements 0..{group.order - 1}")
-        supplied = {g: self._validate(generator_action[g]) for g in gens}
-        # New coordinate k is old coordinate source[k].
-        source = list(range(free_rank)) + sorted(range(free_rank, self.dim),
-                                                 key=lambda i: torsion[i - free_rank])
-        if source != list(range(self.dim)):
-            position = {old: k for k, old in enumerate(source)}
-            supplied = {g: [sorted((position[j], x) for j, x in mat[i]) for i in source]
-                        for g, mat in supplied.items()}
-            self.torsion = sorted(torsion)
-        pc = group.pc_presentation()
-        # The powers of a supplied matrix are cached while the words are
-        # built, and a pc generator that is a supplied generator shares its
-        # cache.  _actions only ever holds normal-form products, so every
-        # comparison in the check is against the normal form and none
-        # against a supplied matrix.
-        gen_powers = {g: {1: mat} for g, mat in supplied.items()}
+        gen_powers = {g: {1: mat} for g, mat in stored.items()}
         self._powers = [gen_powers[runs[0][0]] if len(runs) == 1 and runs[0][1] == 1
                         else {1: self._word(runs, gen_powers)}
-                        for runs in group.words(gens, pc.generators)]
+                        for runs in group.words(sorted(stored),
+                                                group.pc_presentation().generators)]
         self._actions: dict[int, SparseMatrix] = {}
-        if not self._is_action(pc, supplied):
-            raise ValueError("action is not a group homomorphism")
-        # Keep only each X_i: powers a later element needs are built again,
-        # which holds less than every power the relations needed.
+
+    def _keep_generators(self) -> None:
+        """Keep only each X_i: powers a later element needs are built again,
+        which holds less than every power the words and the check needed."""
         self._powers = [{1: cache[1]} for cache in self._powers]
 
-    def _is_action(self, pc: PcPresentation, supplied: dict[int, SparseMatrix]) -> bool:
-        """Whether the supplied matrices extend to an action (class docstring)."""
+    def _is_action(self, supplied: dict[int, SparseMatrix]) -> bool:
+        """Whether the supplied matrices extend to an action (class docstring).
+
+        _actions only ever holds normal-form products here, so every
+        comparison is against a normal form and none against a supplied
+        matrix.
+        """
+        pc = self.group.pc_presentation()
         x = [cache[1] for cache in self._powers]
         if any(self._power(cache, r) != self.sparse_action(w)
                for cache, r, w in zip(self._powers, pc.relative_orders, pc.powers)):
@@ -393,27 +465,6 @@ class GaloisModule:
                for (i, j), w in pc.conjugates.items()):
             return False
         return all(self.sparse_action(g) == mat for g, mat in supplied.items())
-
-    def _validate(self, mat: IntMatrix) -> SparseMatrix:
-        """The stored form of a supplied dense matrix, after checking its shape."""
-        n, t = self.free_rank, len(self.torsion)
-        dim = n + t
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise ValueError(f"action matrix must be {dim}x{dim}")
-        for i in range(n):
-            for j in range(n, dim):
-                if mat[i][j] != 0:
-                    raise ValueError("torsion-to-free block must be zero")
-        # Well-definedness on the torsion quotient: the image of the order-q_j
-        # generator must be killed by q_j.
-        for i in range(t):
-            for j in range(t):
-                qi, qj = self.torsion[i], self.torsion[j]
-                if qi > qj and mat[n + i][n + j] % (qi // qj):
-                    raise ValueError("torsion block does not respect the moduli")
-        return ([[(j, x) for j, x in enumerate(row) if x] for row in mat[:n]]
-                + [[(j, x % q) for j, x in enumerate(row) if x % q]
-                   for row, q in zip(mat[n:], self.torsion)])
 
     def _identity(self) -> SparseMatrix:
         return [[(i, 1)] for i in range(self.dim)]
@@ -732,9 +783,11 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
     """Block sum of one or more modules over the same group and prime.
 
     A coordinate of the sum is a pair (module k, coordinate i of it): all
-    free ones in argument order, then all torsion ones, which the
-    constructor sorts stably into ascending moduli.  So the sum equals the
-    pairwise fold direct_sum(direct_sum(a, b), c), built in one go.
+    free ones in argument order, then all torsion ones, sorted stably into
+    ascending moduli.  So the sum equals the pairwise fold
+    direct_sum(direct_sum(a, b), c), built in one go.  The blocks of a
+    generator's matrix are the summands' matrices, which satisfy the pc
+    relations blockwise, so the sum is an action and is not checked again.
     """
     if not modules:
         raise ValueError("direct sum needs at least one module")
@@ -748,19 +801,17 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
     for k, m in enumerate(modules):
         free += [(k, i) for i in range(m.free_rank)]
         tors += [(q, k, m.free_rank + i) for i, q in enumerate(m.torsion)]
+    tors.sort(key=lambda c: c[0])
     coords = free + [(k, i) for _, k, i in tors]
     position = {c: a for a, c in enumerate(coords)}
-    dim = len(coords)
+    # Each summand's torsion is ascending, so its coordinates keep their
+    # order in the sum and a row's columns stay ascending.
     gens = {}
     for g in first.group.generators():
-        mat = [[0] * dim for _ in range(dim)]
-        for k, m in enumerate(modules):
-            for i, row in enumerate(m.sparse_action(g)):
-                out = mat[position[k, i]]
-                for j, x in row:
-                    out[position[k, j]] = x
-        gens[g] = mat
-    return GaloisModule(first.group, first.prime, len(free), [q for q, _, _ in tors], gens)
+        blocks = [m.sparse_action(g) for m in modules]
+        gens[g] = [[(position[k, j], x) for j, x in blocks[k][i]] for k, i in coords]
+    return GaloisModule._of_action(first.group, first.prime, len(free),
+                                   [q for q, _, _ in tors], gens)
 
 
 def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) -> GaloisModule:
@@ -780,7 +831,9 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     Each generator acts on it by u action(g) u^-1, with u^-1 read off the
     Smith form, which builds it alongside u; the Smith form's column
     transform is never needed, so it is not built.  Torsion prime to the
-    working prime raises MixedTorsionError.
+    working prime raises MixedTorsionError.  L is G-stable, so G acts on
+    Z^n/L by the induced maps, and the quotient is not checked again; its
+    torsion, the invariant factors above 1, is already ascending.
     """
     if perm.torsion:
         raise ValueError("quotient base must be a free module")
@@ -821,8 +874,8 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
                 for c, y in enumerate(uinv_keep[j]):
                     acc[c] += x * y
             a_uinv.append(acc)
-        gens[g] = mat_mul(u_keep, a_uinv)
-    return GaloisModule(perm.group, perm.prime, len(keep_free), torsion, gens)
+        gens[g] = _stored_form(mat_mul(u_keep, a_uinv), len(keep_free), torsion)
+    return GaloisModule._of_action(perm.group, perm.prime, len(keep_free), torsion, gens)
 
 
 def hom_module(l: GaloisModule, m: GaloisModule) -> list[IntMatrix]:

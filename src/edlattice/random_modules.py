@@ -14,6 +14,7 @@ from .group_core import FiniteGroup, subgroup_classes
 from .int_lattice import (
     GaloisModule,
     MixedTorsionError,
+    _stored_form,
     direct_sum,
     identity_matrix,
     mat_mul,
@@ -54,7 +55,8 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     product has blocks u A_11 u^-1, 0, A_21 u^-1 and A_22: the free
     coordinates change basis and the torsion coordinates stay put.  The
     module is unchanged up to isomorphism, so every invariant the solvers
-    compute must be unchanged too.
+    compute must be unchanged too.  Conjugating an action by T is an
+    action, so the result is not checked again.
     """
     n = module.free_rank
     if n < 2:
@@ -63,8 +65,9 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     identity_rows = identity_matrix(n + len(module.torsion))[n:]
     t = [row + [0] * len(identity_rows) for row in u] + identity_rows
     t_inv = [row + [0] * len(identity_rows) for row in w] + identity_rows
-    action = {g: mat_mul(mat_mul(t, module.action(g)), t_inv) for g in module.group.generators()}
-    return GaloisModule(module.group, module.prime, n, list(module.torsion), action)
+    action = {g: _stored_form(mat_mul(mat_mul(t, module.action(g)), t_inv), n, module.torsion)
+              for g in module.group.generators()}
+    return GaloisModule._of_action(module.group, module.prime, n, list(module.torsion), action)
 
 
 def _perm_sum(rng: Random, group: FiniteGroup, p: int, max_dim: int) -> GaloisModule:

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from edlattice import group_core
+from edlattice import group_core, jsonio
 from edlattice.group_core import (
     FiniteGroup,
     coset_action,
@@ -657,6 +657,37 @@ def test_direct_product_of_many_factors_is_the_left_fold(make_factors):
 def test_direct_product_needs_a_factor():
     with pytest.raises(ValueError, match="product needs at least one factor"):
         direct_product()
+
+
+# The smallest loop that is not a group: a Latin square with identity 0 in
+# which every element is its own inverse, of order 5, which no group of
+# order 5 allows.
+_LOOP5 = [[0, 1, 2, 3, 4],
+          [1, 0, 3, 4, 2],
+          [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]]
+
+
+def test_direct_product_skips_the_table_check_and_tables_do_not(monkeypatch):
+    factors = [dihedral8(), make_cyclic(3), quaternion8()]
+    fold = factors[0]
+    for factor in factors[1:]:
+        fold = _pairwise_product(fold, factor)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table check ran")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    g = direct_product(*factors)
+    monkeypatch.undo()
+    assert (g.cayley, g.inverse, g.name) == (fold.cayley, fold.inverse, fold.name)
+    with pytest.raises(ValueError, match="not associative"):
+        from_table(_LOOP5)
+    # A factor given as a table is checked before the product is formed.
+    with pytest.raises(ValueError, match="not associative"):
+        jsonio.parse_group({"type": "product", "factors": [
+            {"type": "cyclic", "order": 2}, {"type": "table", "cayley": _LOOP5}]})
 
 
 def _reference_table_check(cayley):

@@ -40,8 +40,8 @@ from edlattice.catalog import (
     trivial_lattice,
 )
 from edlattice.fp_module import Subspace, coinvariants, layout, reduce_mod_p, rref
-from edlattice.jsonio import module_to_json
-from edlattice.random_modules import random_module, random_unimodular
+from edlattice.jsonio import module_to_json, parse_module
+from edlattice.random_modules import conjugate_basis, random_module, random_unimodular
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda rows: st.integers(min_value=1, max_value=5).flatmap(
@@ -1010,3 +1010,66 @@ def test_local_fixed_basis_spans_the_hnf_lattice_mod_p(small_p_groups):
                 needed.add((m.group.name, k, cls.representative))
     assert len(needed) >= 20
     assert {"D8", "Q8", "C9"} <= {name for name, _, _ in needed}
+
+
+def _checked_copy(m):
+    """m rebuilt through the public constructor from its generators' dense matrices."""
+    return GaloisModule(m.group, m.prime, m.free_rank, m.torsion,
+                        {g: m.action(g) for g in m.group.generators()})
+
+
+def test_derived_modules_pass_the_homomorphism_check():
+    # Sums, quotients, coset lattices and changes of basis skip the check;
+    # rebuilt through it, each must be accepted and act the same on every
+    # element.
+    c2 = make_cyclic(2)
+    groups = [(make_cyclic(4), 2), (make_cyclic(8), 2), (direct_product(c2, c2, c2), 2),
+              (dihedral8(), 2), (quaternion8(), 2), (make_cyclic(9), 3), (heisenberg27(), 3)]
+    rng = Random(20261021)
+    modules = [e.module for p in (2, 3, 5, 7) for e in instantiated_catalog(p)]
+    catalog_count = len(modules)
+    for g, p in groups:
+        parts = [random_module(rng, g, p, max_dim=5) for _ in range(45)]
+        modules += parts + [direct_sum(*rng.sample(parts, rng.randrange(2, 4)))
+                            for _ in range(12)]
+    assert len(modules) - catalog_count == 399
+    assert sum(bool(m.torsion) for m in modules) >= 50
+    for m in modules:
+        checked = _checked_copy(m)
+        assert (checked.free_rank, checked.torsion) == (m.free_rank, m.torsion)
+        assert all(checked.sparse_action(x) == m.sparse_action(x)
+                   for x in m.group.elements()), m
+
+
+def test_derived_modules_do_not_run_the_check_and_inputs_do(monkeypatch):
+    class CheckRan(Exception):
+        pass
+
+    def refuse(*args):
+        raise CheckRan
+
+    g = dihedral8()
+    sample = GaloisModule(g, 2, 2, [], {1: [[0, -1], [1, 0]], 4: [[1, 0], [0, -1]]})
+    text = module_to_json(sample)
+    monkeypatch.setattr(GaloisModule, "_is_action", refuse)
+    regular = permutation_module(g, subgroup_class(g, (0,)), 2)
+    total = direct_sum(regular, permutation_module(g, subgroup_class(g, (0, 4)), 2),
+                       trivial_lattice(g, 2, 2))
+    quotient = quotient_by_orbit_relations(total, [[1] * total.free_rank])
+    rebased = conjugate_basis(Random(3), quotient)
+    assert (quotient.dim, rebased.dim) == (13, 13)
+    assert len(list(instantiated_catalog(5))) == 21
+    # What comes from outside still runs the check: JSON modules, the
+    # catalog's cyclic twists and modules written by hand.
+    with pytest.raises(CheckRan):
+        parse_module(text, 2)
+    with pytest.raises(CheckRan):
+        parse_catalog_key("cyclic@p=3,n=2,a=4")
+    with pytest.raises(CheckRan):
+        GaloisModule(g, 2, 1, [], {1: [[1]], 4: [[-1]]})
+    monkeypatch.undo()
+    assert _checked_copy(rebased).dim == 13
+    # s acting trivially would make r an involution.
+    text["action"]["4"] = [["1", "0"], ["0", "1"]]
+    with pytest.raises(ValueError, match="not a group homomorphism"):
+        parse_module(text, 2)
