@@ -136,12 +136,6 @@ class FiniteGroup:
         self._classes: list[SubgroupClass] | None = None
         self._coset_actions: dict[tuple[int, ...], CosetAction] = {}
 
-    def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def elements(self) -> range:
         return range(self.order)
 

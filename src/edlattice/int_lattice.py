@@ -1,19 +1,23 @@
 """Exact integer linear algebra and finitely generated modules with a group action.
 
-Everything runs on plain Python ints (arbitrary precision).  A matrix that
-a public function takes or returns is a list of dense rows; a
-`GaloisModule` stores its action matrices sparse, each row the list of its
-nonzero entries as (column, value) pairs.  Correctness beats speed
+Everything runs on plain Python ints (arbitrary precision).  The normal
+forms and kernels take and return dense rows; a `GaloisModule` stores its
+action matrices sparse, each row the list of its nonzero entries as
+(column, value) pairs, and every integer matrix product is one
+`sparse_product` of matrices in that stored form.  Correctness beats speed
 throughout: the Hermite normal form is Euclid per column, and the Smith
 normal form is a classical elementary-operation reduction.  A quotient by
 relations lists their orbit under the group, takes one HNF of it for
 the relation lattice, and reads the quotient basis off the Smith form
 of that lattice's at most dim basis vectors.  The Smith normal form serves
-quotients only: it tracks its row transform and that transform's inverse,
-updating both with the matrix in one row-operation helper, and no column
-transform.  The Hermite form keeps no transform; it holds the relation
-lattice, and the oracle's fixed lattice M^H is one HNF of a matrix
-augmented by an identity block.  The solver's questions are local at p, so
+quotients only: it tracks its row transform u and u^-1, the latter by its
+columns, so that each elementary operation is one row update on the
+matrix, on u and on u^-1's transpose, and no column transform.  The
+quotient's action is u action(g) u^-1 on the kept coordinates, two
+sparse products, since both transforms are mostly zeros.  The Hermite
+form keeps no transform; it holds the relation lattice, and the oracle's
+fixed lattice M^H is one HNF of a matrix augmented by an identity
+block.  The solver's questions are local at p, so
 `local_fixed_bases` (M^H) and `hom_module` (Hom) read their kernels up to
 index prime to p off one fraction-free elimination whose pivots are all
 prime to p, hence units of Z_(p); that elimination extends a stored
@@ -104,19 +108,43 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
+def sparse_product(a: SparseMatrix, b: SparseMatrix, moduli: list[int]) -> SparseMatrix:
+    """a @ b for matrices in stored form, row i reduced modulo moduli[i] when that is nonzero.
+
+    Each row of a scatters the rows of b it names into one dense
+    accumulator, whose nonzeros are kept, in ascending columns.  The
+    accumulator has len(b) entries, so every column of b must be below
+    len(b): b is square or taller than wide.  It is allocated once per call
+    and only the columns a row wrote are read back: a column is listed when
+    a term lands on it while it holds 0, and is reset to 0 when read, in
+    ascending order.  A column that cancels to 0 and is written again is
+    listed twice; its second reading finds the 0 left by the first and is
+    skipped.  So a row costs its terms, not the width, which matters on the
+    large permutation-like catalog matrices and on the sparse Smith
+    transforms of a quotient.
+    """
+    acc = [0] * len(b)
+    out = []
+    for row, q in zip(a, moduli):
+        written = []
+        for k, x in row:
+            for j, y in b[k]:
+                z = acc[j]
+                if not z:
+                    written.append(j)
+                acc[j] = z + x * y
+        written.sort()
+        entries = []
+        for j in written:
+            z = acc[j]
+            if z:
+                acc[j] = 0
+                if q:
+                    z %= q
+                    if not z:
+                        continue
+                entries.append((j, z))
+        out.append(entries)
     return out
 
 
@@ -184,35 +212,34 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
     i < r is d_i times row i of v^-1, and those r integer rows extend to a
     unimodular matrix, so their invariant factors are all 1.
 
-    u_inv starts as I and takes the inverse of each elementary row
+    u^-1 starts as I and takes the inverse of each elementary row
     operation on u as a column operation (Cohen, GTM 138, section 2.4):
     if u becomes E u, then u^-1 becomes u^-1 E^-1.  A row swap is a
     column swap, row i += q row k is column k -= q column i, and a negated
-    row is a negated column.  A row addition or swap updates the matrix,
-    u and u^-1 together in one helper; column operations touch the matrix
-    alone.
+    row is a negated column.  u^-1 is kept by its columns, so each of these
+    is one row update on that transpose, and it is transposed once at the
+    end.  A row addition or swap updates the matrix, u and the columns of
+    u^-1 together in one helper; column operations touch the matrix alone.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
     u = identity_matrix(rows)
-    w = identity_matrix(rows)  # u^-1
+    w = identity_matrix(rows)  # the columns of u^-1
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        for row in w:
-            row[i], row[k] = row[k], row[i]
+        w[i], w[k] = w[k], w[i]
 
     def add_row(i, k, q):
-        # Row i += q row k.
-        ai, ak, ui, uk = a[i], a[k], u[i], u[k]
+        # Row i += q row k, and column k -= q column i of u^-1.
+        ai, ak, ui, uk, wi, wk = a[i], a[k], u[i], u[k], w[i], w[k]
         for j in range(cols):
             ai[j] += q * ak[j]
         for j in range(rows):
             ui[j] += q * uk[j]
-        for row in w:
-            row[k] -= q * row[i]
+            wk[j] -= q * wi[j]
 
     def swap_cols(j, k):
         for row in a:
@@ -268,11 +295,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
         if pivot < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-            for row in w:
-                row[t] = -row[t]
+            w[t] = [-x for x in w[t]]
         t += 1
     d = [a[i][i] for i in range(t)]
-    return d, u, w
+    return d, u, [list(row) for row in zip(*w)]
 
 
 def kernel_basis(m: IntMatrix) -> list[list[int]]:
@@ -293,16 +319,9 @@ def kernel_basis(m: IntMatrix) -> list[list[int]]:
     return [row[k:] for row in h if not any(row[:k])]
 
 
-def _stored_form(mat: IntMatrix, free_rank: int, torsion: list[int]) -> SparseMatrix:
-    """The stored form of a dense action matrix: its nonzero entries, torsion
-    rows reduced modulo their q_j."""
-    return ([[(j, x) for j, x in enumerate(row) if x] for row in mat[:free_rank]]
-            + [[(j, x % q) for j, x in enumerate(row) if x % q]
-               for row, q in zip(mat[free_rank:], torsion)])
-
-
 def _validate(mat: IntMatrix, free_rank: int, torsion: list[int]) -> SparseMatrix:
-    """The stored form of a supplied dense matrix, after checking its shape."""
+    """The stored form of a supplied dense matrix, after checking its shape:
+    its nonzero entries, torsion rows reduced modulo their q_j."""
     n, t = free_rank, len(torsion)
     dim = n + t
     if len(mat) != dim or any(len(row) != dim for row in mat):
@@ -318,7 +337,9 @@ def _validate(mat: IntMatrix, free_rank: int, torsion: list[int]) -> SparseMatri
             qi, qj = torsion[i], torsion[j]
             if qi > qj and mat[n + i][n + j] % (qi // qj):
                 raise ValueError("torsion block does not respect the moduli")
-    return _stored_form(mat, free_rank, torsion)
+    return ([[(j, x) for j, x in enumerate(row) if x] for row in mat[:n]]
+            + [[(j, x % q) for j, x in enumerate(row) if x % q]
+               for row, q in zip(mat[n:], torsion)])
 
 
 class GaloisModule:
@@ -470,50 +491,18 @@ class GaloisModule:
         return [[(i, 1)] for i in range(self.dim)]
 
     def _product(self, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-        """a @ b in stored form: each row of a scatters the rows of b it
-        names into one dense accumulator, whose nonzeros are kept, torsion
-        rows reduced modulo q_j first.
-
-        The accumulator is allocated once per call and only the columns a
-        row wrote are read back: a column is listed when a term lands on it
-        while it holds 0, and is reset to 0 when read, in ascending order.
-        A column that cancels to 0 and is written again is listed twice;
-        its second reading finds the 0 left by the first and is skipped.
-        So a row costs its terms, not dim, which matters on the large
-        permutation-like catalog matrices.
+        """a @ b in stored form, torsion rows reduced modulo q_j: one
+        `sparse_product`, with b's torsion rows centred first.
 
         Torsion rows of b are read with entries in (-q_k/2, q_k/2].  That
         moves a term x*y of torsion row i by x*q_k, which q_i divides
         (x is a well-defined map Z/q_k -> Z/q_i), and it keeps the sums
         short when an entry is near q_k, as -1 mod a long q_k is."""
         n = self.free_rank
-        moduli = [0] * n + self.torsion
         if self.torsion:
             b = b[:n] + [[(j, y - q if 2 * y > q else y) for j, y in row]
                          for row, q in zip(b[n:], self.torsion)]
-        acc = [0] * len(b)
-        out = []
-        for row, q in zip(a, moduli):
-            written = []
-            for k, x in row:
-                for j, y in b[k]:
-                    z = acc[j]
-                    if not z:
-                        written.append(j)
-                    acc[j] = z + x * y
-            written.sort()
-            entries = []
-            for j in written:
-                z = acc[j]
-                if z:
-                    acc[j] = 0
-                    if q:
-                        z %= q
-                        if not z:
-                            continue
-                    entries.append((j, z))
-            out.append(entries)
-        return out
+        return sparse_product(a, b, [0] * n + self.torsion)
 
     def _power(self, powers: dict[int, SparseMatrix], e: int) -> SparseMatrix:
         """X^e for X = powers[1] and e >= 1, by square-and-multiply.
@@ -830,7 +819,11 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     disappear, factors > 1 become torsion coordinates, the rest stay free.
     Each generator acts on it by u action(g) u^-1, with u^-1 read off the
     Smith form, which builds it alongside u; the Smith form's column
-    transform is never needed, so it is not built.  Torsion prime to the
+    transform is never needed, so it is not built.  Only the kept rows of
+    u and the kept columns of u^-1 are read, and the transforms are mostly
+    zeros, so the action is two `sparse_product`s: the kept rows of u times
+    action(g), then that times the kept columns of u^-1 as sparse rows,
+    torsion rows reduced modulo their invariant factor.  Torsion prime to the
     working prime raises MixedTorsionError.  L is G-stable, so G acts on
     Z^n/L by the induced maps, and the quotient is not checked again; its
     torsion, the invariant factors above 1, is already ascending.
@@ -860,21 +853,11 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
         if not is_p_power(q, perm.prime):
             raise MixedTorsionError(f"quotient has Z/{q} torsion, not a power of {perm.prime}")
     keep = keep_free + keep_tor
-    # Only the kept rows of u and the kept columns of u^-1 are read.
-    u_keep = [u[i] for i in keep]
-    uinv_keep = [[row[j] for j in keep] for row in u_inv]
-    gens = {}
-    for g, rows in steps.items():
-        # u action(g) u^-1 on the kept coordinates, action(g) u^-1 first:
-        # each of its rows sums the rows of u^-1 that action(g)'s row names.
-        a_uinv = []
-        for row in rows:
-            acc = [0] * len(keep)
-            for j, x in row:
-                for c, y in enumerate(uinv_keep[j]):
-                    acc[c] += x * y
-            a_uinv.append(acc)
-        gens[g] = _stored_form(mat_mul(u_keep, a_uinv), len(keep_free), torsion)
+    u_keep = [[(j, x) for j, x in enumerate(u[i]) if x] for i in keep]
+    uinv_keep = [[(c, row[j]) for c, j in enumerate(keep) if row[j]] for row in u_inv]
+    moduli = [0] * len(keep_free) + torsion
+    gens = {g: sparse_product(sparse_product(u_keep, rows, moduli), uinv_keep, moduli)
+            for g, rows in steps.items()}
     return GaloisModule._of_action(perm.group, perm.prime, len(keep_free), torsion, gens)
 
 

@@ -14,11 +14,10 @@ from .group_core import FiniteGroup, subgroup_classes
 from .int_lattice import (
     GaloisModule,
     MixedTorsionError,
-    _stored_form,
     direct_sum,
     identity_matrix,
-    mat_mul,
     quotient_by_orbit_relations,
+    sparse_product,
 )
 
 
@@ -27,10 +26,12 @@ def random_unimodular(rng: Random, n: int) -> tuple[list[list[int]], list[list[i
 
     u is a product of elementary row operations u[i] += c u[j].  The
     inverse w starts as I and takes each operation's inverse on the right,
-    the column operation w[:, j] -= c w[:, i], so w u = I throughout.
+    the column operation w[:, j] -= c w[:, i], so w u = I throughout.  w is
+    kept by its columns, so that is one row update, and it is transposed
+    once at the end.
     """
     u = identity_matrix(n)
-    w = identity_matrix(n)
+    w = identity_matrix(n)  # the columns of u^-1
     if n < 2:
         return u, w
     for _ in range(2 * n):
@@ -39,11 +40,11 @@ def random_unimodular(rng: Random, n: int) -> tuple[list[list[int]], list[list[i
         if i == j:
             continue
         c = rng.choice((-1, 1))
+        ui, uj, wi, wj = u[i], u[j], w[i], w[j]
         for k in range(n):
-            u[i][k] += c * u[j][k]
-        for row in w:
-            row[j] -= c * row[i]
-    return u, w
+            ui[k] += c * uj[k]
+            wj[k] -= c * wi[k]
+    return u, [list(row) for row in zip(*w)]
 
 
 def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
@@ -53,19 +54,22 @@ def conjugate_basis(rng: Random, module: GaloisModule) -> GaloisModule:
     `random_unimodular` and t the torsion length.  Since the
     torsion-to-free block A_12 of every action matrix is zero, that
     product has blocks u A_11 u^-1, 0, A_21 u^-1 and A_22: the free
-    coordinates change basis and the torsion coordinates stay put.  The
-    module is unchanged up to isomorphism, so every invariant the solvers
-    compute must be unchanged too.  Conjugating an action by T is an
-    action, so the result is not checked again.
+    coordinates change basis and the torsion coordinates stay put.  It is
+    two stored-form products, T times A's stored matrix and then T^-1,
+    torsion rows reduced modulo q_j.  The module is unchanged up to
+    isomorphism, so every invariant the solvers compute must be unchanged
+    too.  Conjugating an action by T is an action, so the result is not
+    checked again.
     """
     n = module.free_rank
     if n < 2:
         return module
     u, w = random_unimodular(rng, n)
-    identity_rows = identity_matrix(n + len(module.torsion))[n:]
-    t = [row + [0] * len(identity_rows) for row in u] + identity_rows
-    t_inv = [row + [0] * len(identity_rows) for row in w] + identity_rows
-    action = {g: _stored_form(mat_mul(mat_mul(t, module.action(g)), t_inv), n, module.torsion)
+    torsion_rows = [[(i, 1)] for i in range(n, module.dim)]
+    t = [[(j, x) for j, x in enumerate(row) if x] for row in u] + torsion_rows
+    t_inv = [[(j, x) for j, x in enumerate(row) if x] for row in w] + torsion_rows
+    moduli = [0] * n + module.torsion
+    action = {g: sparse_product(sparse_product(t, module.sparse_action(g), moduli), t_inv, moduli)
               for g in module.group.generators()}
     return GaloisModule._of_action(module.group, module.prime, n, list(module.torsion), action)
 

@@ -16,7 +16,14 @@ from edlattice.group_core import (
     make_cyclic,
     quaternion8,
 )
-from edlattice.int_lattice import GaloisModule, direct_sum, identity_matrix, mat_mul
+from edlattice.int_lattice import GaloisModule, direct_sum, identity_matrix
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a @ b for dense rows: the tests' reference product, independent of the
+    library's stored-form `sparse_product`."""
+    cols = len(b[0]) if b else 0
+    return [[sum(x * row[j] for x, row in zip(ai, b)) for j in range(cols)] for ai in a]
 
 
 @pytest.fixture(scope="session")
@@ -179,14 +186,14 @@ def twisted_torsion_module():
 
 def _reference_coset_action(group, members):
     """Cosets and permutations from scratch, with the law checked on all pairs."""
-    cosets = sorted({tuple(sorted(group.mul(x, h) for h in members))
+    cosets = sorted({tuple(sorted(group.cayley[x][h] for h in members))
                      for x in group.elements()})
     position = {c: i for i, c in enumerate(cosets)}
-    perms = [tuple(position[tuple(sorted(group.mul(g, y) for y in c))] for c in cosets)
+    perms = [tuple(position[tuple(sorted(group.cayley[g][y] for y in c))] for c in cosets)
              for g in group.elements()]
     for a in group.elements():
         for b in group.elements():
-            pab, pa, pb = perms[group.mul(a, b)], perms[a], perms[b]
+            pab, pa, pb = perms[group.cayley[a][b]], perms[a], perms[b]
             assert all(pab[i] == pa[pb[i]] for i in range(len(cosets)))
     return tuple(cosets), tuple(perms)
 

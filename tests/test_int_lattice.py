@@ -28,9 +28,9 @@ from edlattice.int_lattice import (
     is_prime,
     kernel_basis,
     local_fixed_bases,
-    mat_mul,
     quotient_by_orbit_relations,
     smith_normal_form,
+    sparse_product,
 )
 from edlattice import int_lattice
 from edlattice.catalog import (
@@ -42,6 +42,8 @@ from edlattice.catalog import (
 from edlattice.fp_module import Subspace, coinvariants, layout, reduce_mod_p, rref
 from edlattice.jsonio import module_to_json, parse_module
 from edlattice.random_modules import conjugate_basis, random_module, random_unimodular
+
+from conftest import mat_mul
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda rows: st.integers(min_value=1, max_value=5).flatmap(
@@ -516,7 +518,7 @@ def _cayley_walk(group, free_rank, torsion, action):
     while frontier:
         x = frontier.pop()
         for g, gmat in gens.items():
-            y = group.mul(g, x)
+            y = group.cayley[g][x]
             product = canon(mat_mul(gmat, mats[x]))
             if mats[y] is None:
                 mats[y] = product
@@ -618,7 +620,7 @@ def test_module_over_a_solvable_nonnilpotent_group(s3):
     for x in s3.elements():
         assert sorted(map(sorted, m.action(x))) == [[0, 0, 1]] * 3
     for y in s3.elements():
-        assert mat_mul(m.action(gens[0]), m.action(y)) == m.action(s3.mul(gens[0], y))
+        assert mat_mul(m.action(gens[0]), m.action(y)) == m.action(s3.cayley[gens[0]][y])
     # an element of order 3 cannot act as a transposition of coordinates
     assert s3.element_order(gens[0]) == 3
     swapped = {g: m.action(g) for g in gens}
@@ -736,26 +738,61 @@ def _product_operands(draw):
     return _trivial_module(p, n, torsion), matrix(), matrix()
 
 
+def _dense(sparse, cols):
+    """Dense rows, `cols` wide, of a stored-form matrix."""
+    rows = [[0] * cols for _ in sparse]
+    for out, row in zip(rows, sparse):
+        for j, x in row:
+            out[j] = x
+    return rows
+
+
+def _is_stored_form(sparse):
+    """Every row zero-free, with strictly ascending columns."""
+    return (all(x for row in sparse for _, x in row)
+            and all([j for j, _ in row] == sorted({j for j, _ in row}) for row in sparse))
+
+
 @given(_product_operands())
 @settings(max_examples=200)
 def test_product_matches_a_dense_reference(operands):
     m, a, b = operands
     n, dim = m.free_rank, m.dim
-
-    def dense(sparse):
-        rows = [[0] * dim for _ in range(dim)]
-        for out, row in zip(rows, sparse):
-            for j, x in row:
-                out[j] = x
-        return rows
-
-    want = mat_mul(dense(a), dense(b))
+    want = mat_mul(_dense(a, dim), _dense(b, dim))
     for i, q in enumerate(m.torsion):
         want[n + i] = [x % q for x in want[n + i]]
     got = m._product(a, b)
-    assert dense(got) == want
-    assert all(x for row in got for _, x in row)
-    assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in got)
+    assert _dense(got, dim) == want
+    assert _is_stored_form(got)
+
+
+@st.composite
+def _quotient_shaped_operands(draw):
+    """(a, b, moduli, keep): a wide keep x dim matrix a and a tall dim x keep
+    matrix b in stored form, keep <= dim, with free rows (modulus 0) before
+    torsion rows, the shapes of a quotient's u action(g) and u^-1 columns."""
+    dim = draw(st.integers(min_value=1, max_value=8))
+    keep = draw(st.integers(min_value=0, max_value=dim))
+    torsion = sorted(draw(st.lists(st.sampled_from([2, 3, 4, 8, 9, 27]), max_size=keep)))
+    moduli = [0] * (keep - len(torsion)) + torsion
+    value = st.integers(min_value=-30, max_value=30)
+
+    def matrix(rows, cols):
+        return [[(j, x) for j in range(cols) if draw(st.booleans()) and (x := draw(value))]
+                for _ in range(rows)]
+
+    return matrix(keep, dim), matrix(dim, keep), moduli, keep
+
+
+@given(_quotient_shaped_operands())
+@settings(max_examples=200)
+def test_sparse_product_on_quotient_shapes_matches_a_dense_reference(operands):
+    a, b, moduli, keep = operands
+    want = [[x % q for x in row] if q else row
+            for row, q in zip(mat_mul(_dense(a, len(b)), _dense(b, keep)), moduli)]
+    got = sparse_product(a, b, moduli)
+    assert _dense(got, keep) == want
+    assert _is_stored_form(got)
 
 
 def test_product_rereads_a_column_that_cancels_and_is_written_again():
