@@ -44,9 +44,12 @@ class CatalogEntry:
 
     @property
     def key(self) -> str:
-        if self.r is None:
-            return f"{self.family}@p={self.p}"
-        return f"{self.family}@p={self.p},r={self.r}"
+        return catalog_key(self.family, self.p, self.r)
+
+
+def catalog_key(family: str, p: int, r: int | None) -> str:
+    """The key of a family at p, with its r when it takes one."""
+    return f"{family}@p={p}" if r is None else f"{family}@p={p},r={r}"
 
 
 FIXED_FAMILIES = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8")
@@ -199,19 +202,27 @@ def build_list_L(family: str, p: int, r: int | None = None) -> CatalogEntry:
     return CatalogEntry(family, p, r, module, rank, ed)
 
 
+def catalog_rows(p: int, max_r: int | None) -> Iterator[tuple[str, int | None, int, int]]:
+    """(family, r, expected rank, expected ed) of every entry, in table order.
+
+    M1-M8 have r None; M9r-M12r take each admissible r up to max_r, or
+    every one when max_r is None.  Read off `expected_table`, so no module
+    is built.
+    """
+    for family, r_values, rank, ed in expected_table(p):
+        for r in (r_values if family in PARAM_FAMILIES else [None]):
+            if r is None or max_r is None or r <= max_r:
+                yield family, r, rank, ed
+
+
 def instantiated_catalog(p: int, max_r: int | None = None) -> Iterator[CatalogEntry]:
-    """Every family at every admissible r (optionally capped), in table order.
+    """The entry of every `catalog_rows` row, in table order.
 
     Each entry is built when it is asked for, so a caller that drops an
     entry before taking the next holds one module at a time.
     """
-    for family in FIXED_FAMILIES:
-        yield build_list_L(family, p)
-    for family in PARAM_FAMILIES:
-        for r in admissible_r(family, p):
-            if max_r is not None and r > max_r:
-                break
-            yield build_list_L(family, p, r)
+    for family, r, _, _ in catalog_rows(p, max_r):
+        yield build_list_L(family, p, r)
 
 
 def build_norm_one(indices: list[SubgroupClass], g: FiniteGroup, p: int) -> CatalogEntry:

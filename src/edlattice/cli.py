@@ -181,16 +181,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    # Listed, not streamed: the entries are read twice below.
-    entries = list(catalog.instantiated_catalog(args.prime, args.max_r))
-    _emit(args, [{
-        "key": e.key,
-        "family": e.family,
-        "r": e.r,
-        "expected_rank": e.expected_rank,
-        "expected_ed": e.expected_ed,
-    } for e in entries], "\n".join(
-        f"{e.key} expected_rank={e.expected_rank} expected_ed={e.expected_ed}" for e in entries))
+    listed = [{"key": catalog.catalog_key(family, args.prime, r), "family": family, "r": r,
+               "expected_rank": rank, "expected_ed": ed}
+              for family, r, rank, ed in catalog.catalog_rows(args.prime, args.max_r)]
+    _emit(args, listed, "\n".join(
+        f"{e['key']} expected_rank={e['expected_rank']} expected_ed={e['expected_ed']}"
+        for e in listed))
     return EXIT_OK
 
 

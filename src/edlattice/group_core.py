@@ -24,14 +24,16 @@ action keeps the permutation of each group generator only.
 
 Generating sets of subgroups given by their members come from one greedy,
 `FiniteGroup.subgroup_generators`, and `is_p_power` is the one test of
-whether an order or modulus is a power of p.
+whether an order or modulus is a power of p.  `orbit` is the one walk that
+lists what maps reach from seeds: the derived series, the conjugacy classes
+of subgroups and the relation orbits of quotients go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, log2
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 # A Cayley table of order n holds n^2 Python ints: about 200 MiB at
 # n = 2048 on 64-bit CPython, four times that with each doubling of n.
@@ -42,6 +44,27 @@ MAX_GROUP_ORDER = 2048
 # enumerate), C2^8 417,199 (151 s) and C2^9 over eight million.  So the
 # enumeration refuses a group once it has found this many.
 MAX_SUBGROUPS = 65536
+
+
+Point = TypeVar("Point", bound=Hashable)
+
+
+def orbit(seeds: Iterable[Point], maps: Sequence[Callable[[Point], Point]]) -> list[Point]:
+    """The points the maps reach from the seeds, each once: seeds first, then breadth-first.
+
+    When the maps are the actions of a finite group's generators, the list
+    is the union of the seeds' orbits under the group, since each inverse
+    g^-1 is a positive power of g.
+    """
+    points = list(dict.fromkeys(seeds))
+    seen = set(points)
+    for x in points:
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+    return points
 
 
 def check_group_order(order: int) -> int:
@@ -176,6 +199,7 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Sorted subgroup generated by the seed elements."""
+        # Not `orbit`: through it, C2^7's subgroup enumeration ran about 15% slower.
         seen = {0}
         frontier = [0]
         gens = list(seed)
@@ -237,6 +261,7 @@ class FiniteGroup:
         graph, stopped once every target is reached; a target the generators
         do not generate raises ValueError.
         """
+        # Not `orbit`: the walk has no early stop, and without one oracle set-up rose about 5%.
         parent: dict[int, tuple[int, int] | None] = {0: None}
         queue = [0]
         missing = set(targets) - {0}
@@ -346,23 +371,12 @@ def _derived_subgroup(group: FiniteGroup, members: tuple[int, ...]) -> tuple[int
     """[H, H] for the subgroup H with these members, sorted.
 
     It is the normal closure in H of the commutators of H's generators:
-    the closure of their conjugates under H, which are listed by
-    conjugating every element met by each generator of H until no new one
-    appears (each g^-1 is a positive power of g, so the generators reach
-    every conjugate).
+    the closure of their `orbit` under conjugation by H's generators.
     """
     c, inv = group.cayley, group.inverse
     gens = group.subgroup_generators(members)
-    conjugates = {c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens}
-    pending = list(conjugates)
-    while pending:
-        y = pending.pop()
-        for g in gens:
-            z = c[c[inv[g]][y]][g]
-            if z not in conjugates:
-                conjugates.add(z)
-                pending.append(z)
-    return group.closure(conjugates)
+    commutators = [c[c[inv[a]][inv[b]]][c[a][b]] for a in gens for b in gens]
+    return group.closure(orbit(commutators, [lambda y, g=g: c[c[inv[g]][y]][g] for g in gens]))
 
 
 def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:
@@ -494,8 +508,9 @@ def subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
     of known subgroups until it is closed under one-generator extensions
     finds them all.  A subgroup is extended from the generators it was
     first reached with, which breadth-first are as few as any generating
-    set of it has.  Each class is one orbit under conjugation by the
-    group's generators, represented by its least sorted member list.
+    set of it has.  Each class is the `orbit` of a subgroup under
+    conjugation by the group's generators, represented by its least sorted
+    member list.
     A group with more than MAX_SUBGROUPS subgroups raises ValueError.
     Computed once per group; each call returns a fresh list.
     """
@@ -534,27 +549,18 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
                                          f"the most the subgroup enumeration builds")
                     known[extended] = gens + (x,)
                     queue.append(extended)
-    # The conjugates of h are its orbit under conjugation by generators of
-    # the group (each g^-1 is a power of g), grown breadth-first.  In an
-    # abelian group the orbit is {h}.
-    group_gens = group.generators()
-    abelian = group.is_abelian()
+    # A class is the `orbit` of h under conjugation by the group's
+    # generators; in an abelian group it is {h}.
+    conjugations = [] if group.is_abelian() else [
+        lambda k, g=g: conjugate_subgroup(group, k, g) for g in group.generators()]
     classes: list[SubgroupClass] = []
     seen: set[tuple[int, ...]] = set()
     for h in sorted(known):
         if h in seen:
             continue
-        orbit = {h}
-        if not abelian:
-            frontier = [h]
-            for k in frontier:
-                for g in group_gens:
-                    conj = conjugate_subgroup(group, k, g)
-                    if conj not in orbit:
-                        orbit.add(conj)
-                        frontier.append(conj)
-        seen |= orbit
-        rep = min(orbit)
+        conjugates = orbit([h], conjugations)
+        seen.update(conjugates)
+        rep = min(conjugates)
         classes.append(
             SubgroupClass(
                 representative=rep,

@@ -7,7 +7,7 @@ action matrices sparse, each row the list of its nonzero entries as
 `sparse_product` of matrices in that stored form.  Correctness beats speed
 throughout: the Hermite normal form is Euclid per column, and the Smith
 normal form is a classical elementary-operation reduction.  A quotient by
-relations lists their orbit under the group, takes one HNF of it for
+relations lists their `orbit` under the group, takes one HNF of it for
 the relation lattice, and reads the quotient basis off the Smith form
 of that lattice's at most dim basis vectors.  The Smith normal form serves
 quotients only: it tracks its row transform u and u^-1, the latter by its
@@ -39,7 +39,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .group_core import FiniteGroup, SubgroupClass, is_p_power
+from .group_core import FiniteGroup, SubgroupClass, is_p_power, orbit
 
 IntMatrix = list[list[int]]
 # The stored form of an action matrix: for each row, its nonzero entries as
@@ -806,13 +806,10 @@ def direct_sum(*modules: GaloisModule) -> GaloisModule:
 def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) -> GaloisModule:
     """Quotient of a free module by the action-closed span of relation vectors.
 
-    That span L is the span of the relations' orbit under G, listed by
-    applying the generators' matrices to every vector met until no new
-    image appears; each g^-1 is a positive power of g, so what the
-    generators reach is the whole orbit, at most |G| images per relation.
-    L is then one HNF of the orbit, zero rows dropped.  The HNF is unique
-    for its lattice, so L depends only on the span, not on how the
-    relations are listed, and so does the quotient.
+    That span L is one HNF of the relations' `orbit` under the generators'
+    matrices, at most |G| images per relation, zero rows dropped.  The HNF
+    is unique for its lattice, so L depends only on the span, not on how
+    the relations are listed, and so does the quotient.
 
     The SNF transform u of L's basis (dim x rank(L) <= dim x dim) supplies
     a canonical basis of the quotient: coordinates with invariant factor 1
@@ -834,16 +831,9 @@ def quotient_by_orbit_relations(perm: GaloisModule, relations: list[list[int]]) 
     steps = {g: perm.sparse_action(g) for g in perm.group.generators()}
     if any(len(v) != dim for v in relations):
         raise ValueError("relation vector has wrong length")
-    orbit = {tuple(v): None for v in relations}  # insertion-ordered set
-    pending = list(orbit)
-    while pending:
-        v = pending.pop()
-        for mat in steps.values():
-            image = tuple(sparse_mat_vec(mat, v))
-            if image not in orbit:
-                orbit[image] = None
-                pending.append(image)
-    basis = [row for row in hermite_normal_form([list(v) for v in orbit]) if any(row)]
+    images = orbit([tuple(v) for v in relations],
+                   [lambda v, mat=mat: tuple(sparse_mat_vec(mat, v)) for mat in steps.values()])
+    basis = [row for row in hermite_normal_form([list(v) for v in images]) if any(row)]
     d, u, u_inv = smith_normal_form([[row[i] for row in basis] for i in range(dim)])
     rank = len(d)
     keep_free = list(range(rank, dim))

@@ -1,8 +1,10 @@
+import json
 import time
 from random import Random
 
 import pytest
 
+from edlattice import catalog
 from edlattice.catalog import (
     _p_power_order,
     admissible_r,
@@ -259,3 +261,25 @@ def test_base_sums_are_built_once_per_prime_when_first_needed(monkeypatch):
     # M6 is a single entry, so only its own sum is built again.
     list(instantiated_catalog(5))
     assert calls == [2, 2, 2]
+
+
+@pytest.mark.parametrize("p, flags", [(2, []), (2, ["--json"]), (5, ["--max-r", "1"]),
+                                      (5, ["--max-r", "1", "--json"])])
+def test_cli_catalog_lists_the_instantiated_entries_without_building_one(
+        monkeypatch, capsys, p, flags):
+    max_r = int(flags[1]) if flags[:1] == ["--max-r"] else None
+    entries = list(instantiated_catalog(p, max_r))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edlat catalog built a catalog module")
+
+    monkeypatch.setattr(catalog, "build_list_L", refuse)
+    assert main(["catalog", "--prime", str(p), *flags]) == 0
+    out = capsys.readouterr().out
+    if "--json" in flags:
+        assert json.loads(out) == [{"key": e.key, "family": e.family, "r": e.r,
+                                    "expected_rank": e.expected_rank,
+                                    "expected_ed": e.expected_ed} for e in entries]
+    else:
+        assert out == "".join(f"{e.key} expected_rank={e.expected_rank} "
+                              f"expected_ed={e.expected_ed}\n" for e in entries)

@@ -14,6 +14,7 @@ from edlattice.group_core import (
     heisenberg27,
     is_p_power,
     make_cyclic,
+    orbit,
     quaternion8,
     subgroup_class,
     subgroup_classes,
@@ -770,3 +771,26 @@ def test_table_checks_match_the_entry_by_entry_reference(s3):
         assert got == expected, (trial, bad)
         reached.add(next((c for c in _TABLE_CHECKS if expected and c in expected), None))
     assert reached == set(_TABLE_CHECKS) | {None}
+
+
+def test_orbit_lists_seeds_first_then_breadth_first_each_point_once():
+    # On Z/12 under x -> 2x and x -> x + 3: the seeds 1 and 5 (1 given
+    # twice), then their images 2, 4, 10, 8, then theirs, 7 and 11.
+    maps = [lambda x: 2 * x % 12, lambda x: (x + 3) % 12]
+    assert orbit([1, 5, 1], maps) == [1, 5, 2, 4, 10, 8, 7, 11]
+    assert orbit([3, 3, 0], []) == [3, 0]
+    assert orbit([], maps) == []
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: make_cyclic(1), lambda: make_cyclic(7), lambda: make_cyclic(16),
+    lambda: _product(*[make_cyclic(2)] * 4), _c2_times_c4, dihedral8, quaternion8, heisenberg27,
+], ids=["C1", "C7", "C16", "C2^4", "C2xC4", "D8", "Q8", "H27"])
+def test_closure_is_the_orbit_of_the_identity_under_the_seed(make_group):
+    # `closure` keeps its own table loop; it must list what the one walk
+    # lists from the identity under left multiplication by the seed.
+    g = make_group()
+    rng = Random(7)
+    for size in (0, 1, 1, 2, 2, 3):
+        seed = [rng.randrange(g.order) for _ in range(size)]
+        assert g.closure(seed) == tuple(sorted(orbit([0], [g.cayley[s].__getitem__ for s in seed])))
