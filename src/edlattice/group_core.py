@@ -27,6 +27,9 @@ Generating sets of subgroups given by their members come from one greedy,
 whether an order or modulus is a power of p.  `orbit` is the one walk that
 lists what maps reach from seeds: the derived series, the conjugacy classes
 of subgroups and the relation orbits of quotients go through it.
+`FiniteGroup.powers` is the one walk over an element's powers: the element
+orders, the coprime-power cover of the subgroup enumeration and the pc
+presentation go through it.
 """
 
 from __future__ import annotations
@@ -165,6 +168,18 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return self._element_orders()[a]
 
+    def powers(self, a: int) -> list[int]:
+        """[a, a^2, ..., 0]: a's powers up to the first identity, so as many as a's order."""
+        powers = [a]
+        while powers[-1]:
+            # In a group the walk returns to 0 within n steps.  `generators()`
+            # walks powers inside __init__, before Light's test has run, so on
+            # a table that is not associative the walk must still stop.
+            if len(powers) == self.order:
+                raise ValueError("cayley table is not associative")
+            powers.append(self.cayley[powers[-1]][a])
+        return powers
+
     def _element_orders(self) -> list[int]:
         """The order of every element, computed once per group.
 
@@ -176,12 +191,7 @@ class FiniteGroup:
             orders = [0] * self.order
             for a in range(self.order):
                 if not orders[a]:
-                    powers = [a]
-                    while powers[-1] != 0:
-                        # In a group the walk returns to 0 within n steps.
-                        if len(powers) == self.order:
-                            raise ValueError("cayley table is not associative")
-                        powers.append(self.cayley[powers[-1]][a])
+                    powers = self.powers(a)
                     k = len(powers)
                     for j, x in enumerate(powers, 1):
                         orders[x] = k // gcd(j, k)
@@ -353,13 +363,6 @@ class CosetAction:
     permutations: dict[int, tuple[int, ...]]
 
 
-def _element_power(group: FiniteGroup, x: int, e: int) -> int:
-    y = 0
-    for _ in range(e):
-        y = group.cayley[y][x]
-    return y
-
-
 def _smallest_prime_factor(n: int) -> int:
     d = 2
     while n % d:
@@ -398,19 +401,15 @@ def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:
     for layer in reversed(series[:-1]):
         for y in layer:
             while y not in exponents:
-                t, z = 1, y
-                while z not in exponents:
-                    z = c[z][y]
-                    t += 1
+                powers = group.powers(y)
+                t = next(k for k, z in enumerate(powers, 1) if z in exponents)
                 r = _smallest_prime_factor(t)
-                x = _element_power(group, y, t // r)
+                x = powers[t // r - 1]
                 grown: dict[int, tuple[int, ...]] = {}
-                xe = 0
-                for e in range(r):
+                for e, xe in enumerate([0] + group.powers(x)[:r - 1]):
                     row = c[xe]
                     for n, word in exponents.items():
                         grown[row[n]] = (e,) + word
-                    xe = c[xe][x]
                 exponents = grown
                 found.append((x, r))
     gens = tuple(g for g, _ in reversed(found))
@@ -420,7 +419,7 @@ def _build_pc_presentation(group: FiniteGroup) -> PcPresentation:
         generators=gens,
         relative_orders=orders,
         exponents=tuple(exponents[x] for x in group.elements()),
-        powers=tuple(_element_power(group, g, r) for g, r in zip(gens, orders)),
+        powers=tuple(group.powers(g)[r - 1] for g, r in zip(gens, orders)),
         conjugates={(i, j): c[c[inv[gens[i]]][gens[j]]][gens[i]]
                     for i in range(len(gens)) for j in range(i + 1, len(gens))},
     )
@@ -535,9 +534,7 @@ def _enumerate_subgroup_classes(group: FiniteGroup) -> list[SubgroupClass]:
         covered, gens = set(h), known[h]
         for x in group.elements():
             if x not in covered:
-                powers = [x]  # x^1, ..., x^n = 1
-                while powers[-1]:
-                    powers.append(cayley[powers[-1]][x])
+                powers = group.powers(x)
                 # covered is a union of right cosets hz, so a covered z adds nothing.
                 for k, z in enumerate(powers, 1):
                     if z not in covered and gcd(k, len(powers)) == 1:

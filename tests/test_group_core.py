@@ -79,7 +79,7 @@ def test_nonassociative_table_rejected_at_order_70():
 
 def test_nonassociative_table_whose_powers_never_reach_the_identity_is_rejected():
     # Identity and two-sided inverses hold, but 1, 1*1 = 2, 2*1 = 3, 3*1 = 2,
-    # ... never walks back to 0: the element orders must stop the walk.
+    # ... never walks back to 0: `FiniteGroup.powers` must stop the walk.
     table = [[0, 1, 2, 3, 4],
              [1, 2, 1, 1, 0],
              [2, 3, 1, 0, 1],
@@ -87,6 +87,17 @@ def test_nonassociative_table_whose_powers_never_reach_the_identity_is_rejected(
              [4, 0, 1, 1, 1]]
     with pytest.raises(ValueError, match="cayley table is not associative"):
         from_table(table)
+
+
+def test_powers_walk_to_the_first_identity(s3):
+    for g in (make_cyclic(1), make_cyclic(12), _c2_times_c4(), dihedral8(), quaternion8(),
+              heisenberg27(), s3):
+        for a in g.elements():
+            powers = g.powers(a)
+            assert powers[-1] == 0 and 0 not in powers[:-1]
+            assert len(powers) == g.element_order(a)
+            assert powers[0] == a
+            assert all(g.cayley[x][a] == y for x, y in zip(powers, powers[1:]))
 
 
 def test_subgroup_of_validates():
